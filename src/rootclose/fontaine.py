@@ -28,7 +28,7 @@ from .closure import (
     definite_nonmember,
     membership,
 )
-from .tower import NotDivisibleError, ResidueElem, TowerCtx, TowerElem
+from .tower import NotDivisibleError, TowerCtx, TowerElem
 
 PLAIN = "plain"
 CERTIFIED = "certified"
@@ -75,32 +75,37 @@ class CertComponent:
     cert: ClosureCert | None = None
 
     @property
+    def ctx(self) -> TowerCtx:
+        return self.rep.ctx
+
+    @property
     def level(self) -> int:
         return self.rep.level
 
+    def embed(self, level: int) -> "CertComponent":
+        return CertComponent(self.rep.embed(level))
 
-Component = ResidueElem | CertComponent
+    def as_local(self) -> LocalElem:
+        return self.rep
 
+    # a certificate does not carry over to the results
+    def __neg__(self) -> "CertComponent":
+        return CertComponent(-self.rep)
 
-def _level(comp: Component) -> int:
-    return comp.ctx.level if isinstance(comp, ResidueElem) else comp.rep.level
+    def __pow__(self, e: int) -> "CertComponent":
+        return CertComponent(self.rep**e)
 
-
-def _embed(comp: Component, level: int) -> Component:
-    if isinstance(comp, ResidueElem):
-        return comp.embed(level)
-    return CertComponent(comp.rep.embed(level), None)
-
-
-def _as_local(comp: Component) -> LocalElem:
-    if isinstance(comp, ResidueElem):
-        return LocalElem(comp.lift(), 0, _canonical=True)
-    return comp.rep
+    def __repr__(self):
+        return f"Cert({self.rep!r})"
 
 
-def _family(comp: Component) -> TowerCtx:
-    ctx = comp.ctx if isinstance(comp, ResidueElem) else comp.rep.ctx
-    return ctx.at_level(0)
+# Both kinds of component give ctx, level, embed(level), as_local(), -c
+# and c**e; residues mod p also have exact ring arithmetic of their own.
+Component = TowerElem | CertComponent
+
+
+def _is_residue(comp: Component) -> bool:
+    return isinstance(comp, TowerElem) and comp.coeff_mod == comp.ctx.p
 
 
 class FontaineElem:
@@ -114,14 +119,14 @@ class FontaineElem:
             raise ValueError("a sequence needs at least one component")
         if mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {mode!r}")
-        fam = _family(comps[0])
         for i, comp in enumerate(comps):
-            if not _family(comp).same_family(fam):
+            if not (_is_residue(comp) or (mode == CERTIFIED and isinstance(comp, CertComponent))):
+                kinds = "residues mod p" if mode == PLAIN else "residues mod p and CertComponents"
+                raise ValueError(f"{mode} mode takes {kinds} only (component {i})")
+            if not comp.ctx.same_family(comps[0].ctx):
                 raise ValueError("components must share p, degree and ring mode")
-            if _level(comp) < i:
-                raise ValueError(f"component {i} sits at level {_level(comp)} < {i}")
-            if mode == PLAIN and not isinstance(comp, ResidueElem):
-                raise ValueError("plain mode takes residue components only")
+            if comp.level < i:
+                raise ValueError(f"component {i} sits at level {comp.level} < {i}")
         self.comps = comps
         self.mode = mode
         if check and not self.check_compat():
@@ -134,17 +139,15 @@ class FontaineElem:
 
     @property
     def family(self) -> TowerCtx:
-        return _family(self.comps[0])
+        return self.comps[0].ctx.at_level(0)
 
     @property
     def is_zero(self) -> bool:
-        return all(self._comp_is_zero(c) for c in self.comps)
+        return all(self._comp_is_zero(c, i) for i, c in enumerate(self.comps))
 
     @staticmethod
-    def _comp_is_zero(comp: Component, m_max: int = 4) -> bool:
-        if isinstance(comp, ResidueElem):
-            return comp.is_zero
-        rep = comp.rep
+    def _comp_is_zero(comp: Component, index: int, m_max: int = 4) -> bool:
+        rep = comp.as_local()
         if rep.is_zero:
             return True
         if rep.is_integral:
@@ -156,14 +159,12 @@ class FontaineElem:
             return True
         if definite_nonmember(scaled):
             return False
-        raise UndeterminedCongruenceError(-1, m_max)
+        raise UndeterminedCongruenceError(index, m_max)
 
-    def residue(self, i: int) -> ResidueElem:
-        comp = self.comps[i]
-        if isinstance(comp, ResidueElem):
-            return comp
-        if comp.rep.is_integral:
-            return comp.rep.num.reduce_mod_p()
+    def residue(self, i: int) -> TowerElem:
+        rep = self.comps[i].as_local()
+        if rep.is_integral:
+            return rep.num.reduce_mod_p()
         raise UndeterminedCongruenceError(i, 0)
 
     def truncate(self, depth: int) -> "FontaineElem":
@@ -172,24 +173,14 @@ class FontaineElem:
         return FontaineElem(self.comps[: depth + 1], self.mode)
 
     def zero_like(self) -> "FontaineElem":
-        comps = [ResidueElem.zero(TowerCtx(self.family.p, _level(c), self.family.degree, self.family.mode)) for c in self.comps]
-        return FontaineElem(comps, self.mode)
+        return self.from_int(0)
 
     def one_like(self) -> "FontaineElem":
-        fam = self.family
-        comps = [
-            ResidueElem.integer(TowerCtx(fam.p, _level(c), fam.degree, fam.mode), 1)
-            for c in self.comps
-        ]
-        return FontaineElem(comps, self.mode)
+        return self.from_int(1)
 
     def from_int(self, k: int) -> "FontaineElem":
         # constant sequences are compatible: k^p = k mod p
-        fam = self.family
-        comps = [
-            ResidueElem.integer(TowerCtx(fam.p, _level(c), fam.degree, fam.mode), k)
-            for c in self.comps
-        ]
+        comps = [TowerElem.integer(c.ctx, k, c.ctx.p) for c in self.comps]
         return FontaineElem(comps, self.mode)
 
     # ------------------------------------------------------------------
@@ -205,14 +196,14 @@ class FontaineElem:
         out: list[Component] = []
         for i in range(depth + 1):
             a, b = self.comps[i], other.comps[i]
-            level = max(_level(a), _level(b))
-            a, b = _embed(a, level), _embed(b, level)
-            if isinstance(a, ResidueElem) and isinstance(b, ResidueElem):
+            level = max(a.level, b.level)
+            a, b = a.embed(level), b.embed(level)
+            if _is_residue(a) and _is_residue(b):
                 out.append(op(a, b))
             else:
-                out.append(CertComponent(op(_as_local(a), _as_local(b)), None))
+                out.append(CertComponent(op(a.as_local(), b.as_local())))
         result = FontaineElem(out, mode)
-        if all(isinstance(c, ResidueElem) for c in out) and not result.check_compat():
+        if all(_is_residue(c) for c in out) and not result.check_compat():
             raise IncompatibleSequenceError("ring operation broke compatibility (bug)")
         return result
 
@@ -233,19 +224,12 @@ class FontaineElem:
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = [
-            -c if isinstance(c, ResidueElem) else CertComponent(-c.rep, None) for c in self.comps
-        ]
-        return FontaineElem(out, self.mode)
+        return FontaineElem([-c for c in self.comps], self.mode)
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        out = [
-            c**e if isinstance(c, ResidueElem) else CertComponent(c.rep**e, None)
-            for c in self.comps
-        ]
-        return FontaineElem(out, self.mode)
+        return FontaineElem([c**e for c in self.comps], self.mode)
 
     def frobenius(self) -> "FontaineElem":
         """Componentwise p-th power: the depth-preserving right shift."""
@@ -258,12 +242,12 @@ class FontaineElem:
         return FontaineElem(self.comps[1:], self.mode)
 
     # ------------------------------------------------------------------
-    def _comp_equal(self, a: Component, b: Component, m_max: int) -> bool:
-        level = max(_level(a), _level(b))
-        a, b = _embed(a, level), _embed(b, level)
-        if isinstance(a, ResidueElem) and isinstance(b, ResidueElem):
+    def _comp_equal(self, a: Component, b: Component, index: int, m_max: int) -> bool:
+        level = max(a.level, b.level)
+        a, b = a.embed(level), b.embed(level)
+        if _is_residue(a) and _is_residue(b):
             return a == b
-        delta = _as_local(a) - _as_local(b)
+        delta = a.as_local() - b.as_local()
         if delta.is_zero:
             return True
         if self.mode == PLAIN:
@@ -275,7 +259,7 @@ class FontaineElem:
             return True
         if definite_nonmember(scaled):
             return False
-        raise UndeterminedCongruenceError(-1, m_max)
+        raise UndeterminedCongruenceError(index, m_max)
 
     def equals(self, other: "FontaineElem", m_max: int = 4) -> bool:
         if not isinstance(other, FontaineElem):
@@ -283,7 +267,8 @@ class FontaineElem:
         if self.depth != other.depth or not self.family.same_family(other.family):
             return False
         return all(
-            self._comp_equal(a, b, m_max) for a, b in zip(self.comps, other.comps)
+            self._comp_equal(a, b, i, m_max)
+            for i, (a, b) in enumerate(zip(self.comps, other.comps))
         )
 
     def __eq__(self, other):
@@ -294,21 +279,16 @@ class FontaineElem:
     __hash__ = None
 
     def check_compat(self, m_max: int = 4) -> bool:
-        """Do consecutive components satisfy r_{i+1}^p = r_i?"""
+        """Do consecutive components satisfy r_{i+1}^p = r_i?  An
+        undetermined congruence is reported at index i + 1."""
         p = self.family.p
         for i in range(self.depth):
-            lo, hi = self.comps[i], self.comps[i + 1]
-            powered = (
-                hi**p if isinstance(hi, ResidueElem) else CertComponent(hi.rep**p, None)
-            )
-            if not self._comp_equal(powered, lo, m_max):
+            if not self._comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, m_max):
                 return False
         return True
 
     def __repr__(self):
-        kinds = ", ".join(
-            repr(c) if isinstance(c, ResidueElem) else f"Cert({c.rep!r})" for c in self.comps[:3]
-        )
+        kinds = ", ".join(repr(c) for c in self.comps[:3])
         tail = ", ..." if len(self.comps) > 3 else ""
         return f"FontaineElem(depth={self.depth}, mode={self.mode}, [{kinds}{tail}])"
 
@@ -324,9 +304,9 @@ def generators(
     ps, xs, ys = [], [], []
     for i in range(depth + 1):
         ctx = TowerCtx(p, i, degree, ring_mode)
-        ps.append(ResidueElem.monomial(ctx, 1, 0, 0))
-        xs.append(ResidueElem.monomial(ctx, 0, 1, 0))
-        ys.append(ResidueElem.monomial(ctx, 0, 0, 1))
+        ps.append(TowerElem.monomial(ctx, 1, 0, 0, coeff_mod=p))
+        xs.append(TowerElem.monomial(ctx, 0, 1, 0, coeff_mod=p))
+        ys.append(TowerElem.monomial(ctx, 0, 0, 1, coeff_mod=p))
     return (
         FontaineElem(ps, closure_mode),
         FontaineElem(xs, closure_mode),
@@ -334,58 +314,16 @@ def generators(
     )
 
 
-def base_residue(e: FontaineElem) -> ResidueElem:
+def base_residue(e: FontaineElem) -> TowerElem:
     """The zeroth component (the reduction to the base residue ring)."""
     return e.residue(0)
 
 
-@dataclass(frozen=True)
-class PadicValue:
-    """A tower element known modulo p^modulus_exp."""
-
-    value: TowerElem
-    modulus_exp: int
-
-    @property
-    def level(self) -> int:
-        return self.value.ctx.level
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def _align(self, other: "PadicValue") -> tuple[TowerElem, TowerElem]:
-        if self.modulus_exp != other.modulus_exp:
-            raise ValueError("precision mismatch")
-        level = max(self.level, other.level)
-        return self.value.embed(level), other.value.embed(level)
-
-    def __add__(self, other):
-        if not isinstance(other, PadicValue):
-            return NotImplemented
-        a, b = self._align(other)
-        mod = a.ctx.p**self.modulus_exp
-        return PadicValue((a + b).reduce_coeffs(mod), self.modulus_exp)
-
-    def __mul__(self, other):
-        if not isinstance(other, PadicValue):
-            return NotImplemented
-        a, b = self._align(other)
-        mod = a.ctx.p**self.modulus_exp
-        return PadicValue((a * b).reduce_coeffs(mod), self.modulus_exp)
-
-    def scale(self, k: int) -> "PadicValue":
-        mod = self.value.ctx.p**self.modulus_exp
-        return PadicValue((self.value * k).reduce_coeffs(mod), self.modulus_exp)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicValue):
-            return NotImplemented
-        a, b = self._align(other)
-        return a == b
+# A tower element known modulo p^k is the element with coeff_mod p^k.
+PadicValue = TowerElem
 
 
-def theta(e: FontaineElem, precision: int) -> PadicValue:
+def theta(e: FontaineElem, precision: int) -> TowerElem:
     """Evaluate the limit of p^n-th powers: lift the deepest component
     and raise it to p^depth, keeping coefficients modulo p^precision.
 
@@ -396,9 +334,7 @@ def theta(e: FontaineElem, precision: int) -> PadicValue:
         raise PrecisionError(f"precision {precision} needs depth >= {precision - 1}")
     last = e.residue(e.depth)
     p = last.ctx.p
-    mod = p**precision
-    value = last.lift().pow_mod(p**e.depth, mod)
-    return PadicValue(value, precision)
+    return last.lift().pow_mod(p**e.depth, p**precision)
 
 
 def _pow_cert(cert: ClosureCert) -> ClosureCert:
@@ -446,7 +382,7 @@ def divide_by_p_seq_traced(
     certs: list[ClosureCert | None] = []
     for n in range(N + 1):
         comp = e.comps[n]
-        rep = _as_local(comp)
+        rep = comp.as_local()
         level = rep.level
         jn = p ** (level - n)  # PI at slot n, written at the component's level
         cand = LocalElem(rep.num, rep.denom_exp + jn)
@@ -515,14 +451,10 @@ def divide_by_p_seq_traced(
         prod = t[n] * pi_n
         if not prod.is_integral:
             raise CertificateSearchError(f"roundtrip product not integral at component {n}")
-        expected = e.comps[n]
-        if isinstance(expected, ResidueElem):
-            ok = prod.num.reduce_mod_p() == expected.embed(level)
-        else:
-            ok = e._comp_equal(
-                CertComponent(LocalElem.from_tower(prod.num)), expected, m_max
-            )
-        if not ok:
+        got = (
+            CertComponent(LocalElem.from_tower(prod.num)) if certified else prod.num.reduce_mod_p()
+        )
+        if not e._comp_equal(got, e.comps[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
         trace["roundtrip"].append({"component": n, "ok": True})
         if certified:

@@ -1,8 +1,9 @@
 """Exact normal-form arithmetic in p-power root tower rings.
 
-A level-n context works with integer combinations of monomials
+A level-n context works with combinations of monomials
 ``PI^a * X^b * Y^c`` where PI, X and Y stand for the p^n-th roots of
-p, x and y.  Two rewrite rules keep representatives canonical::
+p, x and y, with coefficients in Z, F_p or Z/p^k (one element type,
+``TowerElem``, with a coefficient modulus).  Two rewrite rules keep representatives canonical::
 
     PI^(p^n)    -> p                     (integer carry, both modes)
     Y^(d*p^n)   -> -p^d - X^(d*p^n)      (quotient mode only)
@@ -82,12 +83,14 @@ class TowerCtx:
         return (self.p, self.degree, self.mode) == (other.p, other.degree, other.mode)
 
 
-def _normalized(ctx: TowerCtx, raw: TermMap) -> TermMap:
-    """Reduce a raw term map under both rewrite rules.
+def _normalized(ctx: TowerCtx, raw: TermMap, coeff_mod: int | None) -> TermMap:
+    """Reduce a raw term map under both rewrite rules, then, given a
+    modulus, reduce the coefficients.
 
     One pass suffices: the PI rule only moves weight into the
     coefficient, and the Y rule lowers c below its bound while only
-    raising b, which no rule constrains.
+    raising b, which no rule constrains.  Reducing coefficients last is
+    sound because both rules are Z-linear.
     """
     pn = ctx.pi_order
     quotient = ctx.mode == QUOTIENT
@@ -115,33 +118,77 @@ def _normalized(ctx: TowerCtx, raw: TermMap) -> TermMap:
                 put((a, b + j * yo, c), sign * comb(q, j) * pd ** (q - j) * coeff)
         else:
             put((a, b, c), coeff)
-    return out
+    return out if coeff_mod is None else _reduced(out, coeff_mod)
+
+
+def _reduced(terms: TermMap, m: int) -> TermMap:
+    return {k: r for k, v in terms.items() if (r := v % m)}
 
 
 class TowerElem:
     """Immutable element in normal form; ``terms`` maps (a, b, c) to
-    nonzero integer coefficients with a < p^level and, in quotient
-    mode, c < degree * p^level."""
+    nonzero coefficients with a < p^level and, in quotient mode,
+    c < degree * p^level.
 
-    __slots__ = ("ctx", "terms")
+    ``coeff_mod`` is the coefficient ring: None for Z, m for Z/m with
+    coefficients kept in [1, m).  Mod p the PI carry dies (PI^(p^level)
+    becomes 0) because the carry multiplies coefficients by p.  Elements
+    with different moduli never mix: arithmetic between them raises
+    ValueError and equality is False.
+    """
 
-    def __init__(self, ctx: TowerCtx, terms: TermMap | None = None, *, _normal: bool = False):
+    __slots__ = ("ctx", "terms", "coeff_mod")
+
+    def __init__(
+        self,
+        ctx: TowerCtx,
+        terms: TermMap | None = None,
+        coeff_mod: int | None = None,
+        *,
+        _normal: bool = False,
+    ):
         self.ctx = ctx
+        self.coeff_mod = coeff_mod
         raw = terms or {}
-        self.terms = raw if _normal else _normalized(ctx, raw)
+        if _normal:
+            self.terms = raw
+        else:
+            if coeff_mod is not None and coeff_mod < 2:
+                raise ValueError("modulus must be >= 2")
+            self.terms = _normalized(ctx, raw, coeff_mod)
 
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls, ctx: TowerCtx) -> "TowerElem":
-        return cls(ctx, {}, _normal=True)
+    def zero(cls, ctx: TowerCtx, coeff_mod: int | None = None) -> "TowerElem":
+        return cls(ctx, {}, coeff_mod, _normal=True)
 
     @classmethod
-    def integer(cls, ctx: TowerCtx, k: int) -> "TowerElem":
-        return cls(ctx, {(0, 0, 0): k} if k else {}, _normal=True)
+    def integer(cls, ctx: TowerCtx, k: int, coeff_mod: int | None = None) -> "TowerElem":
+        if coeff_mod is not None:
+            k %= coeff_mod
+        return cls(ctx, {(0, 0, 0): k} if k else {}, coeff_mod, _normal=True)
 
     @classmethod
-    def monomial(cls, ctx: TowerCtx, a: int, b: int, c: int, coeff: int = 1) -> "TowerElem":
-        return cls(ctx, {(a, b, c): coeff})
+    def monomial(
+        cls, ctx: TowerCtx, a: int, b: int, c: int, coeff: int = 1, coeff_mod: int | None = None
+    ) -> "TowerElem":
+        return cls(ctx, {(a, b, c): coeff}, coeff_mod)
+
+    def _new(self, terms: TermMap) -> "TowerElem":
+        """Same context and modulus; ``terms`` are exponent-normal but
+        their coefficients may still need reducing."""
+        m = self.coeff_mod
+        return TowerElem(self.ctx, terms if m is None else _reduced(terms, m), m, _normal=True)
+
+    def zero_like(self) -> "TowerElem":
+        return TowerElem.zero(self.ctx, self.coeff_mod)
+
+    def one_like(self) -> "TowerElem":
+        return TowerElem.integer(self.ctx, 1, self.coeff_mod)
+
+    @property
+    def level(self) -> int:
+        return self.ctx.level
 
     @property
     def is_zero(self) -> bool:
@@ -156,10 +203,12 @@ class TowerElem:
     # ------------------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, int):
-            return TowerElem.integer(self.ctx, other)
+            return TowerElem.integer(self.ctx, other, self.coeff_mod)
         if isinstance(other, TowerElem):
             if other.ctx != self.ctx:
                 raise ValueError("tower context mismatch")
+            if other.coeff_mod != self.coeff_mod:
+                raise ValueError("coefficient modulus mismatch")
             return other
         return None
 
@@ -174,12 +223,12 @@ class TowerElem:
                 out[k] = acc
             else:
                 del out[k]
-        return TowerElem(self.ctx, out, _normal=True)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElem(self.ctx, {k: -v for k, v in self.terms.items()}, _normal=True)
+        return self._new({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -192,11 +241,7 @@ class TowerElem:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return TowerElem.zero(self.ctx)
-            return TowerElem(
-                self.ctx, {k: v * other for k, v in self.terms.items()}, _normal=True
-            )
+            return self._new({k: v * other for k, v in self.terms.items()} if other else {})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -205,48 +250,53 @@ class TowerElem:
             for (a2, b2, c2), v2 in other.terms.items():
                 key = (a1 + a2, b1 + b2, c1 + c2)
                 raw[key] = raw.get(key, 0) + v1 * v2
-        return TowerElem(self.ctx, raw)
+        return TowerElem(self.ctx, raw, self.coeff_mod)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        return self._pow(e, None)
-
-    def _pow(self, e: int, coeff_mod: int | None):
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        result = TowerElem.integer(self.ctx, 1)
-        base = self if coeff_mod is None else self.reduce_coeffs(coeff_mod)
+        result = self.one_like()
+        base = self
         while e:
             if e & 1:
                 result = result * base
-                if coeff_mod:
-                    result = result.reduce_coeffs(coeff_mod)
             e >>= 1
             if e:
                 base = base * base
-                if coeff_mod:
-                    base = base.reduce_coeffs(coeff_mod)
-        return result if coeff_mod is None else result.reduce_coeffs(coeff_mod)
+        return result
 
     def pow_mod(self, e: int, coeff_mod: int) -> "TowerElem":
-        """Power with coefficients truncated modulo ``coeff_mod``.
+        """Power with coefficients modulo ``coeff_mod``.
 
         Sound because coeff_mod * (whole ring) is an ideal that meets the
         monomial basis coefficient-wise, so truncation commutes with
         normalization.
         """
-        if coeff_mod < 2:
-            raise ValueError("modulus must be >= 2")
-        return self._pow(e, coeff_mod)
+        return self.reduce_coeffs(coeff_mod) ** e
 
-    def reduce_coeffs(self, mod: int) -> "TowerElem":
-        out = {}
-        for k, v in self.terms.items():
-            r = v % mod
-            if r:
-                out[k] = r
-        return TowerElem(self.ctx, out, _normal=True)
+    def reduce_coeffs(self, m: int) -> "TowerElem":
+        """The image with coefficients modulo m, which must divide the
+        current modulus (any m >= 2 for an element over Z)."""
+        if m < 2:
+            raise ValueError("modulus must be >= 2")
+        if self.coeff_mod is not None and self.coeff_mod % m:
+            raise ValueError(f"cannot reduce modulo {m} from modulo {self.coeff_mod}")
+        return TowerElem(self.ctx, _reduced(self.terms, m), m, _normal=True)
+
+    def reduce_mod_p(self) -> "TowerElem":
+        return self.reduce_coeffs(self.ctx.p)
+
+    def lift(self) -> "TowerElem":
+        """Coefficient-wise integer lift (the canonical representative)."""
+        return TowerElem(self.ctx, self.terms, _normal=True)
+
+    def as_local(self):
+        """The canonical lift as a localized element with denominator 1."""
+        from .closure import LocalElem  # closure builds on this module
+
+        return LocalElem(self.lift(), 0, _canonical=True)
 
     # ------------------------------------------------------------------
     def embed(self, to_level: int) -> "TowerElem":
@@ -261,9 +311,8 @@ class TowerElem:
             return self
         f = self.ctx.p**delta
         ctx = self.ctx.at_level(to_level)
-        return TowerElem(
-            ctx, {(a * f, b * f, c * f): v for (a, b, c), v in self.terms.items()}, _normal=True
-        )
+        terms = {(a * f, b * f, c * f): v for (a, b, c), v in self.terms.items()}
+        return TowerElem(ctx, terms, self.coeff_mod, _normal=True)
 
     def pi_divide(self, j: int) -> "TowerElem":
         """Exact quotient by PI^j, or NotDivisibleError.
@@ -271,7 +320,9 @@ class TowerElem:
         Division by PI^(p^level) is coefficient division by p; the
         remaining single steps shift each (b, c) fiber down one PI slot,
         wrapping the bottom coefficient (which must be divisible by p)
-        to the top.
+        to the top.  With a coefficient modulus the divisibility answer
+        is exact when the modulus lies in (PI^j), and the quotient keeps
+        the modulus of its representative.
         """
         if j < 0:
             raise ValueError("j must be non-negative")
@@ -310,7 +361,7 @@ class TowerElem:
             if bad:
                 raise NotDivisibleError(min(bad))
             terms = nxt
-        return TowerElem(self.ctx, terms, _normal=True)
+        return self._new(terms)
 
     def p_divide(self) -> "TowerElem":
         """Exact quotient by the integer p (same as pi_divide by p^level)."""
@@ -318,151 +369,15 @@ class TowerElem:
         bad = [m for m, v in self.terms.items() if v % p]
         if bad:
             raise NotDivisibleError(min(bad))
-        return TowerElem(self.ctx, {m: v // p for m, v in self.terms.items()}, _normal=True)
-
-    def reduce_mod_p(self) -> "ResidueElem":
-        p = self.ctx.p
-        return ResidueElem(
-            self.ctx, {k: v % p for k, v in self.terms.items() if v % p}, _normal=True
-        )
+        return self._new({m: v // p for m, v in self.terms.items()})
 
     # ------------------------------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == TowerElem.integer(self.ctx, other)
-        return (
-            isinstance(other, TowerElem) and self.ctx == other.ctx and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"TowerElem(level={self.ctx.level}, {_format_terms(self.terms)})"
-
-
-class ResidueElem:
-    """Element of the level ring modulo p; coefficients live in [1, p).
-
-    The PI carry dies modulo p (PI^(p^level) becomes 0), which happens
-    automatically because the carry multiplies coefficients by p.
-    """
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: TowerCtx, terms: TermMap | None = None, *, _normal: bool = False):
-        self.ctx = ctx
-        if _normal:
-            self.terms = terms or {}
-        else:
-            p = ctx.p
-            norm = _normalized(ctx, terms or {})
-            self.terms = {k: v % p for k, v in norm.items() if v % p}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls, ctx: TowerCtx) -> "ResidueElem":
-        return cls(ctx, {}, _normal=True)
-
-    @classmethod
-    def integer(cls, ctx: TowerCtx, k: int) -> "ResidueElem":
-        k %= ctx.p
-        return cls(ctx, {(0, 0, 0): k} if k else {}, _normal=True)
-
-    @classmethod
-    def monomial(cls, ctx: TowerCtx, a: int, b: int, c: int, coeff: int = 1) -> "ResidueElem":
-        return cls(ctx, {(a, b, c): coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def zero_like(self) -> "ResidueElem":
-        return ResidueElem.zero(self.ctx)
-
-    def one_like(self) -> "ResidueElem":
-        return ResidueElem.integer(self.ctx, 1)
-
-    def lift(self) -> TowerElem:
-        """Coefficient-wise integer lift (the canonical representative)."""
-        return TowerElem(self.ctx, dict(self.terms), _normal=True)
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return [(m, self.terms[m]) for m in sorted(self.terms)]
-
-    # ------------------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return ResidueElem.integer(self.ctx, other)
-        if isinstance(other, ResidueElem):
-            if other.ctx != self.ctx:
-                raise ValueError("tower context mismatch")
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.ctx.p
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = (out.get(k, 0) + v) % p
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return ResidueElem(self.ctx, out, _normal=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.ctx.p
-        return ResidueElem(self.ctx, {k: p - v for k, v in self.terms.items()}, _normal=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = ResidueElem.integer(self.ctx, other)
-        elif not isinstance(other, ResidueElem):
-            return NotImplemented
-        elif other.ctx != self.ctx:
-            raise ValueError("tower context mismatch")
-        raw: TermMap = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                raw[key] = raw.get(key, 0) + v1 * v2
-        return ResidueElem(self.ctx, raw)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        result = ResidueElem.integer(self.ctx, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def frobenius(self) -> "ResidueElem":
+    def frobenius(self) -> "TowerElem":
         """The p-power map, computed by actual exponentiation."""
         return self**self.ctx.p
 
-    def proot(self) -> "ResidueElem":
-        """Inverse of frobenius when it exists at this level.
+    def proot(self) -> "TowerElem":
+        """Inverse of frobenius over F_p when it exists at this level.
 
         Frobenius sends each basis monomial to a single monomial with
         p-fold exponents (coefficients are fixed points mod p), so an
@@ -470,46 +385,64 @@ class ResidueElem:
         divisible by p.
         """
         p = self.ctx.p
+        if self.coeff_mod != p:
+            raise ValueError("p-th roots are taken over F_p")
         out: TermMap = {}
         for (a, b, c), v in self.terms.items():
             if a % p or b % p or c % p:
                 raise PthRootError((a, b, c))
             out[(a // p, b // p, c // p)] = v
-        return ResidueElem(self.ctx, out, _normal=True)
+        return TowerElem(self.ctx, out, p, _normal=True)
 
-    def embed(self, to_level: int) -> "ResidueElem":
-        delta = to_level - self.ctx.level
-        if delta < 0:
-            raise ValueError("can only embed into a deeper level")
-        if delta == 0:
-            return self
-        f = self.ctx.p**delta
-        ctx = self.ctx.at_level(to_level)
-        return ResidueElem(
-            ctx, {(a * f, b * f, c * f): v for (a, b, c), v in self.terms.items()}, _normal=True
-        )
-
-    def xy_part(self) -> "ResidueElem":
+    def xy_part(self) -> "TowerElem":
         """Image under PI -> 0 (the monomials without a PI factor)."""
-        return ResidueElem(
-            self.ctx, {k: v for k, v in self.terms.items() if k[0] == 0}, _normal=True
-        )
+        return self._new({k: v for k, v in self.terms.items() if k[0] == 0})
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == ResidueElem.integer(self.ctx, other)
+            return self == TowerElem.integer(self.ctx, other, self.coeff_mod)
         return (
-            isinstance(other, ResidueElem) and self.ctx == other.ctx and self.terms == other.terms
+            isinstance(other, TowerElem)
+            and self.ctx == other.ctx
+            and self.coeff_mod == other.coeff_mod
+            and self.terms == other.terms
         )
 
     __hash__ = None
 
     def __repr__(self):
-        return f"ResidueElem(level={self.ctx.level}, {_format_terms(self.terms)})"
+        mod = "" if self.coeff_mod is None else f", mod={self.coeff_mod}"
+        return f"TowerElem(level={self.ctx.level}{mod}, {_format_terms(self.terms)})"
 
 
-def poly_divides(h: ResidueElem, g: ResidueElem) -> tuple[bool, ResidueElem | None]:
+class ResidueElem(TowerElem):
+    """Constructor alias: ``ResidueElem(ctx, terms)`` is
+    ``TowerElem(ctx, terms, ctx.p)``, an element over F_p.  No object
+    has this type."""
+
+    __slots__ = ()
+    # the one product kernel, kept in this class's dict because bench/tracer.py wraps
+    # ResidueElem.__mul__ by name; no instance dispatches through it
+    __mul__ = TowerElem.__mul__
+
+    def __new__(cls, ctx: TowerCtx, terms: TermMap | None = None):
+        return TowerElem(ctx, terms, ctx.p)
+
+    @staticmethod
+    def zero(ctx: TowerCtx) -> TowerElem:
+        return TowerElem.zero(ctx, ctx.p)
+
+    @staticmethod
+    def integer(ctx: TowerCtx, k: int) -> TowerElem:
+        return TowerElem.integer(ctx, k, ctx.p)
+
+    @staticmethod
+    def monomial(ctx: TowerCtx, a: int, b: int, c: int, coeff: int = 1) -> TowerElem:
+        return TowerElem.monomial(ctx, a, b, c, coeff, ctx.p)
+
+
+def poly_divides(h: TowerElem, g: TowerElem) -> tuple[bool, TowerElem | None]:
     """Single-divisor division in the X,Y polynomial part over F_p.
 
     Monomial order is lex with Y > X; any order works for membership in
@@ -550,7 +483,7 @@ def poly_divides(h: ResidueElem, g: ResidueElem) -> tuple[bool, ResidueElem | No
             else:
                 rem.pop(key, None)
     quot = {k: v for k, v in quot.items() if v}
-    return True, ResidueElem(h.ctx, quot, _normal=True)
+    return True, TowerElem(h.ctx, quot, p, _normal=True)
 
 
 def pi(ctx: TowerCtx) -> TowerElem:

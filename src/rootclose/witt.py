@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from .closure import HypothesisNotMetError
 from .fontaine import (
     FontaineElem,
-    PadicValue,
     PrecisionError,
     divide_by_p_seq,
     generators,
 )
 from .fontaine import theta as seq_theta
+from .tower import TowerElem
 from .valuation import check_prime
 
 SPoly = dict[tuple[int, ...], int]
@@ -305,7 +305,7 @@ def ghost(x: WittVec) -> list[int]:
 
 # ----------------------------------------------------------------------
 # the map to the p-adic ring and the division by (p-root sequence - p)
-def theta(x: WittVec, precision: int) -> PadicValue:
+def theta(x: WittVec, precision: int) -> TowerElem:
     """Sum of p^i * theta(a_i^(1/p^i)) over the coordinates, modulo
     p^precision.
 
@@ -317,7 +317,7 @@ def theta(x: WittVec, precision: int) -> PadicValue:
         raise PrecisionError(
             f"length {x.ctx.length} only determines the image modulo p^{x.ctx.length}"
         )
-    acc: PadicValue | None = None
+    terms = []
     p = x.ctx.p
     for i, comp in enumerate(x.comps):
         if not isinstance(comp, FontaineElem):
@@ -325,10 +325,9 @@ def theta(x: WittVec, precision: int) -> PadicValue:
         shifted = comp
         for _ in range(i):
             shifted = shifted.proot()
-        term = seq_theta(shifted, precision).scale(p**i)
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc
+        terms.append(seq_theta(shifted, precision) * p**i)
+    level = max(t.level for t in terms)
+    return sum((t.embed(level) for t in terms[1:]), terms[0].embed(level))
 
 
 def p_seq_minus_p(ctx: WittCtx, template: FontaineElem) -> WittVec:

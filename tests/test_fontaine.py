@@ -9,7 +9,6 @@ from rootclose.fontaine import (
     CertComponent,
     DepthExhaustedError,
     FontaineElem,
-    PadicValue,
     PrecisionError,
     SequenceDivisionError,
     UndeterminedCongruenceError,
@@ -76,6 +75,17 @@ class TestCompat:
         with pytest.raises(ValueError):
             FontaineElem([ResidueElem.zero(ctx0), ResidueElem.zero(ctx0)])
 
+    def test_plain_mode_rejects_z_component(self):
+        ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
+        with pytest.raises(ValueError):
+            FontaineElem([TowerElem.monomial(ctx0, 0, 1, 0)], PLAIN)
+
+    def test_only_residues_mod_p_are_residue_components(self):
+        ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
+        for mode in (PLAIN, CERTIFIED):
+            with pytest.raises(ValueError):
+                FontaineElem([TowerElem.monomial(ctx0, 0, 1, 0, coeff_mod=25)], mode)
+
 
 class TestRingOps:
     def test_proot_inverts_frobenius(self):
@@ -137,12 +147,12 @@ class TestTheta:
         P, _, _ = gens()
         for k in (1, 2, 3):
             got = theta(P, k)
-            assert got.value == TowerElem.integer(got.value.ctx, 5 % 5**k)
+            assert got == TowerElem.integer(got.ctx, 5, 5**k)
 
     def test_x_sequence_is_exact(self):
         _, X, _ = gens()
         got = theta(X, 2)
-        assert got.value == TowerElem.monomial(got.value.ctx, 0, 5**3, 0)
+        assert got == TowerElem.monomial(got.ctx, 0, 5**3, 0, coeff_mod=25)
 
     def test_zero_sequence(self):
         P, _, _ = gens()
@@ -168,7 +178,7 @@ class TestTheta:
             last = a.residue(a.depth)
             junk = TowerElem(last.ctx, {(1, 1, 0): rng.randint(1, 9)})
             other_lift = last.lift() + 5 * junk
-            alt = PadicValue(other_lift.pow_mod(5**a.depth, 25), 2)
+            alt = other_lift.pow_mod(5**a.depth, 25)
             assert base == alt
 
     def test_padic_precision_mismatch_rejected(self):
@@ -246,3 +256,14 @@ class TestUndetermined:
         b = FontaineElem([CertComponent(LocalElem.zero(ctx))], CERTIFIED)
         with pytest.raises(UndeterminedCongruenceError):
             a.equals(b, m_max=1)
+
+    def test_undetermined_names_its_component(self):
+        ctx0, ctx1 = TowerCtx(5, 0, 3, QUOTIENT), TowerCtx(5, 1, 3, QUOTIENT)
+        u = TowerElem(ctx1, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        a = FontaineElem([ResidueElem.zero(ctx0), CertComponent(LocalElem(u, 1))], CERTIFIED)
+        with pytest.raises(UndeterminedCongruenceError) as err:
+            a.equals(a.zero_like(), m_max=1)
+        assert err.value.index == 1
+        with pytest.raises(UndeterminedCongruenceError) as err:
+            a.is_zero
+        assert err.value.index == 1

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +208,80 @@ class TestResidue:
     def test_frobenius_additive(self, a, b):
         ra, rb = a.reduce_mod_p(), b.reduce_mod_p()
         assert (ra + rb).frobenius() == ra.frobenius() + rb.frobenius()
+
+
+class TestCoefficientRing:
+    def test_z_and_fp_elements_differ(self):
+        terms = {(0, 1, 0): 1}
+        z, r = TowerElem(CTX51, terms), ResidueElem(CTX51, terms)
+        assert z != r
+        assert r != z
+
+    def test_residue_keeps_canonical_representatives(self):
+        assert ResidueElem(CTX51, {(0, 1, 0): -1}).terms == {(0, 1, 0): 4}
+
+    def test_mixed_moduli_rejected(self):
+        z = x_var(CTX51)
+        fp, z25 = z.reduce_mod_p(), z.reduce_coeffs(25)
+        pairs = [(z, fp), (fp, z), (z25, fp)]
+        for op in (operator.add, operator.sub, operator.mul):
+            for a, b in pairs:
+                with pytest.raises(ValueError):
+                    op(a, b)
+
+    def test_reduction_only_to_a_divisor(self):
+        assert x_var(CTX51).reduce_coeffs(25).reduce_mod_p() == x_var(CTX51).reduce_mod_p()
+        with pytest.raises(ValueError):
+            ResidueElem.monomial(CTX51, 0, 1, 0).reduce_coeffs(25)
+
+    def test_proot_needs_fp(self):
+        with pytest.raises(ValueError):
+            TowerElem.monomial(CTX51, 0, 5, 0).proot()
+
+
+@st.composite
+def modular_cases(draw):
+    """A context with p in {2, 3, 5}, level 0-2, free or quotient mode,
+    a modulus p, p^2 or p^3 and two elements over Z."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    mode = draw(st.sampled_from([FREE, QUOTIENT]))
+    ctx = TowerCtx(p, draw(st.integers(0, 2)), 2 if p == 3 else 3, mode)
+    m = p ** draw(st.integers(1, 3))
+    span = ctx.y_order + 1  # reaches both rewrite rules
+    a = draw(elems(ctx, span=span, coeff=60, max_terms=3))
+    b = draw(elems(ctx, span=span, coeff=60, max_terms=3))
+    return ctx, m, a, b
+
+
+class TestReducedAgreesWithExact:
+    """The coefficient-reduced kernel against the exact Z path."""
+
+    @given(case=modular_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_ops(self, case):
+        _, m, a, b = case
+        ra, rb = a.reduce_coeffs(m), b.reduce_coeffs(m)
+        assert ra * rb == (a * b).reduce_coeffs(m)
+        assert ra - rb == (a - b).reduce_coeffs(m)
+
+    @given(case=modular_cases(), e=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_pow_mod(self, case, e):
+        _, m, a, _ = case
+        assert a.pow_mod(e, m) == (a**e).reduce_coeffs(m)
+
+    @given(case=modular_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_embed_commutes_with_reduction(self, case):
+        ctx, m, a, _ = case
+        assert a.reduce_coeffs(m).embed(ctx.level + 1) == a.embed(ctx.level + 1).reduce_coeffs(m)
+
+    def test_negative_control_modulus_matters(self):
+        for p in (2, 3, 5):
+            one_plus_pi = 1 + pi(TowerCtx(p, 2, 2 if p == 3 else 3, QUOTIENT))
+            low, high = one_plus_pi.pow_mod(p, p), one_plus_pi.pow_mod(p, p * p)
+            assert high.reduce_coeffs(p) == low
+            assert low.lift().reduce_coeffs(p * p) != high
 
 
 class TestPolyDivides:
