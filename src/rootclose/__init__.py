@@ -16,7 +16,6 @@ from .fontaine import (
     CERTIFIED,
     PLAIN,
     FontaineElem,
-    PadicValue,
     base_residue,
     divide_by_p_seq,
     generators,
@@ -59,7 +58,6 @@ __all__ = [
     "CERTIFIED",
     "PLAIN",
     "FontaineElem",
-    "PadicValue",
     "base_residue",
     "divide_by_p_seq",
     "generators",

@@ -108,6 +108,18 @@ def _is_residue(comp: Component) -> bool:
     return isinstance(comp, TowerElem) and comp.coeff_mod == comp.ctx.p
 
 
+def _in_p_closure(rep: LocalElem, index: int, m_max: int) -> bool:
+    """Is ``rep`` in p * (root closure)?  A closure search for rep / p up
+    to ``m_max``; undetermined raises, naming component ``index``."""
+    scaled = LocalElem(rep.num, rep.denom_exp + rep.ctx.p**rep.level)
+    got = membership(scaled, m_max)
+    if isinstance(got, ClosureCert):
+        return True
+    if definite_nonmember(scaled):
+        return False
+    raise UndeterminedCongruenceError(index, m_max)
+
+
 class FontaineElem:
     """Finite-depth compatible sequence of residues."""
 
@@ -139,7 +151,8 @@ class FontaineElem:
 
     @property
     def family(self) -> TowerCtx:
-        return self.comps[0].ctx.at_level(0)
+        """Component 0's context: read only its p, degree and mode."""
+        return self.comps[0].ctx
 
     @property
     def is_zero(self) -> bool:
@@ -152,14 +165,7 @@ class FontaineElem:
             return True
         if rep.is_integral:
             return rep.num.reduce_mod_p().is_zero
-        # fractional representative: zero means rep lies in p * closure
-        scaled = LocalElem(rep.num, rep.denom_exp + rep.ctx.p ** rep.level)
-        got = membership(scaled, m_max)
-        if isinstance(got, ClosureCert):
-            return True
-        if definite_nonmember(scaled):
-            return False
-        raise UndeterminedCongruenceError(index, m_max)
+        return _in_p_closure(rep, index, m_max)
 
     def residue(self, i: int) -> TowerElem:
         rep = self.comps[i].as_local()
@@ -253,13 +259,7 @@ class FontaineElem:
         if self.mode == PLAIN:
             return delta.is_integral and delta.num.reduce_mod_p().is_zero
         # certified: equality holds modulo p * closure
-        scaled = LocalElem(delta.num, delta.denom_exp + delta.ctx.p**level)
-        got = membership(scaled, m_max)
-        if isinstance(got, ClosureCert):
-            return True
-        if definite_nonmember(scaled):
-            return False
-        raise UndeterminedCongruenceError(index, m_max)
+        return _in_p_closure(delta, index, m_max)
 
     def equals(self, other: "FontaineElem", m_max: int = 4) -> bool:
         if not isinstance(other, FontaineElem):
@@ -319,10 +319,6 @@ def base_residue(e: FontaineElem) -> TowerElem:
     return e.residue(0)
 
 
-# A tower element known modulo p^k is the element with coeff_mod p^k.
-PadicValue = TowerElem
-
-
 def theta(e: FontaineElem, precision: int) -> TowerElem:
     """Evaluate the limit of p^n-th powers: lift the deepest component
     and raise it to p^depth, keeping coefficients modulo p^precision.
@@ -351,9 +347,18 @@ def divide_by_p_seq(e: FontaineElem, m_max: int | None = None) -> FontaineElem:
     return quotient
 
 
+@dataclass(frozen=True)
+class DivisionTrace:
+    """Certificates of a sequence division, None where a step is exact:
+    ``factors[n]`` for step 1 (n = 0..N), ``compat[n - 1]`` for step 4."""
+
+    factors: list[ClosureCert | None]
+    compat: list[ClosureCert | None]
+
+
 def divide_by_p_seq_traced(
     e: FontaineElem, m_max: int | None = None
-) -> tuple[FontaineElem, dict]:
+) -> tuple[FontaineElem, DivisionTrace]:
     """Divide by the sequence of p-power roots of p, constructively.
 
     Steps: (1) factor each component exactly, or with a closure
@@ -371,7 +376,7 @@ def divide_by_p_seq_traced(
     if m_max is None:
         m_max = N + 2
     p = e.family.p
-    trace: dict = {"factors": [], "approx": [], "compat": [], "roundtrip": []}
+    trace = DivisionTrace([], [])
 
     r0 = base_residue(e)
     if not r0.is_zero:
@@ -379,7 +384,6 @@ def divide_by_p_seq_traced(
 
     # step 1: r_n = PI_n * s_n
     s: list[LocalElem] = []
-    certs: list[ClosureCert | None] = []
     for n in range(N + 1):
         comp = e.comps[n]
         rep = comp.as_local()
@@ -388,8 +392,7 @@ def divide_by_p_seq_traced(
         cand = LocalElem(rep.num, rep.denom_exp + jn)
         if cand.denom_exp == 0:
             s.append(cand)
-            certs.append(ClosureCert(cand, 0, cand.num))
-            trace["factors"].append({"component": n, "kind": "exact"})
+            trace.factors.append(None)
             continue
         if not certified:
             try:
@@ -405,8 +408,7 @@ def divide_by_p_seq_traced(
                 raise SequenceDivisionError(n)
             cert = got
         s.append(cert.elem)
-        certs.append(cert)
-        trace["factors"].append({"component": n, "kind": "certified", "cert": cert})
+        trace.factors.append(cert)
 
     # step 2: shift the factors down by squaring to the p-th power
     t = [s[n + 1] ** p for n in range(N)]
@@ -423,14 +425,13 @@ def divide_by_p_seq_traced(
                 raise CertificateSearchError(
                     f"approximation order failed at component {n}: {exc}"
                 ) from exc
-        trace["approx"].append({"component": n, "pi_exponent": exponent, "ok": True})
 
     # step 4: the quotient sequence is itself compatible
     for n in range(1, N):
         level = max(t[n].level, t[n - 1].level)
         delta = (t[n] ** p).embed(level) - t[n - 1].embed(level)
         if delta.is_zero:
-            trace["compat"].append({"component": n, "kind": "exact"})
+            trace.compat.append(None)
             continue
         half = LocalElem(delta.num, delta.denom_exp + p**level)
         bound = 0 if not certified else m_max
@@ -441,13 +442,13 @@ def divide_by_p_seq_traced(
             raise CertificateSearchError(
                 f"plain quotient compatibility failed at component {n}"
             )
-        trace["compat"].append({"component": n, "kind": "certified", "cert": got})
+        trace.compat.append(got)
 
     # step 5: components of the quotient, with the roundtrip assertion
     out: list[Component] = []
     for n in range(N):
         level = t[n].level
-        pi_n = TowerElem.monomial(t[n].ctx.at_level(level), p ** (level - n), 0, 0)
+        pi_n = TowerElem.monomial(t[n].ctx, p ** (level - n), 0, 0)
         prod = t[n] * pi_n
         if not prod.is_integral:
             raise CertificateSearchError(f"roundtrip product not integral at component {n}")
@@ -456,9 +457,11 @@ def divide_by_p_seq_traced(
         )
         if not e._comp_equal(got, e.comps[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
-        trace["roundtrip"].append({"component": n, "ok": True})
         if certified:
-            out.append(CertComponent(t[n], _pow_cert(certs[n + 1])))
+            cert = trace.factors[n + 1]
+            # an exact factor s_(n+1) is integral, and so is t_n = s_(n+1)^p
+            cert = ClosureCert(t[n], 0, t[n].num) if cert is None else _pow_cert(cert)
+            out.append(CertComponent(t[n], cert))
         else:
             out.append(t[n].num.reduce_mod_p())
 

@@ -364,12 +364,8 @@ class TowerElem:
         return self._new(terms)
 
     def p_divide(self) -> "TowerElem":
-        """Exact quotient by the integer p (same as pi_divide by p^level)."""
-        p = self.ctx.p
-        bad = [m for m, v in self.terms.items() if v % p]
-        if bad:
-            raise NotDivisibleError(min(bad))
-        return self._new({m: v // p for m, v in self.terms.items()})
+        """Exact quotient by the integer p = PI^(p^level)."""
+        return self.pi_divide(self.ctx.pi_order)
 
     # ------------------------------------------------------------------
     def frobenius(self) -> "TowerElem":

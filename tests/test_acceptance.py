@@ -10,8 +10,9 @@ import time
 import pytest
 
 from rootclose import closure, fontaine, report, tower, valuation, witt
-from rootclose.closure import ClosureCert, LocalElem, NotMember
-from rootclose.fontaine import CERTIFIED, PLAIN, FontaineElem
+from rootclose.closure import ClosureCert, LocalElem
+from rootclose.fontaine import CERTIFIED
+from rootclose.invariants import random_seq
 from rootclose.tower import QUOTIENT, ResidueElem, TowerCtx, TowerElem
 
 
@@ -156,7 +157,8 @@ def test_criterion_4_example_suite():
     eta_c = fontaine.FontaineElem(eta.comps, CERTIFIED)
     quotient, trace = fontaine.divide_by_p_seq_traced(eta_c, 5)
     assert quotient.depth == 2
-    assert all("cert" in chk or chk["kind"] == "exact" for chk in trace["compat"])
+    assert len(trace.compat) == 2
+    assert all(c is None or isinstance(c, ClosureCert) for c in trace.compat)
     P_short = P.truncate(2)
     assert (P_short * quotient).equals(eta.truncate(2), m_max=5)
 
@@ -167,15 +169,6 @@ def test_criterion_4_example_suite():
     for d in embedded:
         assert closure.validate_cert(report.cert_from_json(d, cfg.p, cfg.degree))
     _announce(4, "worked-example-suite", started, 120)
-
-
-def _monomial_seq(rng, p, degree, depth):
-    ctx = TowerCtx(p, depth, degree, QUOTIENT)
-    seed = ResidueElem.monomial(
-        ctx, rng.randrange(ctx.pi_order), rng.randrange(3), rng.randrange(3),
-        rng.randint(1, p - 1),
-    )
-    return FontaineElem([seed ** (p ** (depth - i)) for i in range(depth + 1)], PLAIN)
 
 
 def _verify_kernel_roundtrip(ctx, w):
@@ -201,12 +194,12 @@ def test_criterion_5_kernel_division_roundtrip():
     runs = []
     ctx2 = witt.WittCtx(5, 2)
     for _ in range(20):
-        w = witt.WittVec(ctx2, [_monomial_seq(rng, 5, 3, 4) for _ in range(2)])
+        w = witt.WittVec(ctx2, [random_seq(rng, 5, 3, 4) for _ in range(2)])
         runs.append((5, _verify_kernel_roundtrip(ctx2, w)))
     for p, degree in ((2, 3), (3, 2)):
         ctx3 = witt.WittCtx(p, 3)
         for _ in range(10):
-            w = witt.WittVec(ctx3, [_monomial_seq(rng, p, degree, 6) for _ in range(3)])
+            w = witt.WittVec(ctx3, [random_seq(rng, p, degree, 6) for _ in range(3)])
             runs.append((p, _verify_kernel_roundtrip(ctx3, w)))
     assert all(r.steps == 2 for p, r in runs if p == 5)
     assert all(r.steps == 3 for p, r in runs if p != 5)

@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
 from rootclose.closure import (
-    CertificateSearchError,
     ClosureCert,
     HypothesisNotMetError,
     LocalElem,
@@ -82,26 +79,6 @@ class TestMembership:
         assert not definite_nonmember(LocalElem(cubes(CTX), 1))
         assert not definite_nonmember(LocalElem(x_var(CTX), 0))
 
-    def test_monotone_in_m(self):
-        rng = random.Random(11)
-        checked = 0
-        for _ in range(20):
-            terms = {
-                (rng.randrange(5), rng.randrange(4), rng.randrange(4)): rng.randint(-9, 9)
-                for _ in range(2)
-            }
-            num = pi(CTX) * TowerElem(CTX, terms) + 5 * TowerElem(CTX, terms)
-            c = LocalElem(num, 1)
-            got = membership(c, 3)
-            if isinstance(got, NotMember):
-                continue
-            redo = membership(c, got.m + 1)
-            assert redo.m == got.m  # smallest exponent is stable
-            power = c.num ** (5 ** (got.m + 1))
-            power.pi_divide(c.denom_exp * 5 ** (got.m + 1))  # must not raise
-            checked += 1
-        assert checked >= 5
-
     def test_power_stability(self):
         c1 = LocalElem(cubes(CTX), 1)
         cert = membership(c1, 2)
@@ -148,36 +125,6 @@ class TestClosureAdd:
         t = membership(LocalElem(cubes(CTX2), 1), 3)
         with pytest.raises(ValueError):
             closure_add(s, t)
-
-    def test_bound_holds_at_p2(self):
-        ctx = TowerCtx(2, 1, 3, QUOTIENT)
-        rng = random.Random(3)
-        pairs = 0
-        while pairs < 20:
-            def sample():
-                g = TowerElem(
-                    ctx,
-                    {
-                        (rng.randrange(2), rng.randrange(3), rng.randrange(3)): rng.randint(-7, 7)
-                        for _ in range(2)
-                    },
-                )
-                h = TowerElem(
-                    ctx,
-                    {
-                        (rng.randrange(2), rng.randrange(3), rng.randrange(3)): rng.randint(-7, 7)
-                        for _ in range(2)
-                    },
-                )
-                return membership(LocalElem(pi(ctx) * g + 2 * h, 1), 1)
-
-            s, t = sample(), sample()
-            if isinstance(s, NotMember) or isinstance(t, NotMember):
-                continue
-            got = closure_add(s, t)
-            assert got.m <= 5
-            assert validate_cert(got)
-            pairs += 1
 
 
 class TestCertifiedPiFactor:

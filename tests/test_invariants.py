@@ -1,0 +1,41 @@
+"""Every entry of the invariant table that ``rootclose props`` runs,
+each on its own generator at a few seeds."""
+
+import hashlib
+import random
+
+import pytest
+
+from rootclose.invariants import FAIL, INVARIANTS
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("fn", [fn for _, fn in INVARIANTS], ids=[name for name, _ in INVARIANTS])
+def test_invariant(fn, seed):
+    details = fn(random.Random(seed))
+    assert details.get("_status") != FAIL, details
+
+
+class _Recording(random.Random):
+    """Hashes every draw, in order: the bits asked for and the value."""
+
+    def __init__(self, seed):
+        self.digest = hashlib.sha256()
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.digest.update(f"{k}:{value};".encode())
+        return value
+
+
+def test_draws_match_the_recorded_digest():
+    # `props` output holds counts, not samples, so it cannot see a change
+    # in what the table draws; this digest of every draw on one shared
+    # generator at seed 0, recorded before the table existed, can
+    rng = _Recording(0)
+    for _, fn in INVARIANTS:
+        fn(rng)
+    assert rng.digest.hexdigest() == (
+        "d47622ecf5ac64ae4181d53f4dc4706cab775c368bd8d1433efc979f56e1b879"
+    )

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,14 @@ class TestDeterminism:
         b = report.run_property_suites(cfg(seed=5)).to_json()
         assert a == b
 
+    def test_props_bytes_match_the_recorded_digest(self):
+        # recorded before the invariants moved into their own table: any
+        # drift in sample order, case counts or details changes the digest
+        text = report.run_property_suites(cfg(seed=0)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9973fc4de6c53e177d34b808ce991405d9706ca4f4007fa67357c892e5872b54"
+        )
+
     def test_seed_changes_samples_not_statuses(self):
         a = report.run_property_suites(cfg(seed=0))
         b = report.run_property_suites(cfg(seed=12345))
@@ -79,11 +88,6 @@ class TestDeterminism:
 
 
 class TestPropertySuites:
-    def test_all_pass(self):
-        rep = report.run_property_suites(cfg())
-        failing = [c.name for c in rep.checks if c.status != "pass"]
-        assert failing == []
-
     def test_negative_control_present(self):
         rep = report.run_property_suites(cfg())
         by_name = {c.name: c for c in rep.checks}
