@@ -61,10 +61,6 @@ class LocalElem:
         return self.num.is_zero
 
     @classmethod
-    def from_tower(cls, num: TowerElem) -> "LocalElem":
-        return cls(num, 0, _canonical=True)
-
-    @classmethod
     def zero(cls, ctx: TowerCtx) -> "LocalElem":
         return cls(TowerElem.zero(ctx), 0, _canonical=True)
 
@@ -78,6 +74,9 @@ class LocalElem:
         # an irreducible denominator stays irreducible: embedding maps the
         # failing fiber of the PI-division onto a failing fiber
         return LocalElem(self.num.embed(to_level), self.denom_exp * f, _canonical=True)
+
+    def as_local(self) -> "LocalElem":
+        return self
 
     # ------------------------------------------------------------------
     def _coerce(self, other):
@@ -231,25 +230,17 @@ def closure_add(s: ClosureCert, t: ClosureCert) -> ClosureCert:
     return got
 
 
-def certified_pi_factor(a: TowerElem, n: int, m_max: int | None = None) -> ClosureCert:
-    """Certify a / PI given that a^(p^n) is divisible by p.
+def certified_pi_factor(a: TowerElem) -> ClosureCert:
+    """Certify a / PI, where ``a`` sits at level n and p divides
+    a^(p^n); raise HypothesisNotMetError when it does not.
 
-    The hypothesis makes (a/PI)^(p^n) = a^(p^n)/p an honest ring
-    element, so a certificate with exponent <= n always exists; failing
-    to find one would be a library bug.
+    One search decides the hypothesis: since PI^(p^n) = p, p divides
+    a^(p^n) exactly when (a/PI)^(p^n) is a ring element, and a
+    certificate at any m <= n gives one at n (raise its witness to the
+    p^(n-m)-th power).  The smallest certificate is returned.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    p = a.ctx.p
-    powered = a ** (p**n)
-    try:
-        powered.p_divide()
-    except NotDivisibleError as exc:
-        raise HypothesisNotMetError(
-            f"a^(p^{n}) is not divisible by p (monomial {exc.monomial})"
-        ) from exc
-    bound = n if m_max is None else max(n, m_max)
-    got = membership(LocalElem(a, 1), bound)
-    if isinstance(got, NotMember) or got.m > n:
-        raise CertificateSearchError("pi-factor certificate must exist at exponent <= n")
+    n = a.level
+    got = membership(LocalElem(a, 1), n)
+    if isinstance(got, NotMember):
+        raise HypothesisNotMetError(f"a^(p^{n}) is not divisible by p")
     return got

@@ -9,10 +9,10 @@ Two closure modes:
 
 * ``plain``      -- components are honest residues mod p; every check
                     is exact.
-* ``certified``  -- components may be PI-power fractions carrying
-                    closure certificates; congruence modulo
-                    p * (root closure) is semi-decided by a bounded
-                    certificate search and never silently passed.
+* ``certified``  -- components may be PI-power fractions (``LocalElem``);
+                    congruence modulo p * (root closure) is semi-decided
+                    by a bounded certificate search and never silently
+                    passed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .closure import (
     definite_nonmember,
     membership,
 )
-from .tower import NotDivisibleError, TowerCtx, TowerElem
+from .tower import NotDivisibleError, TowerCtx, TowerElem, context
 
 PLAIN = "plain"
 CERTIFIED = "certified"
@@ -66,42 +66,11 @@ class IncompatibleSequenceError(ValueError):
     """Components do not satisfy the p-power compatibility relation."""
 
 
-@dataclass
-class CertComponent:
-    """A component representative with a PI-power denominator, read
-    modulo p * (root closure); ``cert`` witnesses closure membership."""
-
-    rep: LocalElem
-    cert: ClosureCert | None = None
-
-    @property
-    def ctx(self) -> TowerCtx:
-        return self.rep.ctx
-
-    @property
-    def level(self) -> int:
-        return self.rep.level
-
-    def embed(self, level: int) -> "CertComponent":
-        return CertComponent(self.rep.embed(level))
-
-    def as_local(self) -> LocalElem:
-        return self.rep
-
-    # a certificate does not carry over to the results
-    def __neg__(self) -> "CertComponent":
-        return CertComponent(-self.rep)
-
-    def __pow__(self, e: int) -> "CertComponent":
-        return CertComponent(self.rep**e)
-
-    def __repr__(self):
-        return f"Cert({self.rep!r})"
-
-
-# Both kinds of component give ctx, level, embed(level), as_local(), -c
-# and c**e; residues mod p also have exact ring arithmetic of their own.
-Component = TowerElem | CertComponent
+# Both kinds of component, residues mod p and (certified mode only)
+# LocalElems read modulo p * (root closure), give ctx, level,
+# embed(level), as_local(), -c and c**e; residues mod p also have exact
+# ring arithmetic of their own.
+Component = TowerElem | LocalElem
 
 
 def _is_residue(comp: Component) -> bool:
@@ -132,8 +101,8 @@ class FontaineElem:
         if mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {mode!r}")
         for i, comp in enumerate(comps):
-            if not (_is_residue(comp) or (mode == CERTIFIED and isinstance(comp, CertComponent))):
-                kinds = "residues mod p" if mode == PLAIN else "residues mod p and CertComponents"
+            if not (_is_residue(comp) or (mode == CERTIFIED and isinstance(comp, LocalElem))):
+                kinds = "residues mod p" if mode == PLAIN else "residues mod p and LocalElems"
                 raise ValueError(f"{mode} mode takes {kinds} only (component {i})")
             if not comp.ctx.same_family(comps[0].ctx):
                 raise ValueError("components must share p, degree and ring mode")
@@ -207,7 +176,7 @@ class FontaineElem:
             if _is_residue(a) and _is_residue(b):
                 out.append(op(a, b))
             else:
-                out.append(CertComponent(op(a.as_local(), b.as_local())))
+                out.append(op(a.as_local(), b.as_local()))
         result = FontaineElem(out, mode)
         if all(_is_residue(c) for c in out) and not result.check_compat():
             raise IncompatibleSequenceError("ring operation broke compatibility (bug)")
@@ -303,7 +272,7 @@ def generators(
     """
     ps, xs, ys = [], [], []
     for i in range(depth + 1):
-        ctx = TowerCtx(p, i, degree, ring_mode)
+        ctx = context(p, i, degree, ring_mode)
         ps.append(TowerElem.monomial(ctx, 1, 0, 0, coeff_mod=p))
         xs.append(TowerElem.monomial(ctx, 0, 1, 0, coeff_mod=p))
         ys.append(TowerElem.monomial(ctx, 0, 0, 1, coeff_mod=p))
@@ -333,15 +302,6 @@ def theta(e: FontaineElem, precision: int) -> TowerElem:
     return last.lift().pow_mod(p**e.depth, p**precision)
 
 
-def _pow_cert(cert: ClosureCert) -> ClosureCert:
-    """Certificate for the p-th power of a certified element; the
-    witness is unchanged because (c^p)^(p^(m-1)) = c^(p^m)."""
-    elem = cert.elem ** cert.elem.ctx.p
-    if cert.m == 0:
-        return ClosureCert(elem, 0, elem.num)
-    return ClosureCert(elem, cert.m - 1, cert.witness)
-
-
 def divide_by_p_seq(e: FontaineElem, m_max: int | None = None) -> FontaineElem:
     quotient, _ = divide_by_p_seq_traced(e, m_max)
     return quotient
@@ -350,7 +310,12 @@ def divide_by_p_seq(e: FontaineElem, m_max: int | None = None) -> FontaineElem:
 @dataclass(frozen=True)
 class DivisionTrace:
     """Certificates of a sequence division, None where a step is exact:
-    ``factors[n]`` for step 1 (n = 0..N), ``compat[n - 1]`` for step 4."""
+    ``factors[n]`` for step 1 (n = 0..N), ``compat[n - 1]`` for step 4.
+
+    Quotient component n is t_n = s_(n+1)^p, so its certificate follows
+    from ``factors[n + 1]``: exponent max(m - 1, 0) and the same witness,
+    because (s^p)^(p^(m-1)) = s^(p^m); when the factor is exact or has
+    m = 0, t_n is integral and is its own witness."""
 
     factors: list[ClosureCert | None]
     compat: list[ClosureCert | None]
@@ -401,7 +366,7 @@ def divide_by_p_seq_traced(
                 raise SequenceDivisionError(n, exc.monomial) from exc
             raise SequenceDivisionError(n)  # pragma: no cover - unreachable
         if rep.is_integral and level == n:
-            cert = certified_pi_factor(rep.num, n, m_max)
+            cert = certified_pi_factor(rep.num)
         else:
             got = membership(cand, max(n, m_max))
             if isinstance(got, NotMember):
@@ -452,17 +417,9 @@ def divide_by_p_seq_traced(
         prod = t[n] * pi_n
         if not prod.is_integral:
             raise CertificateSearchError(f"roundtrip product not integral at component {n}")
-        got = (
-            CertComponent(LocalElem.from_tower(prod.num)) if certified else prod.num.reduce_mod_p()
-        )
+        got = prod if certified else prod.num.reduce_mod_p()
         if not e._comp_equal(got, e.comps[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
-        if certified:
-            cert = trace.factors[n + 1]
-            # an exact factor s_(n+1) is integral, and so is t_n = s_(n+1)^p
-            cert = ClosureCert(t[n], 0, t[n].num) if cert is None else _pow_cert(cert)
-            out.append(CertComponent(t[n], cert))
-        else:
-            out.append(t[n].num.reduce_mod_p())
+        out.append(t[n] if certified else t[n].num.reduce_mod_p())
 
     return FontaineElem(out, e.mode), trace

@@ -151,11 +151,15 @@ def closure_bound(rng: random.Random) -> dict:
 
 
 def closure_monotone(rng: random.Random) -> dict:
-    ctx = TowerCtx(5, 1, 3, QUOTIENT)
-    checked = 0
+    # num + (PI^3 + X^3 + Y^3) / PI needs m = 1 at p = 2, level 1
+    p = 2
+    ctx = TowerCtx(p, 1, 3, QUOTIENT)
+    pi = TowerElem.monomial(ctx, 1, 0, 0)
+    cubes = TowerElem(ctx, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    checked = top = 0
     for _ in range(20):
         num = random_tower(rng, ctx, terms=2, span=4)
-        c = LocalElem(num * TowerElem.monomial(ctx, 1, 0, 0) + 5 * num, 1)
+        c = LocalElem(num * pi + cubes, 1)
         got = closure.membership(c, 3)
         if isinstance(got, NotMember):
             continue
@@ -163,14 +167,15 @@ def closure_monotone(rng: random.Random) -> dict:
         if closure.membership(c, got.m + 1).m != got.m:
             return {"_status": FAIL, "m": got.m}
         # succeed at m implies succeed at m+1 (k = p), and power stability
-        for k in (5, 2, 3):
+        for k in (p, 3, 5):
             try:
-                (c.num ** (k * 5**got.m)).pi_divide(c.denom_exp * k * 5**got.m)
+                (c.num ** (k * p**got.m)).pi_divide(c.denom_exp * k * p**got.m)
             except tower.NotDivisibleError:
                 return {"_status": FAIL, "m": got.m, "k": k}
         checked += 1
-    if checked < 5:
-        return {"_status": FAIL, "cases": checked}
+        top = max(top, got.m)
+    if checked < 5 or top < 1:
+        return {"_status": FAIL, "cases": checked, "max_m": top}
     return {"cases": checked}
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .closure import LocalElem
 from .tower import QUOTIENT, TowerCtx, TowerElem
+from .valuation import vp
 
 
 class ParseError(ValueError):
@@ -135,6 +136,8 @@ class _Parser:
             den = self.take()
             if den.kind != "int":
                 raise ParseError("exponent denominator must be an integer", den.pos)
+            if int(den.text) == 0:
+                raise ParseError("exponent denominator is zero", den.pos)
             self.expect(")")
             return int(num.text), int(den.text)
         raise ParseError("expected an exponent", tok.pos)
@@ -158,12 +161,8 @@ def _denominator_level(node, p: int, out: list[int]) -> None:
     kind = node[0]
     if kind == "var":
         den = node[3]
-        level = 0
-        d = den
-        while d % p == 0:
-            d //= p
-            level += 1
-        if d != 1:
+        level = vp(p, den)
+        if den != p**level:
             raise ParseError(
                 f"exponent denominator {den} is not a power of {p}", 0
             )
@@ -183,13 +182,8 @@ def _as_pi_power(val: LocalElem) -> tuple[int, int] | None:
     ((a, b, c), coeff) = next(iter(val.num.terms.items()))
     if b or c:
         return None
-    p = val.ctx.p
-    k = 0
-    mag = abs(coeff)
-    while mag % p == 0:
-        mag //= p
-        k += 1
-    if mag != 1:
+    k = vp(val.ctx.p, coeff)
+    if abs(coeff) != val.ctx.p**k:
         return None
     sign = 1 if coeff > 0 else -1
     return sign, k * val.ctx.pi_order + a - val.denom_exp
@@ -201,12 +195,7 @@ def _evaluate(node, ctx: TowerCtx) -> LocalElem:
         return LocalElem(TowerElem.integer(ctx, node[1]), 0, _canonical=True)
     if kind == "var":
         _, name, num, den = node
-        level_of_den = 0
-        d = den
-        while d % ctx.p == 0:
-            d //= ctx.p
-            level_of_den += 1
-        exp = num * ctx.p ** (ctx.level - level_of_den)
+        exp = num * ctx.pi_order // den
         mono = {
             "p": (exp, 0, 0),
             "x": (0, exp, 0),

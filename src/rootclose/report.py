@@ -274,7 +274,7 @@ def run_example_suite(cfg: Config) -> Report:
 
     def check_witt_roundtrip():
         x_vec, result = _witt_roundtrip(cfg)
-        kernel = witt.theta(x_vec, 1).is_zero
+        kernel = witt.witt_theta(x_vec, 1).is_zero
         details = {
             "recheck": "witt_roundtrip",
             "kernel_at_precision_1": kernel,

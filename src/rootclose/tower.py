@@ -19,6 +19,7 @@ so power-series truncation is never needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd
 
 from .valuation import check_prime
@@ -77,10 +78,16 @@ class TowerCtx:
         return self.degree * self.p**self.level
 
     def at_level(self, level: int) -> "TowerCtx":
-        return TowerCtx(self.p, level, self.degree, self.mode)
+        return context(self.p, level, self.degree, self.mode)
 
     def same_family(self, other: "TowerCtx") -> bool:
         return (self.p, self.degree, self.mode) == (other.p, other.degree, other.mode)
+
+
+@cache
+def context(p: int, level: int, degree: int, mode: str) -> TowerCtx:
+    """The context with these parameters, validated once and shared."""
+    return TowerCtx(p, level, degree, mode)
 
 
 def _normalized(ctx: TowerCtx, raw: TermMap, coeff_mod: int | None) -> TermMap:

@@ -305,7 +305,7 @@ def ghost(x: WittVec) -> list[int]:
 
 # ----------------------------------------------------------------------
 # the map to the p-adic ring and the division by (p-root sequence - p)
-def theta(x: WittVec, precision: int) -> TowerElem:
+def witt_theta(x: WittVec, precision: int) -> TowerElem:
     """Sum of p^i * theta(a_i^(1/p^i)) over the coordinates, modulo
     p^precision.
 
@@ -321,7 +321,7 @@ def theta(x: WittVec, precision: int) -> TowerElem:
     p = x.ctx.p
     for i, comp in enumerate(x.comps):
         if not isinstance(comp, FontaineElem):
-            raise ValueError("theta needs compatible-sequence components")
+            raise ValueError("witt_theta needs compatible-sequence components")
         shifted = comp
         for _ in range(i):
             shifted = shifted.proot()
@@ -372,7 +372,7 @@ def divide_by_p_seq_minus_p(
     template = x.comps[0]
     pmp = p_seq_minus_p(ctx, template)
 
-    if not theta(x, 1).is_zero:
+    if not witt_theta(x, 1).is_zero:
         raise HypothesisNotMetError("input is not in the kernel even at precision 1")
 
     w = WittVec.zero(ctx, template)

@@ -178,7 +178,7 @@ def _verify_kernel_roundtrip(ctx, w):
     precision = min(
         ctx.length, min(c.depth - i for i, c in enumerate(x_vec.comps)) + 1
     )
-    assert witt.theta(x_vec, precision).is_zero
+    assert witt.witt_theta(x_vec, precision).is_zero
     result = witt.divide_by_p_seq_minus_p(x_vec, m_max=5)
     # re-verify the product agreement at the achieved precision
     product = pmp * result.quotient

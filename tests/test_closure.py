@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootclose.closure import (
     ClosureCert,
@@ -11,7 +13,16 @@ from rootclose.closure import (
     membership,
     validate_cert,
 )
-from rootclose.tower import QUOTIENT, TowerCtx, TowerElem, pi, x_var, y_var
+from rootclose.tower import (
+    FREE,
+    QUOTIENT,
+    NotDivisibleError,
+    TowerCtx,
+    TowerElem,
+    pi,
+    x_var,
+    y_var,
+)
 
 CTX = TowerCtx(5, 1, 3, QUOTIENT)
 CTX2 = TowerCtx(5, 2, 3, QUOTIENT)
@@ -129,24 +140,58 @@ class TestClosureAdd:
 
 class TestCertifiedPiFactor:
     def test_pi_itself(self):
-        got = certified_pi_factor(pi(CTX), 1)
+        got = certified_pi_factor(pi(CTX))
         assert got.m == 0
         assert got.elem.num == TowerElem.integer(CTX, 1)
 
     def test_cube_sum(self):
-        got = certified_pi_factor(cubes(CTX), 1)
+        got = certified_pi_factor(cubes(CTX))
         assert got.m == 1
         assert validate_cert(got)
 
     def test_level_two(self):
-        got = certified_pi_factor(cubes(CTX2), 2)
+        got = certified_pi_factor(cubes(CTX2))
         assert got.m == 2
         assert validate_cert(got)
 
     def test_hypothesis_failure(self):
         with pytest.raises(HypothesisNotMetError):
-            certified_pi_factor(x_var(CTX), 1)
+            certified_pi_factor(x_var(CTX))
 
     def test_zero(self):
-        got = certified_pi_factor(TowerElem.zero(CTX), 1)
+        got = certified_pi_factor(TowerElem.zero(CTX))
         assert got.m == 0 and got.elem.is_zero
+
+
+@st.composite
+def pi_factor_cases(draw):
+    """An element at p in {2, 3, 5}, level 0-2 (p = 5: 0-1), free or
+    quotient mode; half the draws are a * PI + (PI^d + X^d + Y^d), which
+    meets the hypothesis in quotient mode."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = 2 if p == 3 else 3
+    level = draw(st.integers(0, 1 if p == 5 else 2))
+    ctx = TowerCtx(p, level, d, draw(st.sampled_from([FREE, QUOTIENT])))
+    monomial = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+    a = TowerElem(ctx, draw(st.dictionaries(monomial, st.integers(-9, 9), max_size=3)))
+    if draw(st.booleans()):
+        a = a * pi(ctx) + pi(ctx) ** d + x_var(ctx) ** d + y_var(ctx) ** d
+    return a
+
+
+class TestPiFactorAgreesWithExact:
+    """The search decides the hypothesis p | a^(p^level) exactly as the
+    exact power does."""
+
+    @given(a=pi_factor_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_search_decides_the_hypothesis(self, a):
+        try:
+            (a ** a.ctx.p**a.level).p_divide()
+        except NotDivisibleError:
+            with pytest.raises(HypothesisNotMetError):
+                certified_pi_factor(a)
+            return
+        got = certified_pi_factor(a)
+        assert got.m <= a.level
+        assert validate_cert(got)

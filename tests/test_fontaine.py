@@ -1,10 +1,9 @@
 import pytest
 
-from rootclose.closure import LocalElem
+from rootclose.closure import LocalElem, membership, validate_cert
 from rootclose.fontaine import (
     CERTIFIED,
     PLAIN,
-    CertComponent,
     DepthExhaustedError,
     FontaineElem,
     PrecisionError,
@@ -178,11 +177,21 @@ class TestDivision:
         assert (P.truncate(2) * quotient).equals(eta.truncate(2), m_max=5)
 
     def test_quotient_components_carry_certs(self):
-        eta = cube_sum(closure=CERTIFIED)
-        quotient = divide_by_p_seq(eta, 5)
-        for comp in quotient.comps:
-            assert isinstance(comp, CertComponent)
-            assert comp.cert is not None
+        # t_n = s_(n+1)^p is certified by factor n + 1 with one exponent
+        # less and the same witness
+        eta = cube_sum(depth=2, closure=CERTIFIED)
+        quotient, trace = divide_by_p_seq_traced(eta, 5)
+        exponents = []
+        for n, comp in enumerate(quotient.comps):
+            assert isinstance(comp, LocalElem)
+            factor = trace.factors[n + 1]
+            got = membership(comp, 3)
+            assert got.m == (0 if factor is None else max(factor.m - 1, 0))
+            if factor is not None and factor.m:
+                assert got.witness == factor.witness
+            assert validate_cert(got)
+            exponents.append(got.m)
+        assert exponents == [0, 1]
 
     def test_certified_division_at_deep_levels(self):
         # components represented above their canonical level still factor
@@ -204,15 +213,15 @@ class TestUndetermined:
     def test_certified_equality_can_exhaust(self):
         ctx = TowerCtx(5, 1, 3, QUOTIENT)
         u = TowerElem(ctx, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-        a = FontaineElem([CertComponent(LocalElem(u, 1))], CERTIFIED)
-        b = FontaineElem([CertComponent(LocalElem.zero(ctx))], CERTIFIED)
+        a = FontaineElem([LocalElem(u, 1)], CERTIFIED)
+        b = FontaineElem([LocalElem.zero(ctx)], CERTIFIED)
         with pytest.raises(UndeterminedCongruenceError):
             a.equals(b, m_max=1)
 
     def test_undetermined_names_its_component(self):
         ctx0, ctx1 = TowerCtx(5, 0, 3, QUOTIENT), TowerCtx(5, 1, 3, QUOTIENT)
         u = TowerElem(ctx1, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-        a = FontaineElem([ResidueElem.zero(ctx0), CertComponent(LocalElem(u, 1))], CERTIFIED)
+        a = FontaineElem([ResidueElem.zero(ctx0), LocalElem(u, 1)], CERTIFIED)
         with pytest.raises(UndeterminedCongruenceError) as err:
             a.equals(a.zero_like(), m_max=1)
         assert err.value.index == 1

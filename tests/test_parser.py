@@ -30,6 +30,14 @@ def test_non_p_power_denominator_in_exponent():
         parse_expr("x^(1/3)", 5)
 
 
+@pytest.mark.parametrize("text", ["x^(1/0)", "x^(0/0)", "p^(3/5)/p^(1/0)"])
+def test_zero_exponent_denominator_rejected(text):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, 5)
+    assert "denominator is zero" in str(err.value)
+    assert err.value.pos == text.index("/0") + 1
+
+
 def test_level_inference_uses_max():
     got = parse_expr("x^(1/25) + y^(1/5)", 5)
     assert got.level == 2

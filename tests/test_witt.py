@@ -17,10 +17,10 @@ from rootclose.witt import (
     mul_by_p,
     p_divide_witt,
     p_seq_minus_p,
-    theta,
     verschiebung,
     witt_frobenius,
     witt_polynomials,
+    witt_theta,
 )
 
 F5 = TowerCtx(5, 0, 1, FREE)
@@ -199,19 +199,19 @@ class TestThetaMap:
     def test_teichmuller_of_p_sequence(self):
         P, _, _ = generators(5, 3, 3, QUOTIENT)
         ctx = WittCtx(5, 2)
-        got = theta(WittVec.teichmuller(ctx, P), 2)
+        got = witt_theta(WittVec.teichmuller(ctx, P), 2)
         assert got == got.ctx.p * (got ** 0)  # equals the integer p
 
     def test_p_root_minus_p_is_in_kernel(self):
         P, _, _ = generators(5, 3, 3, QUOTIENT)
         ctx = WittCtx(5, 2)
         pmp = p_seq_minus_p(ctx, P)
-        assert theta(pmp, 2).is_zero
+        assert witt_theta(pmp, 2).is_zero
 
     def test_zero_vector(self):
         P, _, _ = generators(5, 3, 2, QUOTIENT)
         ctx = WittCtx(5, 2)
-        assert theta(WittVec.zero(ctx, P), 2).is_zero
+        assert witt_theta(WittVec.zero(ctx, P), 2).is_zero
 
     def test_additive_at_matched_precision(self):
         rng = random.Random(12)
@@ -220,8 +220,8 @@ class TestThetaMap:
             x = WittVec(ctx, [random_seq(rng, 5, 3, 3) for _ in range(2)])
             y = WittVec(ctx, [random_seq(rng, 5, 3, 3) for _ in range(2)])
             k = 2
-            assert theta(x + y, k) == theta(x, k) + theta(y, k)
-            assert theta(x * y, k) == theta(x, k) * theta(y, k)
+            assert witt_theta(x + y, k) == witt_theta(x, k) + witt_theta(y, k)
+            assert witt_theta(x * y, k) == witt_theta(x, k) * witt_theta(y, k)
 
 
 class TestKernelDivision:
