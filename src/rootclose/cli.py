@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit code 0 means every check passed; undetermined outcomes count as
-failures for CI purposes but keep their own label in the output.
+failures for CI purposes but keep their own label in the output.  Exit
+code 2 means the input could not be used: bad options, an expression
+that does not parse, or a report that is unreadable or malformed.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from .fontaine import CERTIFIED, PLAIN
 from .parser import ParseError, parse_expr
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--no-timestamp", action="store_true")
 
 
 def _emit(rep: report.Report, fmt: str) -> int:
@@ -42,11 +43,13 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument("--witt-len", type=int, default=2)
     ex.add_argument("--mmax", type=int, default=None)
     ex.add_argument("--mode", choices=(CERTIFIED, PLAIN), default=CERTIFIED)
-    _add_common(ex)
+    ex.add_argument("--no-timestamp", action="store_true")
+    _add_format(ex)
 
     pr = subs.add_parser("props", help="run the randomized property suites")
     pr.add_argument("--seed", type=int, default=0)
-    _add_common(pr)
+    pr.add_argument("--no-timestamp", action="store_true")
+    _add_format(pr)
 
     ev = subs.add_parser("eval", help="parse an expression and test closure membership")
     ev.add_argument("expr")
@@ -54,11 +57,11 @@ def main(argv: list[str] | None = None) -> int:
     ev.add_argument("--mmax", type=int, default=5)
     ev.add_argument("--p", type=int, default=5)
     ev.add_argument("--degree", type=int, default=3)
-    _add_common(ev)
+    _add_format(ev)
 
     rv = subs.add_parser("revalidate", help="re-check every certificate in a report")
     rv.add_argument("report")
-    _add_common(rv)
+    _add_format(rv)
 
     args = parser.parse_args(argv)
 
@@ -123,9 +126,15 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
     if args.command == "revalidate":
-        with open(args.report, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return _emit(report.revalidate_report(data), args.format)
+        # unreadable file, invalid JSON and malformed reports all land here
+        try:
+            with open(args.report, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            rep = report.revalidate_report(data)
+        except (OSError, ValueError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        return _emit(rep, args.format)
 
     raise AssertionError("unreachable")  # pragma: no cover
 

@@ -167,9 +167,12 @@ class NotMember:
 
 
 def membership(c: LocalElem, m_max: int) -> ClosureCert | NotMember:
-    """Smallest m <= m_max with c^(p^m) integral, as a certificate."""
+    """Smallest m <= m_max with c^(p^m) integral, as a certificate.
+    A structural non-member is refuted before any power is built."""
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
+    if definite_nonmember(c):
+        return NotMember(m_max)
     p = c.ctx.p
     power = c.num
     for m in range(m_max + 1):

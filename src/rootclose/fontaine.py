@@ -77,16 +77,31 @@ def _is_residue(comp: Component) -> bool:
     return isinstance(comp, TowerElem) and comp.coeff_mod == comp.ctx.p
 
 
-def _in_p_closure(rep: LocalElem, index: int, m_max: int) -> bool:
-    """Is ``rep`` in p * (root closure)?  A closure search for rep / p up
-    to ``m_max``; undetermined raises, naming component ``index``."""
-    scaled = LocalElem(rep.num, rep.denom_exp + rep.ctx.p**rep.level)
-    got = membership(scaled, m_max)
+def _aligned(a: Component, b: Component) -> tuple[Component, Component]:
+    """Both operands embedded at their common (deeper) level."""
+    level = max(a.level, b.level)
+    return a.embed(level), b.embed(level)
+
+
+def _p_closure_cert(
+    delta: LocalElem, index: int, m_max: int, mode: str
+) -> ClosureCert | None:
+    """Is ``delta`` zero modulo p * R (plain) or p * (root closure)
+    (certified)?  The closure certificate of delta / p, or None when
+    delta is refuted: structurally, or in plain mode by a miss at m = 0,
+    where the search decides membership in p * R exactly.  A certified
+    search that exhausts ``m_max`` raises, naming component ``index``."""
+    scaled = LocalElem(delta.num, delta.denom_exp + delta.ctx.p**delta.level)
+    got = membership(scaled, 0 if mode == PLAIN else m_max)
     if isinstance(got, ClosureCert):
-        return True
-    if definite_nonmember(scaled):
-        return False
+        return got
+    if mode == PLAIN or definite_nonmember(scaled):
+        return None
     raise UndeterminedCongruenceError(index, m_max)
+
+
+#: Certificate search bound of ``equals``, ``is_zero`` and ``check_compat``.
+CONGRUENCE_M_MAX = 4
 
 
 class FontaineElem:
@@ -94,7 +109,7 @@ class FontaineElem:
 
     __slots__ = ("comps", "mode")
 
-    def __init__(self, comps, mode: str = PLAIN, *, check: bool = False):
+    def __init__(self, comps, mode: str = PLAIN):
         comps = list(comps)
         if not comps:
             raise ValueError("a sequence needs at least one component")
@@ -110,8 +125,6 @@ class FontaineElem:
                 raise ValueError(f"component {i} sits at level {comp.level} < {i}")
         self.comps = comps
         self.mode = mode
-        if check and not self.check_compat():
-            raise IncompatibleSequenceError("components violate the p-power relation")
 
     # ------------------------------------------------------------------
     @property
@@ -125,16 +138,7 @@ class FontaineElem:
 
     @property
     def is_zero(self) -> bool:
-        return all(self._comp_is_zero(c, i) for i, c in enumerate(self.comps))
-
-    @staticmethod
-    def _comp_is_zero(comp: Component, index: int, m_max: int = 4) -> bool:
-        rep = comp.as_local()
-        if rep.is_zero:
-            return True
-        if rep.is_integral:
-            return rep.num.reduce_mod_p().is_zero
-        return _in_p_closure(rep, index, m_max)
+        return self.equals(self.zero_like())
 
     def residue(self, i: int) -> TowerElem:
         rep = self.comps[i].as_local()
@@ -170,9 +174,7 @@ class FontaineElem:
         mode = CERTIFIED if CERTIFIED in (self.mode, other.mode) else PLAIN
         out: list[Component] = []
         for i in range(depth + 1):
-            a, b = self.comps[i], other.comps[i]
-            level = max(a.level, b.level)
-            a, b = a.embed(level), b.embed(level)
+            a, b = _aligned(self.comps[i], other.comps[i])
             if _is_residue(a) and _is_residue(b):
                 out.append(op(a, b))
             else:
@@ -218,19 +220,13 @@ class FontaineElem:
 
     # ------------------------------------------------------------------
     def _comp_equal(self, a: Component, b: Component, index: int, m_max: int) -> bool:
-        level = max(a.level, b.level)
-        a, b = a.embed(level), b.embed(level)
+        a, b = _aligned(a, b)
         if _is_residue(a) and _is_residue(b):
             return a == b
         delta = a.as_local() - b.as_local()
-        if delta.is_zero:
-            return True
-        if self.mode == PLAIN:
-            return delta.is_integral and delta.num.reduce_mod_p().is_zero
-        # certified: equality holds modulo p * closure
-        return _in_p_closure(delta, index, m_max)
+        return delta.is_zero or _p_closure_cert(delta, index, m_max, self.mode) is not None
 
-    def equals(self, other: "FontaineElem", m_max: int = 4) -> bool:
+    def equals(self, other: "FontaineElem", m_max: int = CONGRUENCE_M_MAX) -> bool:
         if not isinstance(other, FontaineElem):
             return NotImplemented
         if self.depth != other.depth or not self.family.same_family(other.family):
@@ -240,21 +236,17 @@ class FontaineElem:
             for i, (a, b) in enumerate(zip(self.comps, other.comps))
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, FontaineElem):
-            return NotImplemented
-        return self.equals(other)
-
+    __eq__ = equals
     __hash__ = None
 
-    def check_compat(self, m_max: int = 4) -> bool:
+    def check_compat(self) -> bool:
         """Do consecutive components satisfy r_{i+1}^p = r_i?  An
         undetermined congruence is reported at index i + 1."""
         p = self.family.p
-        for i in range(self.depth):
-            if not self._comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, m_max):
-                return False
-        return True
+        return all(
+            self._comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX)
+            for i in range(self.depth)
+        )
 
     def __repr__(self):
         kinds = ", ".join(repr(c) for c in self.comps[:3])
@@ -368,10 +360,9 @@ def divide_by_p_seq_traced(
         if rep.is_integral and level == n:
             cert = certified_pi_factor(rep.num)
         else:
-            got = membership(cand, max(n, m_max))
-            if isinstance(got, NotMember):
+            cert = membership(cand, max(n, m_max))
+            if isinstance(cert, NotMember):
                 raise SequenceDivisionError(n)
-            cert = got
         s.append(cert.elem)
         trace.factors.append(cert)
 
@@ -380,8 +371,8 @@ def divide_by_p_seq_traced(
 
     # step 3: s_{n+1}^p = s_n + PI^(p^L - p^(L-n)) * v with v integral
     for n in range(N):
-        level = max(s[n].level, s[n + 1].level)
-        diff = t[n].embed(level) - s[n].embed(level)
+        a, b = _aligned(t[n], s[n])
+        diff, level = a - b, a.level
         exponent = p**level - p ** (level - n)
         if exponent and not diff.is_zero:
             try:
@@ -393,21 +384,15 @@ def divide_by_p_seq_traced(
 
     # step 4: the quotient sequence is itself compatible
     for n in range(1, N):
-        level = max(t[n].level, t[n - 1].level)
-        delta = (t[n] ** p).embed(level) - t[n - 1].embed(level)
+        a, b = _aligned(t[n] ** p, t[n - 1])
+        delta = a - b
         if delta.is_zero:
             trace.compat.append(None)
             continue
-        half = LocalElem(delta.num, delta.denom_exp + p**level)
-        bound = 0 if not certified else m_max
-        got = membership(half, bound)
-        if isinstance(got, NotMember):
-            if certified:
-                raise UndeterminedCongruenceError(n, m_max)
-            raise CertificateSearchError(
-                f"plain quotient compatibility failed at component {n}"
-            )
-        trace.compat.append(got)
+        cert = _p_closure_cert(delta, n, m_max, e.mode)
+        if cert is None:
+            raise CertificateSearchError(f"quotient compatibility failed at component {n}")
+        trace.compat.append(cert)
 
     # step 5: components of the quotient, with the roundtrip assertion
     out: list[Component] = []

@@ -32,7 +32,6 @@ class Config:
     witt_length: int = 2
     m_max: int | None = None
     seed: int = 0
-    fmt: str = "text"
     timestamp: bool = True
     closure_mode: str = CERTIFIED
 
@@ -309,52 +308,69 @@ def run_property_suites(cfg: Config) -> Report:
 
 
 # ----------------------------------------------------------------------
-def revalidate_report(data: dict) -> Report:
+class MalformedReportError(ValueError):
+    """Input without the shape of a report: nothing to revalidate."""
+
+
+def _revalidate_check(check: dict, cfg_d: dict) -> CheckRecord:
+    """Recompute every piece of evidence in one check record."""
+    name, status, details = check["name"], check["status"], check.get("details", {})
+    if not isinstance(name, str) or status not in (PASS, FAIL, UNDETERMINED):
+        raise ValueError("a check needs a string name and a known status")
+    p, degree = cfg_d["p"], cfg_d["degree"]
+    errors: list[str] = []
+    revalidated = 0
+    for cert_d in details.get("certificates", []):
+        cert = cert_from_json(cert_d, p, degree)
+        if not closure.validate_cert(cert):
+            errors.append("certificate failed revalidation")
+        revalidated += 1
+    for div_d in details.get("divisions", []):
+        divisor = residue_from_json(div_d["divisor"], p, degree)
+        dividend = residue_from_json(div_d["dividend"], p, degree)
+        divides, _ = tower.poly_divides(divisor, dividend)
+        if divides != div_d["divides"]:
+            errors.append("division outcome changed")
+        revalidated += 1
+    for res_d in details.get("residues", []):
+        elem = residue_from_json(res_d["elem"], p, degree)
+        if elem.is_zero != res_d["expect_zero"]:
+            errors.append("residue zero-check changed")
+        revalidated += 1
+    if "sequence" in details:
+        comps = [residue_from_json(d, p, degree) for d in details["sequence"]]
+        if not FontaineElem(comps, PLAIN).check_compat():
+            errors.append("sequence compatibility changed")
+        revalidated += 1
+    if details.get("recheck") == "witt_roundtrip":
+        depth, length, m_max = cfg_d["depth"], cfg_d["witt_length"], cfg_d.get("m_max")
+        cfg = Config(p, degree, depth, witt_length=length, m_max=m_max)
+        cfg.validate_example()
+        _, result = _witt_roundtrip(cfg)
+        if result.steps != details.get("steps"):
+            errors.append("witt roundtrip precision changed")
+        revalidated += 1
+    if status == PASS and not revalidated:
+        status, errors = FAIL, ["no evidence"]
+    elif status == PASS and errors:
+        status = FAIL
+    return CheckRecord(name, status, {"revalidated": revalidated, "errors": errors})
+
+
+def revalidate_report(data) -> Report:
     """Re-check every embedded certificate and witness by independent
-    recomputation; a reproduced pass stays a pass."""
-    cfg_d = data["config"]
-    p = cfg_d["p"]
-    degree = cfg_d["degree"]
-    checks = []
-    for check in data["checks"]:
-        name = check["name"]
-        details = check.get("details", {})
-        errors: list[str] = []
-        revalidated = 0
-        for cert_d in details.get("certificates", []):
-            cert = cert_from_json(cert_d, p, degree)
-            if not closure.validate_cert(cert):
-                errors.append("certificate failed revalidation")
-            revalidated += 1
-        for div_d in details.get("divisions", []):
-            divisor = residue_from_json(div_d["divisor"], p, degree)
-            dividend = residue_from_json(div_d["dividend"], p, degree)
-            divides, _ = tower.poly_divides(divisor, dividend)
-            if divides != div_d["divides"]:
-                errors.append("division outcome changed")
-            revalidated += 1
-        for res_d in details.get("residues", []):
-            elem = residue_from_json(res_d["elem"], p, degree)
-            if elem.is_zero != res_d["expect_zero"]:
-                errors.append("residue zero-check changed")
-            revalidated += 1
-        if "sequence" in details:
-            comps = [residue_from_json(d, p, degree) for d in details["sequence"]]
-            if not FontaineElem(comps, PLAIN).check_compat():
-                errors.append("sequence compatibility changed")
-            revalidated += 1
-        if details.get("recheck") == "witt_roundtrip":
-            depth, length, m_max = cfg_d["depth"], cfg_d["witt_length"], cfg_d.get("m_max")
-            cfg = Config(p, degree, depth, witt_length=length, m_max=m_max)
-            _, result = _witt_roundtrip(cfg)
-            if result.steps != details.get("steps"):
-                errors.append("witt roundtrip precision changed")
-            revalidated += 1
-        if check["status"] == PASS and errors:
-            status = FAIL
-        else:
-            status = PASS
-        checks.append(
-            CheckRecord(name, status, {"revalidated": revalidated, "errors": errors})
-        )
+    recomputation.  A recorded fail or undetermined keeps its status; a
+    recorded pass stays a pass only when it carries evidence and all of
+    it is reproduced.  Raises MalformedReportError on input without the
+    shape and field types of a report, or with evidence it cannot read."""
+    try:
+        cfg_d, records = data["config"], data["checks"]
+        ints = type(cfg_d["p"]) is int and type(cfg_d["degree"]) is int
+        if not (ints and isinstance(records, list)):
+            raise TypeError("config p and degree must be integers, and checks a list")
+        checks = [_revalidate_check(check, cfg_d) for check in records]
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedReportError(
+            f"not a report that can be revalidated ({type(exc).__name__}: {exc})"
+        ) from exc
     return Report(cfg_d, checks)

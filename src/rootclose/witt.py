@@ -351,9 +351,7 @@ class SeqDivisionResult:
     exhausted: bool
 
 
-def divide_by_p_seq_minus_p(
-    x: WittVec, steps: int | None = None, m_max: int | None = None
-) -> SeqDivisionResult:
+def divide_by_p_seq_minus_p(x: WittVec, m_max: int | None = None) -> SeqDivisionResult:
     """Successive approximation: peel one factor per step.
 
     At step k the remainder is reduced to its leading coordinate (an
@@ -368,7 +366,6 @@ def divide_by_p_seq_minus_p(
     for c in x.comps:
         if not isinstance(c, FontaineElem):
             raise ValueError("division needs compatible-sequence components")
-    requested = length if steps is None else min(steps, length)
     template = x.comps[0]
     pmp = p_seq_minus_p(ctx, template)
 
@@ -378,7 +375,7 @@ def divide_by_p_seq_minus_p(
     w = WittVec.zero(ctx, template)
     rem = x
     done = 0
-    while done < requested:
+    while done < length:
         head = rem.comps[0]
         if head.depth < 1:
             break  # out of component depth
@@ -389,7 +386,7 @@ def divide_by_p_seq_minus_p(
             incr = mul_by_p(incr)
         w = w + incr
         done += 1
-        if done < requested:
+        if done < length:
             # fold the correction in and strip one factor of p; the zero
             # leading coordinate is checked by p_divide_witt itself
             folded = rem - pmp * y
@@ -404,4 +401,4 @@ def divide_by_p_seq_minus_p(
         d = min(got.depth, want.depth, final_depth)
         if not got.truncate(d).equals(want.truncate(d)):
             raise ArithmeticError(f"roundtrip failed at coordinate {i} (bug)")
-    return SeqDivisionResult(w, done, final_depth, done < requested)
+    return SeqDivisionResult(w, done, final_depth, done < length)

@@ -85,6 +85,16 @@ class TestMembership:
         assert got == NotMember(3)
         assert definite_nonmember(c)
 
+    def test_structural_nonmember_is_refuted_before_the_search(self, monkeypatch):
+        # x^(1/5) / p^(1/25): no exponent can work, so no power is tried
+        c = LocalElem(x_var(CTX2) ** 5, 1)
+
+        def refuse(*args):
+            raise AssertionError("membership searched a structural non-member")
+
+        monkeypatch.setattr(TowerElem, "pi_divide", refuse)
+        assert membership(c, 50) == NotMember(50)
+
     def test_definite_nonmember_is_narrow(self):
         # multi-term numerators are not covered by the structural argument
         assert not definite_nonmember(LocalElem(cubes(CTX), 1))

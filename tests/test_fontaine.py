@@ -9,6 +9,7 @@ from rootclose.fontaine import (
     PrecisionError,
     SequenceDivisionError,
     UndeterminedCongruenceError,
+    _p_closure_cert,
     base_residue,
     divide_by_p_seq,
     divide_by_p_seq_traced,
@@ -47,15 +48,6 @@ class TestCompat:
         P, X, _ = gens()
         assert base_residue(P).is_zero  # level-0 residue of p
         assert base_residue(X) == ResidueElem.monomial(TowerCtx(5, 0, 3, QUOTIENT), 0, 1, 0)
-
-    def test_constructor_can_enforce_compat(self):
-        ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
-        ctx1 = TowerCtx(5, 1, 3, QUOTIENT)
-        with pytest.raises(ValueError):
-            FontaineElem(
-                [ResidueElem.monomial(ctx0, 0, 1, 0), ResidueElem.monomial(ctx1, 0, 0, 1)],
-                check=True,
-            )
 
     def test_level_below_index_rejected(self):
         ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
@@ -207,6 +199,30 @@ class TestDivision:
         P, _, _ = gens(0)
         with pytest.raises(DepthExhaustedError):
             divide_by_p_seq(P)
+
+
+class TestZeroModPClosure:
+    """One decision, ``_p_closure_cert``, reads components modulo p * R
+    (plain) or p * closure (certified) for zero tests and equality."""
+
+    CTX0, CTX1 = TowerCtx(5, 0, 3, QUOTIENT), TowerCtx(5, 1, 3, QUOTIENT)
+    U = TowerElem(CTX1, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    # PI^4 * u = p * (u / PI), and u / PI is in the closure with m = 1
+    PI4_U = U * TowerElem.monomial(CTX1, 4, 0, 0)
+
+    def test_zero_test_and_equality_agree(self):
+        e = FontaineElem([ResidueElem.zero(self.CTX0), LocalElem(self.PI4_U)], CERTIFIED)
+        assert e.is_zero
+        assert e == e.zero_like()
+        assert (e - e.zero_like()).is_zero
+
+    def test_plain_decides_p_r_and_certified_p_closure(self):
+        x = TowerElem.monomial(self.CTX1, 0, 1, 0)
+        for mode in (PLAIN, CERTIFIED):
+            assert _p_closure_cert(LocalElem(x * 5), 1, 4, mode).m == 0
+            assert _p_closure_cert(LocalElem(x), 1, 4, mode) is None  # structurally refuted
+        assert _p_closure_cert(LocalElem(self.PI4_U), 1, 4, PLAIN) is None
+        assert _p_closure_cert(LocalElem(self.PI4_U), 1, 4, CERTIFIED).m == 1
 
 
 class TestUndetermined:

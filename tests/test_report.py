@@ -58,10 +58,36 @@ class TestExampleSuite:
             assert check["status"] in ("pass", "fail", "undetermined")
 
 
+#: (config overrides, sha256 of the example report without timestamp)
+#: for the five configs the certify benchmark runs; {} is the default
+EXAMPLE_DIGESTS = {
+    "p5-d3": ({}, "d3fd66e6fee48e379420534dec17bf8692be01d08def09ec0e4b03a9e2ef2962"),
+    "p7-d2": (
+        {"p": 7, "depth": 2},
+        "5917a06eacbf4369ab68e2238b007b40750ab984ea73834b286ba53969d0d9f3",
+    ),
+    "p5-d2-w3": (
+        {"depth": 2, "witt_length": 3},
+        "d80979b866657b4aeb52a5cbd5b08d4f5da47f49d54592d3ceab913f50f8f217",
+    ),
+    "p5-d2": ({"depth": 2}, "9d54cdd986711583dc7ad3c606b9d0923afdf17d5d87718853aabc9afa57f95a"),
+    "p5-d3-plain": (
+        {"closure_mode": PLAIN},
+        "0cf061a0883ead822c49975cb082dbbae689adf17ca134daa85a3911c8217178",
+    ),
+}
+
+
 class TestDeterminism:
     def test_example_bytes_are_stable(self, example_report):
         again = report.run_example_suite(cfg())
         assert again.to_json() == example_report.to_json()
+
+    @pytest.mark.parametrize("name", EXAMPLE_DIGESTS)
+    def test_example_bytes_match_the_recorded_digest(self, name, example_report):
+        overrides, digest = EXAMPLE_DIGESTS[name]
+        rep = report.run_example_suite(cfg(**overrides)) if overrides else example_report
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(cfg(seed=5)).to_json()
@@ -117,6 +143,34 @@ class TestRevalidation:
         assert not rv.ok
 
 
+    def test_recorded_failure_keeps_its_status(self, example_report, tmp_path, capsys):
+        data = copy.deepcopy(example_report.to_dict())
+        for check in data["checks"]:
+            if check["name"] == "certified_division":
+                check["status"] = "fail"
+            if check["name"] == "closure_certificates":
+                check["status"] = "undetermined"
+        rv = report.revalidate_report(data)
+        statuses = {c.name: c.status for c in rv.checks}
+        assert statuses["certified_division"] == "fail"
+        assert statuses["closure_certificates"] == "undetermined"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 1
+
+    def test_pass_without_evidence_fails(self, example_report):
+        data = copy.deepcopy(example_report.to_dict())
+        data["checks"][0]["details"] = {}
+        rv = report.revalidate_report(data)
+        assert rv.checks[0].status == "fail"
+        assert rv.checks[0].details == {"revalidated": 0, "errors": ["no evidence"]}
+        assert [c.status for c in rv.checks[1:]] == ["pass"] * 5
+
+    def test_props_reports_carry_no_evidence(self):
+        rv = report.revalidate_report(report.run_property_suites(cfg()).to_dict())
+        assert [c.details["errors"] for c in rv.checks] == [["no evidence"]] * len(rv.checks)
+
+
 class TestRunnerStatusMapping:
     def test_undetermined_is_distinct(self):
         def blow_up():
@@ -163,3 +217,41 @@ class TestCli:
         path = tmp_path / "report.json"
         path.write_text(example_report.to_json())
         assert cli.main(["revalidate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "not json",
+            "{}",
+            "[]",
+            '{"config": {"p": "5", "degree": 3}, "checks": []}',
+            '{"config": {"p": 5, "degree": 3}, "checks": {}}',
+            '{"config": {"p": 5, "degree": 3}, "checks": [{"name": 1, "status": "pass"}]}',
+            '{"config": {"p": 5, "degree": 3}, "checks": [{"name": "c", "status": "ok"}]}',
+            '{"config": {"p": 5, "degree": 3},'
+            ' "checks": [{"name": "c", "status": "pass", "details": {"certificates": 3}}]}',
+            '{"config": {"p": 5, "degree": 3},'
+            ' "checks": [{"name": "c", "status": "pass", "details": {"residues": [{}]}}]}',
+        ],
+        ids=[
+            "missing-file",
+            "not-json",
+            "empty-object",
+            "list",
+            "string-p",
+            "checks-object",
+            "int-name",
+            "unknown-status",
+            "int-certificates",
+            "residue-without-elem",
+        ],
+    )
+    def test_revalidate_unusable_input_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert cli.main(["revalidate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
