@@ -32,14 +32,11 @@ class LocalElem:
         if not _canonical:
             if num.is_zero:
                 denom_exp = 0
-            else:
-                while denom_exp > 0:
-                    try:
-                        reduced = num.pi_divide(1)
-                    except NotDivisibleError:
-                        break
-                    num = reduced
-                    denom_exp -= 1
+            elif denom_exp:
+                k = num.pi_valuation(denom_exp)
+                if k:
+                    num = num.pi_divide(k)
+                    denom_exp -= k
         self.num = num
         self.denom_exp = denom_exp
 

@@ -110,7 +110,7 @@ class FontaineElem:
     __slots__ = ("comps", "mode")
 
     def __init__(self, comps, mode: str = PLAIN):
-        comps = list(comps)
+        comps = tuple(comps)
         if not comps:
             raise ValueError("a sequence needs at least one component")
         if mode not in (PLAIN, CERTIFIED):

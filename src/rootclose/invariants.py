@@ -8,7 +8,9 @@ draws fix the samples of a seed; the tests run each entry on its own.
 
 from __future__ import annotations
 
+import operator
 import random
+from functools import reduce
 
 from . import closure, fontaine, tower, valuation, witt
 from .closure import ClosureCert, LocalElem, NotMember
@@ -111,6 +113,10 @@ def frobenius_additive(rng: random.Random) -> dict:
         b = random_tower(rng, ctx).reduce_mod_p()
         if (a + b).frobenius() != a.frobenius() + b.frobenius():
             return {"_status": FAIL}
+        # the termwise p-th power against the product kernel
+        for x in (a, b):
+            if x.frobenius() != reduce(operator.mul, [x] * ctx.p):
+                return {"_status": FAIL, "oracle": "p-fold product"}
     return {"cases": 20}
 
 

@@ -264,15 +264,53 @@ class TowerElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        result = self.one_like()
         base = self
+        p = self.ctx.p
+        if e and self.coeff_mod == p and e % p == 0:
+            k = 0
+            while e % p == 0:
+                e //= p
+                k += 1
+            base = self._frobenius_power(k)
+        result = None
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return self.one_like() if result is None else result
+
+    def _frobenius_power(self, k: int) -> "TowerElem":
+        """x^(p^k) over F_p in one pass over the terms.
+
+        Frobenius is additive in characteristic p and fixes coefficients
+        (Fermat), so each monomial goes to its own p^k-th power, which is
+        a single +-monomial or 0 mod p: PI^(a*p^k) with a*p^k >= p^level
+        is a multiple of PI^(p^level) = p, and in quotient mode
+        Y^(t*d*p^level) = (-p^d - X^(d*p^level))^t = (-1)^t X^(t*d*p^level).
+        Two monomials can meet after that wrap, so coefficients are
+        summed before reduction.
+        """
+        ctx = self.ctx
+        f = ctx.p**k
+        pn, yo = ctx.pi_order, ctx.y_order
+        wrap = ctx.mode == QUOTIENT
+        out: TermMap = {}
+        for (a, b, c), v in self.terms.items():
+            a *= f
+            if a >= pn:
+                continue
+            b *= f
+            c *= f
+            if wrap and c >= yo:
+                t, c = divmod(c, yo)
+                b += t * yo
+                if t % 2:
+                    v = -v
+            key = (a, b, c)
+            out[key] = out.get(key, 0) + v
+        return self._new(out)
 
     def pow_mod(self, e: int, coeff_mod: int) -> "TowerElem":
         """Power with coefficients modulo ``coeff_mod``.
@@ -324,12 +362,13 @@ class TowerElem:
     def pi_divide(self, j: int) -> "TowerElem":
         """Exact quotient by PI^j, or NotDivisibleError.
 
-        Division by PI^(p^level) is coefficient division by p; the
-        remaining single steps shift each (b, c) fiber down one PI slot,
-        wrapping the bottom coefficient (which must be divisible by p)
-        to the top.  With a coefficient modulus the divisibility answer
-        is exact when the modulus lies in (PI^j), and the quotient keeps
-        the modulus of its representative.
+        One pass over the terms, with j = q * p^level + r: a term with
+        PI^a, a >= r, moves to PI^(a - r) and its coefficient is divided
+        by p^q; one with a < r wraps to PI^(a - r + p^level), one carry
+        more, and is divided by p^(q + 1).  The shift is a bijection on
+        PI exponents, so no two terms meet.  With a coefficient modulus
+        the divisibility answer is exact when the modulus lies in
+        (PI^j), and the quotient keeps the modulus of its representative.
         """
         if j < 0:
             raise ValueError("j must be non-negative")
@@ -338,37 +377,48 @@ class TowerElem:
         p = self.ctx.p
         pn = self.ctx.pi_order
         q, r = divmod(j, pn)
-        terms = self.terms
-        if q:
-            pq = p**q
-            bad = [m for m, v in terms.items() if v % pq]
-            if bad:
-                raise NotDivisibleError(min(bad))
-            terms = {m: v // pq for m, v in terms.items()}
-        top = pn - 1
-        for _ in range(r):
-            nxt: TermMap = {}
-            bad = []
-            for (a, b, c), v in terms.items():
-                if a:
-                    key = (a - 1, b, c)
-                else:
-                    if v % p:
-                        bad.append((a, b, c))
-                        continue
-                    v //= p
-                    if not v:
-                        continue
-                    key = (top, b, c)
-                acc = nxt.get(key, 0) + v
-                if acc:
-                    nxt[key] = acc
-                elif key in nxt:
-                    del nxt[key]
-            if bad:
-                raise NotDivisibleError(min(bad))
-            terms = nxt
-        return self._new(terms)
+        pq = p**q
+        out: TermMap = {}
+        for (a, b, c), v in self.terms.items():
+            if a >= r:
+                quo, rem = divmod(v, pq)
+                key = (a - r, b, c)
+            else:
+                quo, rem = divmod(v, pq * p)
+                key = (a - r + pn, b, c)
+            if rem:
+                raise NotDivisibleError(self._pi_refusal(q, r))
+            out[key] = quo
+        return self._new(out)
+
+    def _pi_refusal(self, q: int, r: int) -> Monomial:
+        """The monomial that refuses division by PI^(q * p^level + r), as
+        dividing by p^q and then by PI one step at a time meets it: the
+        least term whose coefficient p^q does not divide; else, among the
+        wrapping terms (a < r) that fail the one extra p, those with the
+        least a fail first, at the bottom slot (0, b, c), least (b, c)."""
+        p = self.ctx.p
+        pq = p**q
+        bad = [m for m, v in self.terms.items() if v % pq]
+        if bad:
+            return min(bad)
+        _, b, c = min(m for m, v in self.terms.items() if m[0] < r and v % (pq * p))
+        return (0, b, c)
+
+    def pi_valuation(self, bound: int) -> int:
+        """min(bound, v_PI(self)): the largest j <= bound with PI^j
+        dividing this element, in one pass.  A term v * PI^a * X^b * Y^c
+        has valuation a + p^level * v_p(v), and ``pi_divide`` tests
+        divisibility term by term, so the element's is their least."""
+        p, pn = self.ctx.p, self.ctx.pi_order
+        best = bound
+        for (a, _, _), v in self.terms.items():
+            while a < best and v % p == 0:
+                v //= p
+                a += pn
+            if a < best:
+                best = a
+        return best
 
     def p_divide(self) -> "TowerElem":
         """Exact quotient by the integer p = PI^(p^level)."""
@@ -376,7 +426,8 @@ class TowerElem:
 
     # ------------------------------------------------------------------
     def frobenius(self) -> "TowerElem":
-        """The p-power map, computed by actual exponentiation."""
+        """The p-power map; over F_p ``__pow__`` takes it termwise (see
+        ``_frobenius_power``), over Z or Z/p^k it multiplies out."""
         return self**self.ctx.p
 
     def proot(self) -> "TowerElem":

@@ -4,18 +4,22 @@ Arithmetic is driven by the universal sum/product polynomials, computed
 once per (p, length) through the ghost-component recursion with exact
 integer divisions, cached, and then evaluated in whatever component
 ring the vectors carry (plain integers for the test oracle, residue
-elements, or finite-depth compatible sequences).
+elements, or finite-depth compatible sequences); rings of
+characteristic p use the tables reduced mod p.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cache
 
 from .closure import HypothesisNotMetError
 from .fontaine import (
+    PLAIN,
     FontaineElem,
     PrecisionError,
+    _is_residue,
     divide_by_p_seq,
     generators,
 )
@@ -131,6 +135,22 @@ def witt_polynomials(p: int, length: int) -> tuple[tuple[SPoly, ...], tuple[SPol
         return got
 
 
+@cache
+def witt_polynomials_mod_p(p: int, length: int) -> tuple[tuple[SPoly, ...], tuple[SPoly, ...]]:
+    """The universal polynomials with coefficients reduced mod p, for
+    component rings of characteristic p, where they take the same values
+    with fewer terms (Finotti, "Computations with Witt vectors of length
+    3", JTNB 2011).  Built once per (p, length) from the exact tables.
+
+    Each keeps every variable of its exact polynomial (the tests check
+    this for the shapes in use), so a result over sequences, whose depth
+    is the least depth of the values it reads, keeps its depth too."""
+    return tuple(
+        tuple({m: r for m, v in poly.items() if (r := v % p)} for poly in table)
+        for table in witt_polynomials(p, length)
+    )
+
+
 # ----------------------------------------------------------------------
 # component-ring dispatch: plain ints, residues, or compatible sequences
 def _zero_like(a):
@@ -139,6 +159,13 @@ def _zero_like(a):
 
 def _is_zero(a) -> bool:
     return a == 0 if isinstance(a, int) else a.is_zero
+
+
+def _char_p(a) -> bool:
+    """Residues mod p and plain sequences (whose components are residues
+    mod p); certified sequences read LocalElems modulo p * closure, and
+    their bytes depend on the exact coefficients."""
+    return _is_residue(a) or (isinstance(a, FontaineElem) and a.mode == PLAIN)
 
 
 def _proot(a):
@@ -173,7 +200,12 @@ class WittCtx:
         if self.length < 1:
             raise ValueError("length must be >= 1")
 
-    def polynomials(self):
+    def polynomials(self, vals=()):
+        """The sum and product tables to evaluate at ``vals``: reduced mod
+        p when every value lies in a ring of characteristic p, else exact
+        (plain integers, the ghost oracle, and certified sequences)."""
+        if vals and all(_char_p(v) for v in vals):
+            return witt_polynomials_mod_p(self.p, self.length)
         return witt_polynomials(self.p, self.length)
 
 
@@ -219,22 +251,22 @@ class WittVec:
         if not isinstance(other, WittVec):
             return NotImplemented
         self._check(other)
-        sums, _ = self.ctx.polynomials()
-        vals = list(self.comps) + list(other.comps)
+        vals = self.comps + other.comps
+        sums, _ = self.ctx.polynomials(vals)
         return WittVec(self.ctx, (_eval(s, vals) for s in sums))
 
     def __mul__(self, other):
         if not isinstance(other, WittVec):
             return NotImplemented
         self._check(other)
-        _, prods = self.ctx.polynomials()
-        vals = list(self.comps) + list(other.comps)
+        vals = self.comps + other.comps
+        _, prods = self.ctx.polynomials(vals)
         return WittVec(self.ctx, (_eval(m, vals) for m in prods))
 
     def __neg__(self):
         # solve x + z = 0 coordinate by coordinate: S_i is X_i + Y_i plus
         # terms in strictly earlier coordinates
-        sums, _ = self.ctx.polynomials()
+        sums, _ = self.ctx.polynomials(self.comps)
         zero = _zero_like(self.comps[0])
         zs: list = []
         for i in range(self.ctx.length):
@@ -331,11 +363,21 @@ def witt_theta(x: WittVec, precision: int) -> TowerElem:
 
 
 def p_seq_minus_p(ctx: WittCtx, template: FontaineElem) -> WittVec:
-    """The Witt vector (p-root sequence) - p over the template's family."""
+    """The Witt vector (p-root sequence) - p over the template's family,
+    depth and closure mode: one shared constant per shape."""
     fam = template.family
-    p_seq, _, _ = generators(fam.p, fam.degree, template.depth, fam.mode, template.mode)
+    return _p_seq_minus_p(ctx, fam.p, fam.degree, template.depth, fam.mode, template.mode)
+
+
+@cache
+def _p_seq_minus_p(
+    ctx: WittCtx, p: int, degree: int, depth: int, ring_mode: str, closure_mode: str
+) -> WittVec:
+    # shared by every caller: WittVec and FontaineElem hold tuples, and
+    # tower elements are never changed in place
+    p_seq, _, _ = generators(p, degree, depth, ring_mode, closure_mode)
     tau_p = WittVec.teichmuller(ctx, p_seq)
-    p_one = mul_by_p(WittVec.teichmuller(ctx, template.one_like()))
+    p_one = mul_by_p(WittVec.teichmuller(ctx, p_seq.one_like()))
     return tau_p - p_one
 
 

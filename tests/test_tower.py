@@ -1,9 +1,11 @@
 import operator
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from rootclose.closure import LocalElem
 from rootclose.tower import (
     FREE,
     QUOTIENT,
@@ -208,6 +210,7 @@ class TestResidue:
     def test_frobenius_additive(self, a, b):
         ra, rb = a.reduce_mod_p(), b.reduce_mod_p()
         assert (ra + rb).frobenius() == ra.frobenius() + rb.frobenius()
+        assert ra.frobenius() == reduce(operator.mul, [ra] * 5)
 
 
 class TestCoefficientRing:
@@ -282,6 +285,178 @@ class TestReducedAgreesWithExact:
             low, high = one_plus_pi.pow_mod(p, p), one_plus_pi.pow_mod(p, p * p)
             assert high.reduce_coeffs(p) == low
             assert low.lift().reduce_coeffs(p * p) != high
+
+
+def some_context(draw):
+    """p in {2, 3, 5, 7}, level 0-2, free or quotient mode."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    mode = draw(st.sampled_from([FREE, QUOTIENT]))
+    return TowerCtx(p, draw(st.integers(0, 2)), 2 if p == 3 else 3, mode)
+
+
+def power_by_products(x, e):
+    """x^e by square-and-multiply through the product kernel alone."""
+    result, base = x.one_like(), x
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+@st.composite
+def frobenius_cases(draw):
+    """An F_p element with PI exponents below p^level, often 0 so
+    that a term survives the p-power, and X, Y exponents up to the Y
+    bound, so that the wrap occurs; and an exponent f * p^k with k >= 1,
+    p^k <= 25 and f in {1, 2}."""
+    ctx = some_context(draw)
+    p = ctx.p
+    term = st.tuples(
+        st.one_of(st.just(0), st.integers(0, ctx.pi_order - 1)),
+        st.integers(0, ctx.y_order),
+        st.integers(0, ctx.y_order),
+        st.integers(1, p - 1),
+    )
+    terms = draw(st.lists(term, min_size=1, max_size=3))
+    x = TowerElem(ctx, {(a, b, c): v for a, b, c, v in terms}, p)
+    k = draw(st.integers(1, max(k for k in range(1, 5) if p**k <= 25)))
+    return x, draw(st.sampled_from([1, 2])) * p**k
+
+
+def frobenius_unsigned_wrap(self, k):
+    """A broken termwise p^k-th power: the sign of the Y-wrap is dropped."""
+    ctx = self.ctx
+    f = ctx.p**k
+    out = {}
+    for (a, b, c), v in self.terms.items():
+        if a * f >= ctx.pi_order:
+            continue
+        b, c = b * f, c * f
+        if ctx.mode == QUOTIENT and c >= ctx.y_order:
+            t, c = divmod(c, ctx.y_order)
+            b += t * ctx.y_order
+        out[(a * f, b, c)] = out.get((a * f, b, c), 0) + v
+    return TowerElem(ctx, out, ctx.p)
+
+
+class TestTermwiseFrobenius:
+    """The one-pass p-power over F_p against the product kernel."""
+
+    @given(case=frobenius_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_repeated_multiplication(self, case):
+        x, e = case
+        assert x**e == power_by_products(x, e)
+
+    def test_negative_control_unsigned_wrap(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TowerElem, "_frobenius_power", frobenius_unsigned_wrap)
+            x, e = find(
+                frobenius_cases(),
+                lambda case: case[0].ctx.p % 2 == 1 and case[0] ** case[1] != power_by_products(*case),
+                settings=settings(database=None, derandomize=True, max_examples=500),
+            )
+        assert x.ctx.mode == QUOTIENT
+
+
+def pi_divide_stepwise(x, j):
+    """Division by PI^j as p^q and then one PI at a time: the reference
+    for the one-pass ``pi_divide``."""
+    p, pn = x.ctx.p, x.ctx.pi_order
+    q, r = divmod(j, pn)
+    terms = x.terms
+    if q:
+        bad = [m for m, v in terms.items() if v % p**q]
+        if bad:
+            raise NotDivisibleError(min(bad))
+        terms = {m: v // p**q for m, v in terms.items()}
+    for _ in range(r):
+        nxt, bad = {}, []
+        for (a, b, c), v in terms.items():
+            if a:
+                key = (a - 1, b, c)
+            elif v % p:
+                bad.append((a, b, c))
+                continue
+            else:
+                v, key = v // p, (pn - 1, b, c)
+            nxt[key] = nxt.get(key, 0) + v
+        if bad:
+            raise NotDivisibleError(min(bad))
+        terms = nxt
+    return TowerElem(x.ctx, terms, x.coeff_mod)
+
+
+def pi_divide_off_by_one(x, j):
+    """A broken one-pass division: wrapped terms land one PI slot low."""
+    p, pn = x.ctx.p, x.ctx.pi_order
+    q, r = divmod(j, pn)
+    out = {}
+    for (a, b, c), v in x.terms.items():
+        d, key = (p**q, (a - r, b, c)) if a >= r else (p ** (q + 1), (a - r + pn - 1, b, c))
+        if v % d:
+            return x.pi_divide(j)  # refusals are not what this mutant breaks
+        out[key] = v // d
+    return TowerElem(x.ctx, out, x.coeff_mod)
+
+
+def division_outcome(divide, x, j):
+    try:
+        return divide(x, j)
+    except NotDivisibleError as exc:
+        return exc.monomial
+
+
+@st.composite
+def pi_division_cases(draw):
+    """x = y * PI^s + z over Z or Z/p^3 and j near s: a mix of exact
+    quotients and refusals, with wraps and integer carries."""
+    ctx = some_context(draw)
+    p, pn = ctx.p, ctx.pi_order
+    y = draw(elems(ctx, span=pn + 2, coeff=p * p, max_terms=3))
+    z = draw(elems(ctx, span=pn + 2, coeff=p, max_terms=1))
+    s = draw(st.integers(0, 2 * pn + 1))
+    x = y * TowerElem.monomial(ctx, s, 0, 0) + z
+    if draw(st.booleans()):
+        x = x.reduce_coeffs(p**3)
+    return x, draw(st.integers(0, 2 * pn + 1))
+
+
+class TestOnePassPiDivision:
+    """``pi_divide`` and LocalElem canonicalization against the stepwise
+    reference, refused monomial included."""
+
+    @given(case=pi_division_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_stepwise(self, case):
+        x, j = case
+        assert division_outcome(TowerElem.pi_divide, x, j) == division_outcome(
+            pi_divide_stepwise, x, j
+        )
+
+    @given(case=pi_division_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_form_agrees_with_stepwise(self, case):
+        num, denom_exp = case
+        got = LocalElem(num, denom_exp)
+        while denom_exp and not num.is_zero:
+            try:
+                num = pi_divide_stepwise(num, 1)
+            except NotDivisibleError:
+                break
+            denom_exp -= 1
+        assert (got.num, got.denom_exp) == (num, 0 if num.is_zero else denom_exp)
+
+    def test_negative_control_wrap_offset(self):
+        find(
+            pi_division_cases(),
+            lambda case: division_outcome(pi_divide_off_by_one, *case)
+            != division_outcome(pi_divide_stepwise, *case),
+            settings=settings(database=None, derandomize=True, max_examples=500),
+        )
 
 
 class TestPolyDivides:
