@@ -99,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         status = 0
         if args.check_closure:
+            if args.mmax < 0:
+                sys.stderr.write("error: --mmax must be non-negative\n")
+                return 2
             got = closure.membership(elem, args.mmax)
             if isinstance(got, closure.ClosureCert):
                 out["closure"] = {"member": True, "certificate": report.cert_to_json(got)}

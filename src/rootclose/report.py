@@ -47,6 +47,8 @@ class Config:
             raise ValueError("the example suite requires depth >= 2")
         if self.witt_length < 1:
             raise ValueError("witt_length must be >= 1")
+        if self.m_max is not None and self.m_max < 0:
+            raise ValueError("m_max must be non-negative")
         if self.closure_mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {self.closure_mode!r}")
         # degree/p coprimality is enforced by the tower context itself
@@ -176,7 +178,7 @@ def _witt_roundtrip(cfg: Config) -> tuple[witt.WittVec, witt.SeqDivisionResult]:
     _, X, _, _ = _example_elements(cfg, PLAIN)
     w = witt.WittVec.teichmuller(ctx, X)
     x_vec = witt.p_seq_minus_p(ctx, w.comps[0]) * w
-    return x_vec, witt.divide_by_p_seq_minus_p(x_vec, m_max=cfg.resolved_m_max)
+    return x_vec, witt.divide_by_p_seq_minus_p(x_vec)
 
 
 def run_example_suite(cfg: Config) -> Report:
@@ -343,8 +345,7 @@ def _revalidate_check(check: dict, cfg_d: dict) -> CheckRecord:
             errors.append("sequence compatibility changed")
         revalidated += 1
     if details.get("recheck") == "witt_roundtrip":
-        depth, length, m_max = cfg_d["depth"], cfg_d["witt_length"], cfg_d.get("m_max")
-        cfg = Config(p, degree, depth, witt_length=length, m_max=m_max)
+        cfg = Config(p, degree, cfg_d["depth"], witt_length=cfg_d["witt_length"])
         cfg.validate_example()
         _, result = _witt_roundtrip(cfg)
         if result.steps != details.get("steps"):

@@ -10,7 +10,6 @@ characteristic p use the tables reduced mod p.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -94,45 +93,31 @@ def _ghost_poly(p: int, i: int, offset: int, nvars: int) -> SPoly:
     return out
 
 
-_POLY_CACHE: dict[tuple[int, int], tuple[tuple[SPoly, ...], tuple[SPoly, ...]]] = {}
-_POLY_LOCK = threading.Lock()
-
-
+@cache
 def witt_polynomials(p: int, length: int) -> tuple[tuple[SPoly, ...], tuple[SPoly, ...]]:
     """Universal sum and product polynomials S_0..S_{length-1},
     M_0..M_{length-1} with exact integer coefficients.
 
-    Computed once per (p, length) under a lock and then shared
-    read-only, so concurrent users see a single immutable copy.
+    Computed once per (p, length) and then shared read-only.
     """
     check_prime(p)
     if length < 1:
         raise ValueError("length must be >= 1")
-    key = (p, length)
-    got = _POLY_CACHE.get(key)
-    if got is not None:
-        return got
-    with _POLY_LOCK:
-        got = _POLY_CACHE.get(key)
-        if got is not None:
-            return got
-        nv = 2 * length
-        sums: list[SPoly] = []
-        prods: list[SPoly] = []
-        for i in range(length):
-            wx = _ghost_poly(p, i, 0, nv)
-            wy = _ghost_poly(p, i, length, nv)
-            tgt_sum = _poly_add(wx, wy)
-            tgt_prod = _poly_mul(wx, wy)
-            for j in range(i):
-                e = p ** (i - j)
-                tgt_sum = _poly_add(tgt_sum, _poly_scale(_poly_pow(sums[j], e), -(p**j)))
-                tgt_prod = _poly_add(tgt_prod, _poly_scale(_poly_pow(prods[j], e), -(p**j)))
-            sums.append(_poly_div_exact(tgt_sum, p**i))
-            prods.append(_poly_div_exact(tgt_prod, p**i))
-        got = (tuple(sums), tuple(prods))
-        _POLY_CACHE[key] = got
-        return got
+    nv = 2 * length
+    sums: list[SPoly] = []
+    prods: list[SPoly] = []
+    for i in range(length):
+        wx = _ghost_poly(p, i, 0, nv)
+        wy = _ghost_poly(p, i, length, nv)
+        tgt_sum = _poly_add(wx, wy)
+        tgt_prod = _poly_mul(wx, wy)
+        for j in range(i):
+            e = p ** (i - j)
+            tgt_sum = _poly_add(tgt_sum, _poly_scale(_poly_pow(sums[j], e), -(p**j)))
+            tgt_prod = _poly_add(tgt_prod, _poly_scale(_poly_pow(prods[j], e), -(p**j)))
+        sums.append(_poly_div_exact(tgt_sum, p**i))
+        prods.append(_poly_div_exact(tgt_prod, p**i))
+    return tuple(sums), tuple(prods)
 
 
 @cache
@@ -393,7 +378,7 @@ class SeqDivisionResult:
     exhausted: bool
 
 
-def divide_by_p_seq_minus_p(x: WittVec, m_max: int | None = None) -> SeqDivisionResult:
+def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
     """Successive approximation: peel one factor per step.
 
     At step k the remainder is reduced to its leading coordinate (an
@@ -421,7 +406,7 @@ def divide_by_p_seq_minus_p(x: WittVec, m_max: int | None = None) -> SeqDivision
         head = rem.comps[0]
         if head.depth < 1:
             break  # out of component depth
-        factor = divide_by_p_seq(head, m_max)
+        factor = divide_by_p_seq(head)
         y = WittVec.teichmuller(ctx, factor)
         incr = y
         for _ in range(done):

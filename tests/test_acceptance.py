@@ -179,7 +179,7 @@ def _verify_kernel_roundtrip(ctx, w):
         ctx.length, min(c.depth - i for i, c in enumerate(x_vec.comps)) + 1
     )
     assert witt.witt_theta(x_vec, precision).is_zero
-    result = witt.divide_by_p_seq_minus_p(x_vec, m_max=5)
+    result = witt.divide_by_p_seq_minus_p(x_vec)
     # re-verify the product agreement at the achieved precision
     product = pmp * result.quotient
     for i in range(result.steps):
@@ -213,6 +213,6 @@ def test_criterion_6_negative_control():
     ctx = witt.WittCtx(5, 2)
     tau_eta = witt.WittVec.teichmuller(ctx, eta)
     with pytest.raises(fontaine.SequenceDivisionError) as err:
-        witt.divide_by_p_seq_minus_p(tau_eta, m_max=5)
+        witt.divide_by_p_seq_minus_p(tau_eta)
     assert err.value.index == 1
     _announce(6, "plain-mode-negative-control", started, 10)

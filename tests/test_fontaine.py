@@ -1,4 +1,8 @@
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootclose.closure import LocalElem, membership, validate_cert
 from rootclose.fontaine import (
@@ -16,7 +20,7 @@ from rootclose.fontaine import (
     generators,
     theta,
 )
-from rootclose.tower import QUOTIENT, ResidueElem, TowerCtx, TowerElem
+from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx, TowerElem, context
 
 
 def gens(depth=3, closure=PLAIN):
@@ -97,6 +101,67 @@ class TestRingOps:
     def test_constant_sequences_are_compatible(self):
         _, X, _ = gens()
         assert X.from_int(7).check_compat()
+
+
+@st.composite
+def termwise_seqs(draw, p, degree, mode):
+    """A compatible plain sequence built without sequence arithmetic.
+
+    Component i is one F_p combination of PI^a X^b Y^c at level i; the
+    p-th power maps each such monomial one level down, so the sequence
+    is compatible.  It is written ``shift`` levels higher than needed."""
+    depth = draw(st.integers(1, 3))
+    shift = draw(st.integers(0, 1))
+    term = st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3), st.integers(1, p - 1))
+    terms = {(a, b, c): v for a, b, c, v in draw(st.lists(term, min_size=1, max_size=3))}
+    return FontaineElem(
+        [TowerElem(context(p, i, degree, mode), terms, p).embed(i + shift) for i in range(depth + 1)]
+    )
+
+
+@st.composite
+def seq_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degree = 2 if p == 3 else 3
+    mode = draw(st.sampled_from((FREE, QUOTIENT)))
+    return draw(termwise_seqs(p, degree, mode)), draw(termwise_seqs(p, degree, mode))
+
+
+class TestRingOpsKeepCompat:
+    """Frobenius is a ring map in characteristic p, so + - * of compatible
+    sequences are compatible: a tested theorem, not a run-time check."""
+
+    @given(pair=seq_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_difference_and_product_are_compatible(self, pair):
+        a, b = pair
+        assert a.check_compat() and b.check_compat()
+        for got in (a + b, a - b, a * b):
+            assert got.depth == min(a.depth, b.depth)
+            assert got.check_compat()
+            # negative control: (r + 1)^p = r^p + 1, so one bumped
+            # component breaks the relation with the one below it
+            bumped = FontaineElem(got.comps[:-1] + (got.comps[-1] + 1,))
+            assert not bumped.check_compat()
+
+
+class TestMixedKinds:
+    """A residue that meets a LocalElem is lifted with it by ``_aligned``."""
+
+    def test_operations_act_on_lifts_at_the_common_level(self):
+        quotient, _ = divide_by_p_seq_traced(cube_sum(depth=2, closure=CERTIFIED), 5)
+        _, X, Y = gens(depth=2)
+        residues = X + Y * Y
+        assert all(isinstance(c, LocalElem) for c in quotient.comps)
+        for x, y in ((quotient, residues), (residues, quotient)):
+            for op in (operator.add, operator.sub, operator.mul):
+                got = op(x, y)
+                want = []
+                for a, b in zip(x.comps, y.comps):
+                    level = max(a.level, b.level)
+                    want.append(op(a.embed(level).as_local(), b.embed(level).as_local()))
+                assert got.mode == CERTIFIED
+                assert got.comps == tuple(want)
 
 
 class TestBaseResidue:

@@ -194,6 +194,17 @@ class TestCli:
     def test_small_prime_exit_two(self, capsys):
         assert cli.main(["example", "--p", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "x", "--check-closure", "--mmax", "-1"], ["example", "--mmax", "-3"]],
+        ids=["eval", "example"],
+    )
+    def test_negative_mmax_exits_two(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
     def test_props_text(self, capsys):
         assert cli.main(["props", "--seed", "3"]) == 0
         assert "all checks passed" in capsys.readouterr().out

@@ -268,7 +268,7 @@ class TestKernelDivision:
         ctx = WittCtx(5, 2)
         pmp = p_seq_minus_p(ctx, P)
         x_vec = pmp * WittVec.teichmuller(ctx, X)
-        result = divide_by_p_seq_minus_p(x_vec, m_max=5)
+        result = divide_by_p_seq_minus_p(x_vec)
         assert result.steps == 2 and not result.exhausted
 
     def test_zero_divides_to_zero(self):
@@ -284,7 +284,7 @@ class TestKernelDivision:
         ctx = WittCtx(5, 2)
         x_vec = WittVec.teichmuller(ctx, eta)
         with pytest.raises(SequenceDivisionError) as err:
-            divide_by_p_seq_minus_p(x_vec, m_max=5)
+            divide_by_p_seq_minus_p(x_vec)
         assert err.value.index == 1
 
     def test_non_kernel_input_rejected(self):
@@ -300,7 +300,7 @@ class TestKernelDivision:
         ctx = WittCtx(5, 3)
         pmp = p_seq_minus_p(ctx, P)
         x_vec = pmp * WittVec.teichmuller(ctx, X)
-        result = divide_by_p_seq_minus_p(x_vec, m_max=5)
+        result = divide_by_p_seq_minus_p(x_vec)
         assert result.steps == 2 and result.exhausted
 
 
