@@ -104,6 +104,19 @@ def _p_closure_cert(
 CONGRUENCE_M_MAX = 4
 
 
+def _joint_mode(a: "FontaineElem", b: "FontaineElem") -> str:
+    """The closure mode of a pair: certified if either operand is."""
+    return CERTIFIED if CERTIFIED in (a.mode, b.mode) else PLAIN
+
+
+def _comp_equal(a: Component, b: Component, index: int, m_max: int, mode: str) -> bool:
+    a, b = _aligned(a, b)
+    if isinstance(a, TowerElem):
+        return a == b
+    delta = a - b
+    return delta.is_zero or _p_closure_cert(delta, index, m_max, mode) is not None
+
+
 class FontaineElem:
     """Finite-depth compatible sequence of residues."""
 
@@ -173,8 +186,8 @@ class FontaineElem:
             return NotImplemented
         if not other.family.same_family(self.family):
             raise ValueError("sequence family mismatch")
-        mode = CERTIFIED if CERTIFIED in (self.mode, other.mode) else PLAIN
-        return FontaineElem([op(*_aligned(a, b)) for a, b in zip(self.comps, other.comps)], mode)
+        comps = [op(*_aligned(a, b)) for a, b in zip(self.comps, other.comps)]
+        return FontaineElem(comps, _joint_mode(self, other))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -211,20 +224,14 @@ class FontaineElem:
         return FontaineElem(self.comps[1:], self.mode)
 
     # ------------------------------------------------------------------
-    def _comp_equal(self, a: Component, b: Component, index: int, m_max: int) -> bool:
-        a, b = _aligned(a, b)
-        if isinstance(a, TowerElem):
-            return a == b
-        delta = a - b
-        return delta.is_zero or _p_closure_cert(delta, index, m_max, self.mode) is not None
-
     def equals(self, other: "FontaineElem", m_max: int = CONGRUENCE_M_MAX) -> bool:
         if not isinstance(other, FontaineElem):
             return NotImplemented
         if self.depth != other.depth or not self.family.same_family(other.family):
             return False
+        mode = _joint_mode(self, other)
         return all(
-            self._comp_equal(a, b, i, m_max)
+            _comp_equal(a, b, i, m_max, mode)
             for i, (a, b) in enumerate(zip(self.comps, other.comps))
         )
 
@@ -236,7 +243,7 @@ class FontaineElem:
         undetermined congruence is reported at index i + 1."""
         p = self.family.p
         return all(
-            self._comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX)
+            _comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX, self.mode)
             for i in range(self.depth)
         )
 
@@ -395,7 +402,7 @@ def divide_by_p_seq_traced(
         if not prod.is_integral:
             raise CertificateSearchError(f"roundtrip product not integral at component {n}")
         got = prod if certified else prod.num.reduce_mod_p()
-        if not e._comp_equal(got, e.comps[n], n, m_max):
+        if not _comp_equal(got, e.comps[n], n, m_max, e.mode):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
         out.append(t[n] if certified else t[n].num.reduce_mod_p())
 

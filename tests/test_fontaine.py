@@ -163,6 +163,15 @@ class TestMixedKinds:
                 assert got.mode == CERTIFIED
                 assert got.comps == tuple(want)
 
+    def test_equality_reads_a_mixed_pair_in_certified_mode(self):
+        # PI^4 * (PI^3 + X^3 + Y^3) is zero modulo p * closure, not modulo p * R
+        ctx = context(5, 1, 3, QUOTIENT)
+        u = TowerElem(ctx, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        certified = FontaineElem([LocalElem(TowerElem.monomial(ctx, 4, 0, 0) * u)], CERTIFIED)
+        plain_zero = FontaineElem([TowerElem.zero(context(5, 0, 3, QUOTIENT), 5)], PLAIN)
+        assert certified.is_zero
+        assert plain_zero.equals(certified) and certified.equals(plain_zero)
+
 
 class TestBaseResidue:
     def test_cube_sum_maps_to_zero(self):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rootclose import parser
 from rootclose.closure import LocalElem, membership
 from rootclose.parser import ParseError, parse_expr
 from rootclose.tower import QUOTIENT, TowerCtx, TowerElem
@@ -26,8 +29,11 @@ def test_cube_sum_over_root():
 
 
 def test_non_p_power_denominator_in_exponent():
-    with pytest.raises(ParseError):
-        parse_expr("x^(1/3)", 5)
+    for text in ("x^(1/3)", "x + y^(1/3)"):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 5)
+        assert "not a power of 5" in str(err.value)
+        assert err.value.pos == text.index("3")  # the denominator
 
 
 @pytest.mark.parametrize("text", ["x^(1/0)", "x^(0/0)", "p^(3/5)/p^(1/0)"])
@@ -66,6 +72,7 @@ def test_division_only_by_p_powers():
     with pytest.raises(ParseError) as err:
         parse_expr("(x+y)/x", 5)
     assert "p-power" in str(err.value)
+    assert err.value.pos == 6  # the divisor
 
 
 def test_syntax_error_carries_position():
@@ -90,8 +97,20 @@ def test_unbalanced_parens():
 
 
 def test_exponent_on_parenthesized_expr_rejected():
-    with pytest.raises(ParseError):
-        parse_expr("(x+y)^(1/5)", 5)
+    # an outer exponent must never be merged with an inner one: (x^(1/5))^2 is not x^2
+    for text in ("(x+y)^(1/5)", "(x)^2", "(x^(1/5))^2", "(p^(1/5))^5", "((y^(3/25)))^(1/5)", "2^3"):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 5)
+        assert "exponents apply to the variables" in str(err.value)
+        assert err.value.pos == text.rindex("^")
+
+
+def test_nesting_is_capped():
+    depth = parser.MAX_NESTING
+    assert parse_expr("(" * depth + "x" + ")" * depth, 5) == parse_expr("x", 5)
+    with pytest.raises(ParseError) as err:
+        parse_expr("(" * (depth + 1) + "x" + ")" * (depth + 1), 5)
+    assert err.value.pos == depth
 
 
 def test_nested_expression():
@@ -105,3 +124,73 @@ def test_nested_expression():
 def test_division_normalizes_sign():
     got = parse_expr("x / p^(1/5) / p^(1/5)", 5)
     assert got.denom_exp == 2 and got.level == 1
+
+
+# ----------------------------------------------------------------------
+# Agreement with an element built directly at the deepest level
+
+
+@st.composite
+def _queries(draw):
+    """(p, terms, divisor): terms ``c*v^(e/p^L)`` with a level L of
+    their own, and an optional divisor ``p^(j/p^M)`` as (j, M)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        L = draw(st.integers(0, 3))
+        c = draw(st.integers(-4, 4).filter(bool))
+        terms.append((c, draw(st.sampled_from("pxy")), draw(st.integers(0, 2 * p**L)), L))
+    divisor = draw(st.none() | st.tuples(st.integers(0, 2 * p), st.integers(0, 3)))
+    return p, terms, divisor
+
+
+def _degree(p: int) -> int:
+    return 2 if p == 3 else 3
+
+
+def _text(p, terms, divisor) -> str:
+    body = "+".join(f"{c}*{v}^({e}/{p**L})" for c, v, e, L in terms)
+    if divisor is None:
+        return body
+    j, M = divisor
+    return f"({body})/p^({j}/{p**M})"
+
+
+def _direct(p, terms, divisor) -> LocalElem:
+    """The element written at the deepest level of all its literals,
+    as a term map (the bench's ``cq_element`` builds its queries so)."""
+    top = max([L for *_, L in terms] + ([divisor[1]] if divisor else []))
+    ctx = TowerCtx(p, top, _degree(p), QUOTIENT)
+    raw: dict = {}
+    for c, v, e, L in terms:
+        k = e * p ** (top - L)
+        mono = {"p": (k, 0, 0), "x": (0, k, 0), "y": (0, 0, k)}[v]
+        raw[mono] = raw.get(mono, 0) + c
+    denom = divisor[0] * p ** (top - divisor[1]) if divisor else 0
+    return LocalElem(TowerElem(ctx, raw), denom)
+
+
+@given(query=_queries())
+@settings(max_examples=150, deadline=None)
+def test_parse_agrees_with_a_direct_build(query):
+    p, terms, divisor = query
+    got = parse_expr(_text(p, terms, divisor), p, _degree(p))
+    want = _direct(p, terms, divisor)
+    assert (got.level, got.denom_exp, got.num) == (want.level, want.denom_exp, want.num)
+
+
+def test_agreement_needs_the_embedding(monkeypatch):
+    """Negative control: an alignment that relabels the shallower
+    operand at the deeper level without scaling its exponents breaks
+    the agreement on operands of different levels."""
+
+    def relabel(a, b):
+        level = max(a.level, b.level)
+        return tuple(
+            LocalElem(TowerElem(c.ctx.at_level(level), c.num.terms), c.denom_exp) for c in (a, b)
+        )
+
+    query = (5, [(1, "x", 1, 1), (1, "x", 1, 2)], (1, 1))
+    assert parse_expr(_text(*query), 5) == _direct(*query)
+    monkeypatch.setattr(parser, "_aligned", relabel)
+    assert parse_expr(_text(*query), 5) != _direct(*query)

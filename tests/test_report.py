@@ -224,6 +224,18 @@ class TestCli:
     def test_eval_parse_error(self, capsys):
         assert cli.main(["eval", "x^(1/3)"]) == 2
 
+    def test_eval_long_sum(self, capsys):
+        assert cli.main(["eval", "+".join(["x"] * 2000), "--format", "json"]) == 0
+        long_sum = capsys.readouterr().out
+        assert cli.main(["eval", "2000*x", "--format", "json"]) == 0
+        assert long_sum == capsys.readouterr().out
+
+    def test_eval_deep_nesting_exits_two(self, capsys):
+        assert cli.main(["eval", "(" * 1000 + "x" + ")" * 1000]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
     def test_revalidate_roundtrip(self, tmp_path, example_report, capsys):
         path = tmp_path / "report.json"
         path.write_text(example_report.to_json())

@@ -97,21 +97,6 @@ class TestUniversalPolynomials:
     def test_cache_returns_same_object(self):
         assert witt_polynomials(2, 3) is witt_polynomials(2, 3)
 
-    def test_cache_is_thread_safe(self):
-        import threading
-
-        results = []
-
-        def hit():
-            results.append(witt_polynomials(3, 3))
-
-        threads = [threading.Thread(target=hit) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r is results[0] for r in results)
-
 
 class TestGhostOracle:
     def test_teichmuller_ghost(self):
