@@ -38,7 +38,6 @@ def main(argv: list[str] | None = None) -> int:
 
     ex = subs.add_parser("example", help="run the worked example suite")
     ex.add_argument("--p", type=int, default=5)
-    ex.add_argument("--degree", type=int, default=3)
     ex.add_argument("--depth", type=int, default=3)
     ex.add_argument("--witt-len", type=int, default=2)
     ex.add_argument("--mmax", type=int, default=None)
@@ -68,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "example":
         cfg = report.Config(
             p=args.p,
-            degree=args.degree,
             depth=args.depth,
             witt_length=args.witt_len,
             m_max=args.mmax,
@@ -106,11 +104,10 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(got, closure.ClosureCert):
                 out["closure"] = {"member": True, "certificate": report.cert_to_json(got)}
             else:
-                definite = closure.definite_nonmember(elem)
                 out["closure"] = {
                     "member": False,
                     "m_max": got.m_max,
-                    "definite_nonmember": definite,
+                    "definite_nonmember": got.refuted,
                 }
                 status = 1
         if args.format == "json":

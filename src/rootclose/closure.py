@@ -72,9 +72,6 @@ class LocalElem:
         # failing fiber of the PI-division onto a failing fiber
         return LocalElem(self.num.embed(to_level), self.denom_exp * f, _canonical=True)
 
-    def as_local(self) -> "LocalElem":
-        return self
-
     # ------------------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, int):
@@ -141,6 +138,24 @@ class LocalElem:
         return f"LocalElem({self.num!r} / PI^{self.denom_exp})"
 
 
+def as_local(c: TowerElem | LocalElem) -> LocalElem:
+    """A LocalElem as it is; a tower element (a residue mod p, say) as
+    its canonical integer lift over denominator 1."""
+    if isinstance(c, LocalElem):
+        return c
+    return LocalElem(c.lift(), 0, _canonical=True)
+
+
+def aligned(a: TowerElem | LocalElem, b: TowerElem | LocalElem) -> tuple:
+    """Both operands embedded at their common (deeper) level; when
+    exactly one is a LocalElem, the other is lifted to one too."""
+    level = max(a.level, b.level)
+    a, b = a.embed(level), b.embed(level)
+    if isinstance(a, LocalElem) != isinstance(b, LocalElem):
+        return as_local(a), as_local(b)
+    return a, b
+
+
 @dataclass(frozen=True)
 class ClosureCert:
     """Witness that elem lies in the root closure: elem^(p^m) is the
@@ -155,12 +170,14 @@ class ClosureCert:
 class NotMember:
     """No certificate found with exponent <= m_max.
 
-    This is bound-relative: a larger exponent could still succeed, so
-    it is not a proof of non-membership (see definite_nonmember for the
-    structural negative that is).
+    With ``refuted`` False this is bound-relative: a larger exponent
+    could still succeed, so it is not a proof of non-membership.  With
+    ``refuted`` True, ``definite_nonmember`` proved that no exponent
+    can succeed.
     """
 
     m_max: int
+    refuted: bool
 
 
 def membership(c: LocalElem, m_max: int) -> ClosureCert | NotMember:
@@ -169,7 +186,7 @@ def membership(c: LocalElem, m_max: int) -> ClosureCert | NotMember:
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     if definite_nonmember(c):
-        return NotMember(m_max)
+        return NotMember(m_max, True)
     p = c.ctx.p
     power = c.num
     for m in range(m_max + 1):
@@ -180,7 +197,7 @@ def membership(c: LocalElem, m_max: int) -> ClosureCert | NotMember:
         except NotDivisibleError:
             continue
         return ClosureCert(c, m, witness)
-    return NotMember(m_max)
+    return NotMember(m_max, False)
 
 
 def validate_cert(cert: ClosureCert) -> bool:

@@ -24,8 +24,9 @@ from .closure import (
     ClosureCert,
     LocalElem,
     NotMember,
+    aligned,
+    as_local,
     certified_pi_factor,
-    definite_nonmember,
     membership,
 )
 from .tower import NotDivisibleError, TowerCtx, TowerElem, context
@@ -64,23 +65,15 @@ class SequenceDivisionError(ArithmeticError):
 
 # Both kinds of component, residues mod p and (certified mode only)
 # LocalElems read modulo p * (root closure), give ctx, level,
-# embed(level), as_local(), -c and c**e; ``_aligned`` brings two of them
-# to one level and one kind before any binary step or comparison.
+# embed(level), -c and c**e; ``closure.aligned`` brings two of them to
+# one level and one kind before any binary step or comparison.
 Component = TowerElem | LocalElem
 
 
-def _is_residue(comp: Component) -> bool:
-    return isinstance(comp, TowerElem) and comp.coeff_mod == comp.ctx.p
-
-
-def _aligned(a: Component, b: Component) -> tuple[Component, Component]:
-    """Both operands embedded at their common (deeper) level; when
-    exactly one is a LocalElem, the residue is lifted to one too."""
-    level = max(a.level, b.level)
-    a, b = a.embed(level), b.embed(level)
-    if isinstance(a, LocalElem) != isinstance(b, LocalElem):
-        return a.as_local(), b.as_local()
-    return a, b
+def default_m_max(depth: int) -> int:
+    """Certificate search bound of a division at ``depth`` when the
+    caller gives none."""
+    return depth + 2
 
 
 def _p_closure_cert(
@@ -95,7 +88,7 @@ def _p_closure_cert(
     got = membership(scaled, 0 if mode == PLAIN else m_max)
     if isinstance(got, ClosureCert):
         return got
-    if mode == PLAIN or definite_nonmember(scaled):
+    if mode == PLAIN or got.refuted:
         return None
     raise UndeterminedCongruenceError(index, m_max)
 
@@ -110,7 +103,7 @@ def _joint_mode(a: "FontaineElem", b: "FontaineElem") -> str:
 
 
 def _comp_equal(a: Component, b: Component, index: int, m_max: int, mode: str) -> bool:
-    a, b = _aligned(a, b)
+    a, b = aligned(a, b)
     if isinstance(a, TowerElem):
         return a == b
     delta = a - b
@@ -129,7 +122,8 @@ class FontaineElem:
         if mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {mode!r}")
         for i, comp in enumerate(comps):
-            if not (_is_residue(comp) or (mode == CERTIFIED and isinstance(comp, LocalElem))):
+            residue = isinstance(comp, TowerElem) and comp.over_fp
+            if not (residue or (mode == CERTIFIED and isinstance(comp, LocalElem))):
                 kinds = "residues mod p" if mode == PLAIN else "residues mod p and LocalElems"
                 raise ValueError(f"{mode} mode takes {kinds} only (component {i})")
             if not comp.ctx.same_family(comps[0].ctx):
@@ -154,7 +148,7 @@ class FontaineElem:
         return self.equals(self.zero_like())
 
     def residue(self, i: int) -> TowerElem:
-        rep = self.comps[i].as_local()
+        rep = as_local(self.comps[i])
         if rep.is_integral:
             return rep.num.reduce_mod_p()
         raise UndeterminedCongruenceError(i, 0)
@@ -186,7 +180,7 @@ class FontaineElem:
             return NotImplemented
         if not other.family.same_family(self.family):
             raise ValueError("sequence family mismatch")
-        comps = [op(*_aligned(a, b)) for a, b in zip(self.comps, other.comps)]
+        comps = [op(*aligned(a, b)) for a, b in zip(self.comps, other.comps)]
         return FontaineElem(comps, _joint_mode(self, other))
 
     def __add__(self, other):
@@ -330,7 +324,7 @@ def divide_by_p_seq_traced(
         raise DepthExhaustedError("division needs depth >= 1")
     certified = e.mode == CERTIFIED
     if m_max is None:
-        m_max = N + 2
+        m_max = default_m_max(N)
     p = e.family.p
     trace = DivisionTrace([], [])
 
@@ -342,7 +336,7 @@ def divide_by_p_seq_traced(
     s: list[LocalElem] = []
     for n in range(N + 1):
         comp = e.comps[n]
-        rep = comp.as_local()
+        rep = as_local(comp)
         level = rep.level
         jn = p ** (level - n)  # PI at slot n, written at the component's level
         cand = LocalElem(rep.num, rep.denom_exp + jn)
@@ -370,7 +364,7 @@ def divide_by_p_seq_traced(
 
     # step 3: s_{n+1}^p = s_n + PI^(p^L - p^(L-n)) * v with v integral
     for n in range(N):
-        a, b = _aligned(t[n], s[n])
+        a, b = aligned(t[n], s[n])
         diff, level = a - b, a.level
         exponent = p**level - p ** (level - n)
         if exponent and not diff.is_zero:
@@ -383,7 +377,7 @@ def divide_by_p_seq_traced(
 
     # step 4: the quotient sequence is itself compatible
     for n in range(1, N):
-        a, b = _aligned(t[n] ** p, t[n - 1])
+        a, b = aligned(t[n] ** p, t[n - 1])
         delta = a - b
         if delta.is_zero:
             trace.compat.append(None)

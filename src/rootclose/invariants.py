@@ -193,8 +193,8 @@ def witt_ghost(rng: random.Random, polys_override=None) -> dict:
             xs = [rng.randint(-9, 9) for _ in range(n)]
             ys = [rng.randint(-9, 9) for _ in range(n)]
             vals = xs + ys
-            sv = [witt._eval(s, vals) for s in sums]
-            mv = [witt._eval(m, vals) for m in prods]
+            sv = [witt.evaluate(s, vals) for s in sums]
+            mv = [witt.evaluate(m, vals) for m in prods]
             gx = witt.ghost(witt.WittVec(ctx, xs))
             gy = witt.ghost(witt.WittVec(ctx, ys))
             gs = witt.ghost(witt.WittVec(ctx, sv))

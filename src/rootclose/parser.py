@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .closure import LocalElem
+from .closure import LocalElem, aligned
 from .tower import QUOTIENT, TowerCtx, TowerElem
 from .valuation import vp
 
@@ -40,11 +40,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         toks.append((m.lastgroup, m.group(), m.start()))
     toks.append(("end", "", len(text)))
     return toks
-
-
-def _aligned(a: LocalElem, b: LocalElem) -> tuple[LocalElem, LocalElem]:
-    level = max(a.level, b.level)
-    return a.embed(level), b.embed(level)
 
 
 def _as_pi_power(val: LocalElem) -> tuple[int, int] | None:
@@ -111,7 +106,7 @@ class _Parser:
         acc = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()[1]
-            acc, rhs = _aligned(acc, self.term())
+            acc, rhs = aligned(acc, self.term())
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
@@ -120,7 +115,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()[1]
             pos = self.toks[self.i][2]
-            acc, rhs = _aligned(acc, self.atom())
+            acc, rhs = aligned(acc, self.atom())
             acc = acc * rhs if op == "*" else _divide(acc, rhs, pos)
         return acc
 
@@ -135,7 +130,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", pos)
             val = self.variable(_VARS[text])
         elif kind == "int":
-            val = LocalElem(TowerElem.integer(self.ctx, int(text)), 0, _canonical=True)
+            val = LocalElem(TowerElem.integer(self.ctx, int(text)))
         elif text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)

@@ -23,11 +23,14 @@ from .tower import FREE, QUOTIENT, TowerCtx, TowerElem
 PASS = "pass"
 UNDETERMINED = "undetermined"
 
+#: Degree of the relation p^d + x^d + y^d = 0 of the worked example:
+#: eta, u_n and the plain-division divisor are all written for it.
+DEGREE = 3
+
 
 @dataclass
 class Config:
     p: int = 5
-    degree: int = 3
     depth: int = 3
     witt_length: int = 2
     m_max: int | None = None
@@ -37,7 +40,7 @@ class Config:
 
     @property
     def resolved_m_max(self) -> int:
-        return self.m_max if self.m_max is not None else self.depth + 2
+        return self.m_max if self.m_max is not None else fontaine.default_m_max(self.depth)
 
     def validate_example(self) -> None:
         valuation.check_prime(self.p)
@@ -51,13 +54,11 @@ class Config:
             raise ValueError("m_max must be non-negative")
         if self.closure_mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {self.closure_mode!r}")
-        # degree/p coprimality is enforced by the tower context itself
-        TowerCtx(self.p, 0, self.degree, QUOTIENT)
 
     def to_dict(self) -> dict:
         out = {
             "p": self.p,
-            "degree": self.degree,
+            "degree": DEGREE,
             "depth": self.depth,
             "witt_length": self.witt_length,
             "m_max": self.resolved_m_max,
@@ -146,7 +147,7 @@ def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
     ctx = TowerCtx(p, d["level"], degree, d["ring"])
     num = TowerElem(ctx, terms_from_json(d["num_terms"]))
     witness = TowerElem(ctx, terms_from_json(d["witness_terms"]))
-    elem = LocalElem(num, d["denom_exp"], _canonical=True)
+    elem = LocalElem(num, d["denom_exp"])
     return ClosureCert(elem, d["m"], witness)
 
 
@@ -166,8 +167,8 @@ def _run_checks(cfg: Config, steps) -> Report:
 
 
 def _example_elements(cfg: Config, closure_mode: str):
-    P, X, Y = fontaine.generators(cfg.p, cfg.degree, cfg.depth, QUOTIENT, closure_mode)
-    eta = P**3 + X**3 + Y**3
+    P, X, Y = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT, closure_mode)
+    eta = P**DEGREE + X**DEGREE + Y**DEGREE
     return P, X, Y, eta
 
 
@@ -226,11 +227,10 @@ def run_example_suite(cfg: Config) -> Report:
         # independent negative certificate: project the first component and
         # the defining relation to the free presentation modulo PI and ask
         # for single-divisor polynomial divisibility
-        free1 = TowerCtx(cfg.p, 1, cfg.degree, FREE)
-        d = cfg.degree
+        free1 = TowerCtx(cfg.p, 1, DEGREE, FREE)
         r1 = eta.residue(1).xy_part()
         dividend = TowerElem(free1, r1.terms, cfg.p)
-        divisor = TowerElem(free1, {(0, d * cfg.p, 0): 1, (0, 0, d * cfg.p): 1}, cfg.p)
+        divisor = TowerElem(free1, {(0, DEGREE * cfg.p, 0): 1, (0, 0, DEGREE * cfg.p): 1}, cfg.p)
         divides, _ = tower.poly_divides(divisor, dividend)
         details["divisions"] = [
             {
@@ -246,8 +246,8 @@ def run_example_suite(cfg: Config) -> Report:
     def check_closure_certs():
         certs = []
         for n in range(1, cfg.depth):
-            ctx = TowerCtx(cfg.p, n, cfg.degree, QUOTIENT)
-            u_n = TowerElem(ctx, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+            ctx = TowerCtx(cfg.p, n, DEGREE, QUOTIENT)
+            u_n = TowerElem(ctx, {(DEGREE, 0, 0): 1, (0, DEGREE, 0): 1, (0, 0, DEGREE): 1})
             got = closure.membership(LocalElem(u_n, 1), m_max)
             if isinstance(got, NotMember):
                 return {"_status": FAIL, "error": f"no certificate for level {n}"}
@@ -319,33 +319,33 @@ def _revalidate_check(check: dict, cfg_d: dict) -> CheckRecord:
     name, status, details = check["name"], check["status"], check.get("details", {})
     if not isinstance(name, str) or status not in (PASS, FAIL, UNDETERMINED):
         raise ValueError("a check needs a string name and a known status")
-    p, degree = cfg_d["p"], cfg_d["degree"]
+    p = cfg_d["p"]
     errors: list[str] = []
     revalidated = 0
     for cert_d in details.get("certificates", []):
-        cert = cert_from_json(cert_d, p, degree)
+        cert = cert_from_json(cert_d, p, DEGREE)
         if not closure.validate_cert(cert):
             errors.append("certificate failed revalidation")
         revalidated += 1
     for div_d in details.get("divisions", []):
-        divisor = residue_from_json(div_d["divisor"], p, degree)
-        dividend = residue_from_json(div_d["dividend"], p, degree)
+        divisor = residue_from_json(div_d["divisor"], p, DEGREE)
+        dividend = residue_from_json(div_d["dividend"], p, DEGREE)
         divides, _ = tower.poly_divides(divisor, dividend)
         if divides != div_d["divides"]:
             errors.append("division outcome changed")
         revalidated += 1
     for res_d in details.get("residues", []):
-        elem = residue_from_json(res_d["elem"], p, degree)
+        elem = residue_from_json(res_d["elem"], p, DEGREE)
         if elem.is_zero != res_d["expect_zero"]:
             errors.append("residue zero-check changed")
         revalidated += 1
     if "sequence" in details:
-        comps = [residue_from_json(d, p, degree) for d in details["sequence"]]
+        comps = [residue_from_json(d, p, DEGREE) for d in details["sequence"]]
         if not FontaineElem(comps, PLAIN).check_compat():
             errors.append("sequence compatibility changed")
         revalidated += 1
     if details.get("recheck") == "witt_roundtrip":
-        cfg = Config(p, degree, cfg_d["depth"], witt_length=cfg_d["witt_length"])
+        cfg = Config(p, cfg_d["depth"], witt_length=cfg_d["witt_length"])
         cfg.validate_example()
         _, result = _witt_roundtrip(cfg)
         if result.steps != details.get("steps"):
@@ -363,12 +363,13 @@ def revalidate_report(data) -> Report:
     recomputation.  A recorded fail or undetermined keeps its status; a
     recorded pass stays a pass only when it carries evidence and all of
     it is reproduced.  Raises MalformedReportError on input without the
-    shape and field types of a report, or with evidence it cannot read."""
+    shape, field types and degree of a report, or with evidence it cannot read."""
     try:
         cfg_d, records = data["config"], data["checks"]
-        ints = type(cfg_d["p"]) is int and type(cfg_d["degree"]) is int
-        if not (ints and isinstance(records, list)):
-            raise TypeError("config p and degree must be integers, and checks a list")
+        if type(cfg_d["p"]) is not int or not isinstance(records, list):
+            raise TypeError("config p must be an integer, and checks a list")
+        if cfg_d["degree"] != DEGREE:
+            raise ValueError(f"config degree is {cfg_d['degree']}, the example's is {DEGREE}")
         checks = [_revalidate_check(check, cfg_d) for check in records]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedReportError(

@@ -201,6 +201,11 @@ class TowerElem:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def over_fp(self) -> bool:
+        """Are the coefficients in F_p (a residue mod p)?"""
+        return self.coeff_mod == self.ctx.p
+
     def coefficient(self, a: int, b: int, c: int) -> int:
         return self.terms.get((a, b, c), 0)
 
@@ -266,7 +271,7 @@ class TowerElem:
             raise ValueError("exponent must be non-negative")
         base = self
         p = self.ctx.p
-        if e and self.coeff_mod == p and e % p == 0:
+        if e and e % p == 0 and self.over_fp:
             k = 0
             while e % p == 0:
                 e //= p
@@ -336,12 +341,6 @@ class TowerElem:
     def lift(self) -> "TowerElem":
         """Coefficient-wise integer lift (the canonical representative)."""
         return TowerElem(self.ctx, self.terms, _normal=True)
-
-    def as_local(self):
-        """The canonical lift as a localized element with denominator 1."""
-        from .closure import LocalElem  # closure builds on this module
-
-        return LocalElem(self.lift(), 0, _canonical=True)
 
     # ------------------------------------------------------------------
     def embed(self, to_level: int) -> "TowerElem":
@@ -439,7 +438,7 @@ class TowerElem:
         divisible by p.
         """
         p = self.ctx.p
-        if self.coeff_mod != p:
+        if not self.over_fp:
             raise ValueError("p-th roots are taken over F_p")
         out: TermMap = {}
         for (a, b, c), v in self.terms.items():

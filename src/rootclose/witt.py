@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .closure import HypothesisNotMetError
-from .fontaine import (
-    PLAIN,
-    FontaineElem,
-    PrecisionError,
-    _is_residue,
-    divide_by_p_seq,
-    generators,
-)
+from .fontaine import PLAIN, FontaineElem, PrecisionError, divide_by_p_seq, generators
 from .fontaine import theta as seq_theta
 from .tower import TowerElem
 from .valuation import check_prime
@@ -150,7 +143,9 @@ def _char_p(a) -> bool:
     """Residues mod p and plain sequences (whose components are residues
     mod p); certified sequences read LocalElems modulo p * closure, and
     their bytes depend on the exact coefficients."""
-    return _is_residue(a) or (isinstance(a, FontaineElem) and a.mode == PLAIN)
+    if isinstance(a, TowerElem):
+        return a.over_fp
+    return isinstance(a, FontaineElem) and a.mode == PLAIN
 
 
 def _proot(a):
@@ -159,7 +154,9 @@ def _proot(a):
     return a.proot()
 
 
-def _eval(poly: SPoly, vals) -> object:
+def evaluate(poly: SPoly, vals) -> object:
+    """The polynomial at ``vals``, one value per variable, in their own
+    component ring."""
     acc = None
     for exps, coeff in poly.items():
         term = None
@@ -238,7 +235,7 @@ class WittVec:
         self._check(other)
         vals = self.comps + other.comps
         sums, _ = self.ctx.polynomials(vals)
-        return WittVec(self.ctx, (_eval(s, vals) for s in sums))
+        return WittVec(self.ctx, (evaluate(s, vals) for s in sums))
 
     def __mul__(self, other):
         if not isinstance(other, WittVec):
@@ -246,7 +243,7 @@ class WittVec:
         self._check(other)
         vals = self.comps + other.comps
         _, prods = self.ctx.polynomials(vals)
-        return WittVec(self.ctx, (_eval(m, vals) for m in prods))
+        return WittVec(self.ctx, (evaluate(m, vals) for m in prods))
 
     def __neg__(self):
         # solve x + z = 0 coordinate by coordinate: S_i is X_i + Y_i plus
@@ -256,7 +253,7 @@ class WittVec:
         zs: list = []
         for i in range(self.ctx.length):
             pad = [zero] * (self.ctx.length - i)
-            partial = _eval(sums[i], list(self.comps) + zs + pad)
+            partial = evaluate(sums[i], list(self.comps) + zs + pad)
             zs.append(-partial)
         return WittVec(self.ctx, zs)
 

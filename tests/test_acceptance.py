@@ -114,7 +114,7 @@ def test_criterion_3_witt_ghost_oracle_and_order():
 
 def test_criterion_4_example_suite():
     started = time.perf_counter()
-    cfg = report.Config(p=5, degree=3, depth=3, witt_length=2, m_max=5, timestamp=False)
+    cfg = report.Config(p=5, depth=3, witt_length=2, m_max=5, timestamp=False)
     rep = report.run_example_suite(cfg)
     statuses = {c.name: c.status for c in rep.checks}
     assert statuses == {
@@ -146,7 +146,7 @@ def test_criterion_4_example_suite():
     # exponents 1 and 2, re-validated from scratch
     by_name = {c.name: c for c in rep.checks}
     certs = [
-        report.cert_from_json(d, cfg.p, cfg.degree)
+        report.cert_from_json(d, cfg.p, report.DEGREE)
         for d in by_name["closure_certificates"].details["certificates"]
     ]
     assert [c.m for c in certs] == [1, 2]
@@ -167,7 +167,7 @@ def test_criterion_4_example_suite():
     embedded = by_name["certified_division"].details["certificates"]
     assert embedded, "certified division must embed its certificates"
     for d in embedded:
-        assert closure.validate_cert(report.cert_from_json(d, cfg.p, cfg.degree))
+        assert closure.validate_cert(report.cert_from_json(d, cfg.p, report.DEGREE))
     _announce(4, "worked-example-suite", started, 120)
 
 

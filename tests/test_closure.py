@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rootclose import closure
 from rootclose.closure import (
     ClosureCert,
     HypothesisNotMetError,
@@ -82,7 +83,7 @@ class TestMembership:
     def test_x_over_pi_never_certifies(self):
         c = LocalElem(x_var(CTX), 1)
         got = membership(c, 3)
-        assert got == NotMember(3)
+        assert got == NotMember(3, True)
         assert definite_nonmember(c)
 
     def test_structural_nonmember_is_refuted_before_the_search(self, monkeypatch):
@@ -93,7 +94,7 @@ class TestMembership:
             raise AssertionError("membership searched a structural non-member")
 
         monkeypatch.setattr(TowerElem, "pi_divide", refuse)
-        assert membership(c, 50) == NotMember(50)
+        assert membership(c, 50) == NotMember(50, True)
 
     def test_definite_nonmember_is_narrow(self):
         # multi-term numerators are not covered by the structural argument
@@ -205,3 +206,52 @@ class TestPiFactorAgreesWithExact:
         got = certified_pi_factor(a)
         assert got.m <= a.level
         assert validate_cert(got)
+
+
+#: A structural miss and an exhausted miss at p = 5, level 1, bound 1:
+#: x^(1/5) / p^(1/5) is refuted before any power is built, while
+#: (x^(1/5) + y^(1/5)) / p^(1/5) fails m = 0 and m = 1 and is not refuted.
+STRUCTURAL_MISS = (LocalElem(x_var(CTX), 1), 1)
+EXHAUSTED_MISS = (LocalElem(x_var(CTX) + y_var(CTX), 1), 1)
+
+
+@st.composite
+def membership_queries(draw):
+    """A quotient at p in {2, 3, 5}, level 0-1, free or quotient mode,
+    with a numerator of 1-3 terms, and a bound with p^m_max <= 9."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    level = draw(st.integers(0, 1))
+    ctx = TowerCtx(p, level, 2 if p == 3 else 3, draw(st.sampled_from([FREE, QUOTIENT])))
+    monomial = st.tuples(st.integers(0, p**level - 1), st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(monomial, st.integers(-4, 4).filter(bool), min_size=1, max_size=3))
+    c = LocalElem(TowerElem(ctx, terms), draw(st.integers(0, 2 * p**level)))
+    return c, draw(st.integers(0, 1 if p == 5 else 2))
+
+
+@given(query=membership_queries())
+@example(query=STRUCTURAL_MISS)
+@example(query=EXHAUSTED_MISS)
+@settings(max_examples=150, deadline=None)
+def test_a_miss_is_refuted_exactly_when_it_is_structural(query):
+    c, m_max = query
+    got = closure.membership(c, m_max)
+    if isinstance(got, NotMember):
+        assert got.refuted == definite_nonmember(c)
+
+
+def test_both_kinds_of_miss_are_covered():
+    assert membership(*STRUCTURAL_MISS) == NotMember(1, True)
+    assert membership(*EXHAUSTED_MISS) == NotMember(1, False)
+
+
+def test_refutation_test_catches_a_search_that_never_refutes(monkeypatch):
+    """Negative control: a search that reports every miss as bound-relative
+    fails the test above on the structural miss."""
+
+    def never_refutes(c, m_max):
+        got = membership(c, m_max)
+        return NotMember(m_max, False) if isinstance(got, NotMember) else got
+
+    monkeypatch.setattr(closure, "membership", never_refutes)
+    with pytest.raises(AssertionError):
+        test_a_miss_is_refuted_exactly_when_it_is_structural()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootclose.closure import LocalElem, membership, validate_cert
+from rootclose.closure import LocalElem, as_local, membership, validate_cert
 from rootclose.fontaine import (
     CERTIFIED,
     PLAIN,
@@ -146,7 +146,7 @@ class TestRingOpsKeepCompat:
 
 
 class TestMixedKinds:
-    """A residue that meets a LocalElem is lifted with it by ``_aligned``."""
+    """A residue that meets a LocalElem is lifted with it by ``aligned``."""
 
     def test_operations_act_on_lifts_at_the_common_level(self):
         quotient, _ = divide_by_p_seq_traced(cube_sum(depth=2, closure=CERTIFIED), 5)
@@ -159,7 +159,7 @@ class TestMixedKinds:
                 want = []
                 for a, b in zip(x.comps, y.comps):
                     level = max(a.level, b.level)
-                    want.append(op(a.embed(level).as_local(), b.embed(level).as_local()))
+                    want.append(op(as_local(a.embed(level)), as_local(b.embed(level))))
                 assert got.mode == CERTIFIED
                 assert got.comps == tuple(want)
 

@@ -192,5 +192,5 @@ def test_agreement_needs_the_embedding(monkeypatch):
 
     query = (5, [(1, "x", 1, 1), (1, "x", 1, 2)], (1, 1))
     assert parse_expr(_text(*query), 5) == _direct(*query)
-    monkeypatch.setattr(parser, "_aligned", relabel)
+    monkeypatch.setattr(parser, "aligned", relabel)
     assert parse_expr(_text(*query), 5) != _direct(*query)

@@ -221,6 +221,15 @@ class TestCli:
         assert rc == 1
         assert "structurally impossible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "expr, refuted", [("x^(1/5)/p^(1/25)", True), ("(x+y)/p^(1/5)", False)]
+    )
+    def test_eval_json_reports_the_refutation(self, capsys, expr, refuted):
+        argv = ["eval", expr, "--check-closure", "--mmax", "1", "--format", "json"]
+        assert cli.main(argv) == 1
+        got = json.loads(capsys.readouterr().out)["closure"]
+        assert got == {"member": False, "m_max": 1, "definite_nonmember": refuted}
+
     def test_eval_parse_error(self, capsys):
         assert cli.main(["eval", "x^(1/3)"]) == 2
 
@@ -240,6 +249,16 @@ class TestCli:
         path = tmp_path / "report.json"
         path.write_text(example_report.to_json())
         assert cli.main(["revalidate", str(path)]) == 0
+
+    def test_revalidate_other_degree_exits_two(self, tmp_path, example_report, capsys):
+        data = example_report.to_dict()
+        data["config"] = {**data["config"], "degree": 2}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content",
