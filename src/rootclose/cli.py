@@ -40,7 +40,6 @@ def main(argv: list[str] | None = None) -> int:
     ex.add_argument("--p", type=int, default=5)
     ex.add_argument("--depth", type=int, default=3)
     ex.add_argument("--witt-len", type=int, default=2)
-    ex.add_argument("--mmax", type=int, default=None)
     ex.add_argument("--mode", choices=(CERTIFIED, PLAIN), default=CERTIFIED)
     ex.add_argument("--no-timestamp", action="store_true")
     _add_format(ex)
@@ -69,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
             p=args.p,
             depth=args.depth,
             witt_length=args.witt_len,
-            m_max=args.mmax,
             timestamp=not args.no_timestamp,
             closure_mode=args.mode,
         )

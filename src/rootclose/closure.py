@@ -57,10 +57,6 @@ class LocalElem:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @classmethod
-    def zero(cls, ctx: TowerCtx) -> "LocalElem":
-        return cls(TowerElem.zero(ctx), 0, _canonical=True)
-
     def embed(self, to_level: int) -> "LocalElem":
         delta = to_level - self.level
         if delta < 0:

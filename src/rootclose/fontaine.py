@@ -5,14 +5,12 @@ r_{i+1}^p = r_i, each component living at a tower level >= its index.
 Finite depth replaces the inverse limit: operations that consume a
 p-th root lose one component and say so.
 
-Two closure modes:
-
-* ``plain``      -- components are honest residues mod p; every check
-                    is exact.
-* ``certified``  -- components may be PI-power fractions (``LocalElem``);
-                    congruence modulo p * (root closure) is semi-decided
-                    by a bounded certificate search and never silently
-                    passed.
+Two closure modes say which components a sequence may hold and how a
+division factors them: ``plain`` takes honest residues mod p only,
+``certified`` also PI-power fractions (``LocalElem``).  Comparisons
+read the kind of a component pair: two residues compare exactly, a
+pair with a LocalElem modulo p * (root closure) by a bounded
+certificate search that never silently passes.
 """
 
 from __future__ import annotations
@@ -71,24 +69,20 @@ Component = TowerElem | LocalElem
 
 
 def default_m_max(depth: int) -> int:
-    """Certificate search bound of a division at ``depth`` when the
-    caller gives none."""
+    """Certificate search bound of a division at ``depth``."""
     return depth + 2
 
 
-def _p_closure_cert(
-    delta: LocalElem, index: int, m_max: int, mode: str
-) -> ClosureCert | None:
-    """Is ``delta`` zero modulo p * R (plain) or p * (root closure)
-    (certified)?  The closure certificate of delta / p, or None when
-    delta is refuted: structurally, or in plain mode by a miss at m = 0,
-    where the search decides membership in p * R exactly.  A certified
-    search that exhausts ``m_max`` raises, naming component ``index``."""
+def _p_closure_cert(delta: LocalElem, index: int, m_max: int) -> ClosureCert | None:
+    """Is ``delta`` zero modulo p * (root closure)?  The closure
+    certificate of delta / p (m = 0 decides p * R exactly), or None when
+    delta is refuted structurally; a search that exhausts ``m_max``
+    raises, naming component ``index``."""
     scaled = LocalElem(delta.num, delta.denom_exp + delta.ctx.p**delta.level)
-    got = membership(scaled, 0 if mode == PLAIN else m_max)
+    got = membership(scaled, m_max)
     if isinstance(got, ClosureCert):
         return got
-    if mode == PLAIN or got.refuted:
+    if got.refuted:
         return None
     raise UndeterminedCongruenceError(index, m_max)
 
@@ -97,17 +91,13 @@ def _p_closure_cert(
 CONGRUENCE_M_MAX = 4
 
 
-def _joint_mode(a: "FontaineElem", b: "FontaineElem") -> str:
-    """The closure mode of a pair: certified if either operand is."""
-    return CERTIFIED if CERTIFIED in (a.mode, b.mode) else PLAIN
-
-
-def _comp_equal(a: Component, b: Component, index: int, m_max: int, mode: str) -> bool:
+def _comp_equal(a: Component, b: Component, index: int, m_max: int) -> bool:
+    """Two residues compare exactly, a pair with a LocalElem modulo p * closure."""
     a, b = aligned(a, b)
     if isinstance(a, TowerElem):
         return a == b
     delta = a - b
-    return delta.is_zero or _p_closure_cert(delta, index, m_max, mode) is not None
+    return delta.is_zero or _p_closure_cert(delta, index, m_max) is not None
 
 
 class FontaineElem:
@@ -181,7 +171,7 @@ class FontaineElem:
         if not other.family.same_family(self.family):
             raise ValueError("sequence family mismatch")
         comps = [op(*aligned(a, b)) for a, b in zip(self.comps, other.comps)]
-        return FontaineElem(comps, _joint_mode(self, other))
+        return FontaineElem(comps, CERTIFIED if CERTIFIED in (self.mode, other.mode) else PLAIN)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -223,10 +213,8 @@ class FontaineElem:
             return NotImplemented
         if self.depth != other.depth or not self.family.same_family(other.family):
             return False
-        mode = _joint_mode(self, other)
         return all(
-            _comp_equal(a, b, i, m_max, mode)
-            for i, (a, b) in enumerate(zip(self.comps, other.comps))
+            _comp_equal(a, b, i, m_max) for i, (a, b) in enumerate(zip(self.comps, other.comps))
         )
 
     __eq__ = equals
@@ -237,7 +225,7 @@ class FontaineElem:
         undetermined congruence is reported at index i + 1."""
         p = self.family.p
         return all(
-            _comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX, self.mode)
+            _comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX)
             for i in range(self.depth)
         )
 
@@ -287,8 +275,8 @@ def theta(e: FontaineElem, precision: int) -> TowerElem:
     return last.lift().pow_mod(p**e.depth, p**precision)
 
 
-def divide_by_p_seq(e: FontaineElem, m_max: int | None = None) -> FontaineElem:
-    quotient, _ = divide_by_p_seq_traced(e, m_max)
+def divide_by_p_seq(e: FontaineElem) -> FontaineElem:
+    quotient, _ = divide_by_p_seq_traced(e)
     return quotient
 
 
@@ -306,25 +294,23 @@ class DivisionTrace:
     compat: list[ClosureCert | None]
 
 
-def divide_by_p_seq_traced(
-    e: FontaineElem, m_max: int | None = None
-) -> tuple[FontaineElem, DivisionTrace]:
+def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace]:
     """Divide by the sequence of p-power roots of p, constructively.
 
     Steps: (1) factor each component exactly, or with a closure
     certificate in certified mode; (2) square the factors down one slot
     (t_n = s_{n+1}^p); (3) verify the approximation order
     s_{n+1}^p = s_n up to the expected PI power; (4) verify the
-    quotient sequence is compatible, semi-deciding modulo p * closure
-    in certified mode; (5) assert componentwise that the product with
-    the p-root sequence gives back the input, one depth lower.
+    quotient sequence is compatible modulo p * closure (in plain mode
+    step 3 puts t_n^p - t_{n-1} in p * R, so m = 0); (5) assert that
+    the product with the p-root sequence gives back the input, one
+    depth lower.  Searches stop at ``default_m_max(depth)``.
     """
     N = e.depth
     if N < 1:
         raise DepthExhaustedError("division needs depth >= 1")
     certified = e.mode == CERTIFIED
-    if m_max is None:
-        m_max = default_m_max(N)
+    m_max = default_m_max(N)
     p = e.family.p
     trace = DivisionTrace([], [])
 
@@ -335,25 +321,25 @@ def divide_by_p_seq_traced(
     # step 1: r_n = PI_n * s_n
     s: list[LocalElem] = []
     for n in range(N + 1):
-        comp = e.comps[n]
-        rep = as_local(comp)
+        rep = as_local(e.comps[n])
         level = rep.level
         jn = p ** (level - n)  # PI at slot n, written at the component's level
+        if not certified:
+            try:
+                s.append(LocalElem(rep.num.pi_divide(jn)))
+            except NotDivisibleError as exc:
+                raise SequenceDivisionError(n, exc.monomial) from exc
+            trace.factors.append(None)
+            continue
         cand = LocalElem(rep.num, rep.denom_exp + jn)
         if cand.denom_exp == 0:
             s.append(cand)
             trace.factors.append(None)
             continue
-        if not certified:
-            try:
-                rep.num.pi_divide(rep.denom_exp + jn)
-            except NotDivisibleError as exc:
-                raise SequenceDivisionError(n, exc.monomial) from exc
-            raise SequenceDivisionError(n)  # pragma: no cover - unreachable
         if rep.is_integral and level == n:
             cert = certified_pi_factor(rep.num)
         else:
-            cert = membership(cand, max(n, m_max))
+            cert = membership(cand, m_max)
             if isinstance(cert, NotMember):
                 raise SequenceDivisionError(n)
         s.append(cert.elem)
@@ -382,7 +368,7 @@ def divide_by_p_seq_traced(
         if delta.is_zero:
             trace.compat.append(None)
             continue
-        cert = _p_closure_cert(delta, n, m_max, e.mode)
+        cert = _p_closure_cert(delta, n, m_max)
         if cert is None:
             raise CertificateSearchError(f"quotient compatibility failed at component {n}")
         trace.compat.append(cert)
@@ -396,7 +382,7 @@ def divide_by_p_seq_traced(
         if not prod.is_integral:
             raise CertificateSearchError(f"roundtrip product not integral at component {n}")
         got = prod if certified else prod.num.reduce_mod_p()
-        if not _comp_equal(got, e.comps[n], n, m_max, e.mode):
+        if not _comp_equal(got, e.comps[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
         out.append(t[n] if certified else t[n].num.reduce_mod_p())
 

@@ -27,20 +27,25 @@ UNDETERMINED = "undetermined"
 #: eta, u_n and the plain-division divisor are all written for it.
 DEGREE = 3
 
+#: The example suite's checks in run order; ``revalidate`` wants exactly these.
+CHECK_NAMES = (
+    "sequence_compatibility",
+    "base_residue_vanishes",
+    "plain_division_fails",
+    "closure_certificates",
+    "certified_division",
+    "witt_division_roundtrip",
+)
+
 
 @dataclass
 class Config:
     p: int = 5
     depth: int = 3
     witt_length: int = 2
-    m_max: int | None = None
     seed: int = 0
     timestamp: bool = True
     closure_mode: str = CERTIFIED
-
-    @property
-    def resolved_m_max(self) -> int:
-        return self.m_max if self.m_max is not None else fontaine.default_m_max(self.depth)
 
     def validate_example(self) -> None:
         valuation.check_prime(self.p)
@@ -50,8 +55,6 @@ class Config:
             raise ValueError("the example suite requires depth >= 2")
         if self.witt_length < 1:
             raise ValueError("witt_length must be >= 1")
-        if self.m_max is not None and self.m_max < 0:
-            raise ValueError("m_max must be non-negative")
         if self.closure_mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {self.closure_mode!r}")
 
@@ -61,7 +64,7 @@ class Config:
             "degree": DEGREE,
             "depth": self.depth,
             "witt_length": self.witt_length,
-            "m_max": self.resolved_m_max,
+            "m_max": fontaine.default_m_max(self.depth),
             "seed": self.seed,
             "closure_mode": self.closure_mode,
         }
@@ -187,7 +190,7 @@ def run_example_suite(cfg: Config) -> Report:
     base residue map, fails plain division, and divides with closure
     certificates; plus a Witt-level division roundtrip."""
     cfg.validate_example()
-    m_max = cfg.resolved_m_max
+    m_max = fontaine.default_m_max(cfg.depth)
 
     def check_compat():
         _, _, _, eta = _example_elements(cfg, PLAIN)
@@ -214,7 +217,7 @@ def run_example_suite(cfg: Config) -> Report:
         _, _, _, eta = _example_elements(cfg, PLAIN)
         details: dict = {}
         try:
-            fontaine.divide_by_p_seq(eta, m_max)
+            fontaine.divide_by_p_seq(eta)
         except fontaine.SequenceDivisionError as exc:
             details["component"] = exc.index
             details["monomial"] = list(exc.monomial) if exc.monomial else None
@@ -258,7 +261,7 @@ def run_example_suite(cfg: Config) -> Report:
 
     def check_certified_division():
         P, _, _, eta = _example_elements(cfg, cfg.closure_mode)
-        quotient, trace = fontaine.divide_by_p_seq_traced(eta, m_max)
+        quotient, trace = fontaine.divide_by_p_seq_traced(eta)
         P_short = P.truncate(cfg.depth - 1)
         product = P_short * quotient
         roundtrip = product.equals(eta.truncate(cfg.depth - 1), m_max)
@@ -290,15 +293,15 @@ def run_example_suite(cfg: Config) -> Report:
             details["_status"] = FAIL
         return details
 
-    steps = [
-        ("sequence_compatibility", check_compat),
-        ("base_residue_vanishes", check_base_residue),
-        ("plain_division_fails", check_plain_division),
-        ("closure_certificates", check_closure_certs),
-        ("certified_division", check_certified_division),
-        ("witt_division_roundtrip", check_witt_roundtrip),
-    ]
-    return _run_checks(cfg, steps)
+    checks = (
+        check_compat,
+        check_base_residue,
+        check_plain_division,
+        check_closure_certs,
+        check_certified_division,
+        check_witt_roundtrip,
+    )
+    return _run_checks(cfg, zip(CHECK_NAMES, checks, strict=True))
 
 
 def run_property_suites(cfg: Config) -> Report:
@@ -363,7 +366,8 @@ def revalidate_report(data) -> Report:
     recomputation.  A recorded fail or undetermined keeps its status; a
     recorded pass stays a pass only when it carries evidence and all of
     it is reproduced.  Raises MalformedReportError on input without the
-    shape, field types and degree of a report, or with evidence it cannot read."""
+    shape, field types, degree and check names (``CHECK_NAMES``, in
+    order) of an example report, or with evidence it cannot read."""
     try:
         cfg_d, records = data["config"], data["checks"]
         if type(cfg_d["p"]) is not int or not isinstance(records, list):
@@ -371,6 +375,8 @@ def revalidate_report(data) -> Report:
         if cfg_d["degree"] != DEGREE:
             raise ValueError(f"config degree is {cfg_d['degree']}, the example's is {DEGREE}")
         checks = [_revalidate_check(check, cfg_d) for check in records]
+        if tuple(c.name for c in checks) != CHECK_NAMES:
+            raise ValueError(f"the checks are not the example's: {', '.join(CHECK_NAMES)}")
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedReportError(
             f"not a report that can be revalidated ({type(exc).__name__}: {exc})"

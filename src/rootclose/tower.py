@@ -34,9 +34,9 @@ QUOTIENT = "quotient"
 class NotDivisibleError(ArithmeticError):
     """Requested division does not exist; carries a witness monomial."""
 
-    def __init__(self, monomial: Monomial, reason: str = ""):
+    def __init__(self, monomial: Monomial):
         self.monomial = monomial
-        super().__init__(reason or f"not divisible at monomial {monomial}")
+        super().__init__(f"not divisible at monomial {monomial}")
 
 
 class PthRootError(ArithmeticError):
@@ -205,12 +205,6 @@ class TowerElem:
     def over_fp(self) -> bool:
         """Are the coefficients in F_p (a residue mod p)?"""
         return self.coeff_mod == self.ctx.p
-
-    def coefficient(self, a: int, b: int, c: int) -> int:
-        return self.terms.get((a, b, c), 0)
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return [(m, self.terms[m]) for m in sorted(self.terms)]
 
     # ------------------------------------------------------------------
     def _coerce(self, other):
@@ -418,10 +412,6 @@ class TowerElem:
             if a < best:
                 best = a
         return best
-
-    def p_divide(self) -> "TowerElem":
-        """Exact quotient by the integer p = PI^(p^level)."""
-        return self.pi_divide(self.ctx.pi_order)
 
     # ------------------------------------------------------------------
     def frobenius(self) -> "TowerElem":

@@ -156,7 +156,8 @@ def _proot(a):
 
 def evaluate(poly: SPoly, vals) -> object:
     """The polynomial at ``vals``, one value per variable, in their own
-    component ring."""
+    component ring.  S and M have no constant term, so every term has a
+    variable."""
     acc = None
     for exps, coeff in poly.items():
         term = None
@@ -164,9 +165,7 @@ def evaluate(poly: SPoly, vals) -> object:
             if e:
                 powered = v**e
                 term = powered if term is None else term * powered
-        if term is None:
-            term = coeff  # constant term; does not occur in S/M but kept safe
-        elif coeff != 1:
+        if coeff != 1:
             term = coeff * term
         acc = term if acc is None else acc + term
     return _zero_like(vals[0]) if acc is None else acc

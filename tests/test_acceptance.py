@@ -114,7 +114,7 @@ def test_criterion_3_witt_ghost_oracle_and_order():
 
 def test_criterion_4_example_suite():
     started = time.perf_counter()
-    cfg = report.Config(p=5, depth=3, witt_length=2, m_max=5, timestamp=False)
+    cfg = report.Config(p=5, depth=3, witt_length=2, timestamp=False)
     rep = report.run_example_suite(cfg)
     statuses = {c.name: c.status for c in rep.checks}
     assert statuses == {
@@ -155,7 +155,7 @@ def test_criterion_4_example_suite():
     # (d) certified division returns a quotient with product equal to the
     # input at depth 2; every congruence check is determined at m_max 5
     eta_c = fontaine.FontaineElem(eta.comps, CERTIFIED)
-    quotient, trace = fontaine.divide_by_p_seq_traced(eta_c, 5)
+    quotient, trace = fontaine.divide_by_p_seq_traced(eta_c)
     assert quotient.depth == 2
     assert len(trace.compat) == 2
     assert all(c is None or isinstance(c, ClosureCert) for c in trace.compat)

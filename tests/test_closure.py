@@ -57,7 +57,7 @@ class TestLocalElem:
         c = LocalElem(cubes(CTX), 1)
         powered = c**5
         assert powered.denom_exp == 0
-        assert powered.num == (cubes(CTX) ** 5).p_divide()
+        assert powered.num == (cubes(CTX) ** 5).pi_divide(CTX.pi_order)
 
     def test_embed_scales_denominator(self):
         c = LocalElem(cubes(CTX), 1)
@@ -71,7 +71,7 @@ class TestMembership:
         assert isinstance(got, ClosureCert)
         assert got.m == 1
         # independent recomputation of the witness
-        expected = (cubes(CTX) ** 5).p_divide()
+        expected = (cubes(CTX) ** 5).pi_divide(CTX.pi_order)
         assert got.witness == expected
         assert validate_cert(got)
 
@@ -198,7 +198,7 @@ class TestPiFactorAgreesWithExact:
     @settings(max_examples=80, deadline=None)
     def test_search_decides_the_hypothesis(self, a):
         try:
-            (a ** a.ctx.p**a.level).p_divide()
+            (a ** a.ctx.p**a.level).pi_divide(a.ctx.pi_order)
         except NotDivisibleError:
             with pytest.raises(HypothesisNotMetError):
                 certified_pi_factor(a)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootclose.closure import LocalElem, as_local, membership, validate_cert
+from rootclose.closure import CertificateSearchError, LocalElem, as_local, membership, validate_cert
 from rootclose.fontaine import (
     CERTIFIED,
     PLAIN,
@@ -127,6 +127,25 @@ def seq_pairs(draw):
     return draw(termwise_seqs(p, degree, mode)), draw(termwise_seqs(p, degree, mode))
 
 
+@st.composite
+def plain_kernel_elems(draw):
+    """P * (s + s'), with s and s' the plain sequences of p-power roots of
+    two F_p monomials at level ``depth``: a kernel element whose division
+    is exact."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degree = 2 if p == 3 else 3
+    depth = draw(st.integers(2, 4))
+    ctx = context(p, depth, degree, QUOTIENT)
+    roots = []
+    for _ in range(2):
+        a = draw(st.integers(0, ctx.pi_order - 1))
+        b, c, v = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, p - 1))
+        seed = TowerElem.monomial(ctx, a, b, c, v, coeff_mod=p)
+        roots.append(FontaineElem([seed ** (p ** (depth - i)) for i in range(depth + 1)]))
+    P, _, _ = generators(p, degree, depth, QUOTIENT)
+    return P * (roots[0] + roots[1])
+
+
 class TestRingOpsKeepCompat:
     """Frobenius is a ring map in characteristic p, so + - * of compatible
     sequences are compatible: a tested theorem, not a run-time check."""
@@ -149,7 +168,7 @@ class TestMixedKinds:
     """A residue that meets a LocalElem is lifted with it by ``aligned``."""
 
     def test_operations_act_on_lifts_at_the_common_level(self):
-        quotient, _ = divide_by_p_seq_traced(cube_sum(depth=2, closure=CERTIFIED), 5)
+        quotient, _ = divide_by_p_seq_traced(cube_sum(depth=2, closure=CERTIFIED))
         _, X, Y = gens(depth=2)
         residues = X + Y * Y
         assert all(isinstance(c, LocalElem) for c in quotient.comps)
@@ -235,7 +254,7 @@ class TestDivision:
 
     def test_cube_sum_divides_with_certificates(self):
         eta = cube_sum(closure=CERTIFIED)
-        quotient, trace = divide_by_p_seq_traced(eta, 5)
+        quotient, trace = divide_by_p_seq_traced(eta)
         assert quotient.depth == eta.depth - 1
         assert [None if c is None else c.m for c in trace.factors] == [None, 1, 2, 3]
         assert all(c.m == 0 for c in trace.compat if c is not None)
@@ -246,7 +265,7 @@ class TestDivision:
         # t_n = s_(n+1)^p is certified by factor n + 1 with one exponent
         # less and the same witness
         eta = cube_sum(depth=2, closure=CERTIFIED)
-        quotient, trace = divide_by_p_seq_traced(eta, 5)
+        quotient, trace = divide_by_p_seq_traced(eta)
         exponents = []
         for n, comp in enumerate(quotient.comps):
             assert isinstance(comp, LocalElem)
@@ -263,7 +282,7 @@ class TestDivision:
         # components represented above their canonical level still factor
         eta = cube_sum()
         deep = FontaineElem([c.embed(3) for c in eta.comps], CERTIFIED)
-        quotient, trace = divide_by_p_seq_traced(deep, 5)
+        quotient, trace = divide_by_p_seq_traced(deep)
         assert [None if c is None else c.m for c in trace.factors] == [None, 1, 2, 3]
         P, _, _ = gens(closure=CERTIFIED)
         P_deep = FontaineElem([c.embed(3) for c in P.comps], CERTIFIED)
@@ -274,10 +293,30 @@ class TestDivision:
         with pytest.raises(DepthExhaustedError):
             divide_by_p_seq(P)
 
+    @given(e=plain_kernel_elems())
+    @settings(max_examples=40, deadline=None)
+    def test_plain_division_needs_no_closure_exponent(self, e):
+        # step 1 factors residues exactly, and step 3 leaves each step-4
+        # difference in p * R, so its certificate has m = 0
+        _, trace = divide_by_p_seq_traced(e)
+        assert trace.factors == [None] * (e.depth + 1)
+        assert all(c.m == 0 for c in trace.compat if c is not None)
+
+    def test_incompatible_plain_sequence_fails_the_approximation_order(self):
+        # negative control: [0, PI_1 X, PI_2 Y] has base residue 0, but
+        # (PI_2 Y / PI_2)^p = Y^p is not X up to PI_2^20
+        comps = [
+            TowerElem.zero(context(5, 0, 3, QUOTIENT), 5),
+            TowerElem.monomial(context(5, 1, 3, QUOTIENT), 1, 1, 0, coeff_mod=5),
+            TowerElem.monomial(context(5, 2, 3, QUOTIENT), 1, 0, 1, coeff_mod=5),
+        ]
+        with pytest.raises(CertificateSearchError, match="approximation order"):
+            divide_by_p_seq(FontaineElem(comps, PLAIN))
+
 
 class TestZeroModPClosure:
-    """One decision, ``_p_closure_cert``, reads components modulo p * R
-    (plain) or p * closure (certified) for zero tests and equality."""
+    """One decision, ``_p_closure_cert``, reads a component pair that
+    holds a LocalElem modulo p * closure; two residues compare exactly."""
 
     CTX0, CTX1 = TowerCtx(5, 0, 3, QUOTIENT), TowerCtx(5, 1, 3, QUOTIENT)
     U = TowerElem(CTX1, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
@@ -290,13 +329,13 @@ class TestZeroModPClosure:
         assert e == e.zero_like()
         assert (e - e.zero_like()).is_zero
 
-    def test_plain_decides_p_r_and_certified_p_closure(self):
+    def test_decides_p_closure(self):
         x = TowerElem.monomial(self.CTX1, 0, 1, 0)
-        for mode in (PLAIN, CERTIFIED):
-            assert _p_closure_cert(LocalElem(x * 5), 1, 4, mode).m == 0
-            assert _p_closure_cert(LocalElem(x), 1, 4, mode) is None  # structurally refuted
-        assert _p_closure_cert(LocalElem(self.PI4_U), 1, 4, PLAIN) is None
-        assert _p_closure_cert(LocalElem(self.PI4_U), 1, 4, CERTIFIED).m == 1
+        assert _p_closure_cert(LocalElem(x * 5), 1, 4).m == 0
+        assert _p_closure_cert(LocalElem(x), 1, 4) is None  # structurally refuted
+        assert _p_closure_cert(LocalElem(self.PI4_U), 1, 4).m == 1
+        with pytest.raises(UndeterminedCongruenceError):
+            _p_closure_cert(LocalElem(self.PI4_U), 1, 0)  # a miss is not a refutation
 
 
 class TestUndetermined:
@@ -304,7 +343,7 @@ class TestUndetermined:
         ctx = TowerCtx(5, 1, 3, QUOTIENT)
         u = TowerElem(ctx, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
         a = FontaineElem([LocalElem(u, 1)], CERTIFIED)
-        b = FontaineElem([LocalElem.zero(ctx)], CERTIFIED)
+        b = FontaineElem([LocalElem(TowerElem.zero(ctx))], CERTIFIED)
         with pytest.raises(UndeterminedCongruenceError):
             a.equals(b, m_max=1)
 

@@ -1,0 +1,79 @@
+"""The module layering of ``rootclose``, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import rootclose
+
+SRC = Path(rootclose.__file__).parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(tree: ast.Module) -> dict[str, str]:
+    """Local name -> sibling module, for every relative import:
+    ``from . import m`` binds m to m, ``from .m import x`` binds x to m."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.module or alias.name
+    return out
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """Underscore names taken from a sibling module, by import or by
+    attribute access on the module."""
+    modules = {name for name, source in _package_imports(tree).items() if name == source}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reads += [f"{node.module}.{a.name}" for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and _private(node.attr):
+                reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_lower_layers_import_only_the_layers_below():
+    allowed = {"tower": {"valuation"}, "closure": {"tower"}, "fontaine": {"closure", "tower"}}
+    for module, below in allowed.items():
+        assert set(_package_imports(_tree(module)).values()) == below, module
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert {m: _private_reads(_tree(m)) for m in MODULES} == {m: [] for m in MODULES}
+
+
+def test_the_private_read_scan_catches_both_forms():
+    # negative control for the scan above
+    tree = ast.parse("from . import closure\nfrom .tower import _new, TowerElem\nclosure._hidden(1)\n")
+    assert sorted(_private_reads(tree)) == ["closure._hidden", "tower._new"]
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name the code defines, reads, imports or takes as an
+    attribute; string contents (a JSON key, say) are not names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def test_only_closure_names_the_structural_refutation():
+    users = [m for m in MODULES if "definite_nonmember" in _identifiers(_tree(m))]
+    assert users == ["closure"]

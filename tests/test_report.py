@@ -19,14 +19,15 @@ class TestExampleSuite:
         assert example_report.ok
 
     def test_check_names_are_stable(self, example_report):
-        assert [c.name for c in example_report.checks] == [
+        assert report.CHECK_NAMES == (
             "sequence_compatibility",
             "base_residue_vanishes",
             "plain_division_fails",
             "closure_certificates",
             "certified_division",
             "witt_division_roundtrip",
-        ]
+        )
+        assert tuple(c.name for c in example_report.checks) == report.CHECK_NAMES
 
     def test_plain_mode_fails_certified_division(self):
         rep = report.run_example_suite(cfg(closure_mode=PLAIN))
@@ -166,10 +167,6 @@ class TestRevalidation:
         assert rv.checks[0].details == {"revalidated": 0, "errors": ["no evidence"]}
         assert [c.status for c in rv.checks[1:]] == ["pass"] * 5
 
-    def test_props_reports_carry_no_evidence(self):
-        rv = report.revalidate_report(report.run_property_suites(cfg()).to_dict())
-        assert [c.details["errors"] for c in rv.checks] == [["no evidence"]] * len(rv.checks)
-
 
 class TestRunnerStatusMapping:
     def test_undetermined_is_distinct(self):
@@ -195,9 +192,7 @@ class TestCli:
         assert cli.main(["example", "--p", "2"]) == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [["eval", "x", "--check-closure", "--mmax", "-1"], ["example", "--mmax", "-3"]],
-        ids=["eval", "example"],
+        "argv", [["eval", "x", "--check-closure", "--mmax", "-1"]], ids=["eval"]
     )
     def test_negative_mmax_exits_two(self, capsys, argv):
         assert cli.main(argv) == 2
@@ -267,6 +262,7 @@ class TestCli:
             "not json",
             "{}",
             "[]",
+            '{"config": {"p": 5, "degree": 3}, "checks": []}',
             '{"config": {"p": "5", "degree": 3}, "checks": []}',
             '{"config": {"p": 5, "degree": 3}, "checks": {}}',
             '{"config": {"p": 5, "degree": 3}, "checks": [{"name": 1, "status": "pass"}]}',
@@ -281,6 +277,7 @@ class TestCli:
             "not-json",
             "empty-object",
             "list",
+            "no-checks",
             "string-p",
             "checks-object",
             "int-name",
@@ -293,6 +290,25 @@ class TestCli:
         path = tmp_path / "report.json"
         if content is not None:
             path.write_text(content)
+        assert cli.main(["revalidate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["one-check", "out-of-order", "props"])
+    def test_revalidate_wants_exactly_the_example_checks(
+        self, tmp_path, capsys, example_report, kind
+    ):
+        data = example_report.to_dict()
+        if kind == "one-check":
+            data["checks"] = [c for c in data["checks"] if c["name"] == "base_residue_vanishes"]
+        elif kind == "out-of-order":
+            data["checks"] = data["checks"][1:] + data["checks"][:1]
+        else:
+            # property-suite reports carry case counts, no evidence
+            data = report.run_property_suites(cfg()).to_dict()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
         assert cli.main(["revalidate", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""

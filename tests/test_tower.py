@@ -54,7 +54,7 @@ class TestNormalize:
 
     def test_y_relation(self):
         got = TowerElem.monomial(CTX51, 0, 0, 15)
-        assert got.sorted_terms() == [((0, 0, 0), -125), ((0, 15, 0), -1)]
+        assert sorted(got.terms.items()) == [((0, 0, 0), -125), ((0, 15, 0), -1)]
 
     def test_partial_carry(self):
         got = TowerElem.monomial(CTX51, 6, 0, 0)
@@ -72,7 +72,7 @@ class TestNormalize:
     def test_free_mode_keeps_y(self):
         free = TowerCtx(5, 1, 3, FREE)
         got = TowerElem.monomial(free, 0, 0, 15)
-        assert got.sorted_terms() == [((0, 0, 15), 1)]
+        assert sorted(got.terms.items()) == [((0, 0, 15), 1)]
 
 
 class TestRingOps:
@@ -81,7 +81,7 @@ class TestRingOps:
 
     def test_binomial_coefficient_in_power(self):
         e = (x_var(CTX51) + y_var(CTX51)) ** 5
-        assert e.coefficient(0, 3, 2) == 10
+        assert e.terms[(0, 3, 2)] == 10
 
     def test_mul_by_zero(self):
         e = TowerElem(CTX51, {(1, 2, 3): 7})
@@ -140,7 +140,7 @@ class TestPiDivide:
 
     def test_divide_by_full_order_is_p_division(self):
         e = TowerElem(CTX51, {(0, 2, 0): 10, (3, 0, 1): 45})
-        assert e.pi_divide(5) == e.p_divide()
+        assert e.pi_divide(5) == TowerElem(CTX51, {(0, 2, 0): 2, (3, 0, 1): 9})
 
     @given(e=elems(CTX51))
     @settings(max_examples=40, deadline=None)
@@ -157,10 +157,10 @@ class TestPiDivide:
 
 class TestPDivide:
     def test_examples(self):
-        assert (10 * x_var(CTX51)).p_divide() == 2 * x_var(CTX51)
+        assert (10 * x_var(CTX51)).pi_divide(5) == 2 * x_var(CTX51)
         with pytest.raises(NotDivisibleError):
-            pi(CTX51).p_divide()
-        assert TowerElem.zero(CTX51).p_divide().is_zero
+            pi(CTX51).pi_divide(5)
+        assert TowerElem.zero(CTX51).pi_divide(5).is_zero
 
 
 class TestResidue:
@@ -169,7 +169,7 @@ class TestResidue:
             CTX51, {(0, 1, 0): 1}
         )
         u = pi(CTX51) ** 3 + x_var(CTX51) ** 3 + y_var(CTX51) ** 3
-        assert u.reduce_mod_p().sorted_terms() == [
+        assert sorted(u.reduce_mod_p().terms.items()) == [
             ((0, 0, 3), 1),
             ((0, 3, 0), 1),
             ((3, 0, 0), 1),
