@@ -79,8 +79,8 @@ def main(argv: list[str] | None = None) -> int:
         return _emit(rep, args.format)
 
     if args.command == "props":
-        cfg = report.Config(seed=args.seed, timestamp=not args.no_timestamp)
-        return _emit(report.run_property_suites(cfg), args.format)
+        rep = report.run_property_suites(args.seed, timestamp=not args.no_timestamp)
+        return _emit(rep, args.format)
 
     if args.command == "eval":
         try:

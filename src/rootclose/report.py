@@ -38,14 +38,27 @@ CHECK_NAMES = (
 )
 
 
+def _stamped(config: dict, timestamp: bool) -> dict:
+    """``config``, plus the current UTC time when ``timestamp`` is set."""
+    if timestamp:
+        config["timestamp"] = (
+            datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
+        )
+    return config
+
+
 @dataclass
 class Config:
+    """The worked example's claim: the ring at p, the degree-3 relation,
+    the tower depth and the Witt length, and the closure mode of the
+    division.  ``to_dict`` writes it into a report, ``from_dict`` is the
+    only reader of a report's config."""
+
     p: int = 5
     depth: int = 3
     witt_length: int = 2
-    seed: int = 0
-    timestamp: bool = True
     closure_mode: str = CERTIFIED
+    timestamp: bool = True
 
     def validate_example(self) -> None:
         valuation.check_prime(self.p)
@@ -55,6 +68,9 @@ class Config:
             raise ValueError("the example suite requires depth >= 2")
         if self.witt_length < 1:
             raise ValueError("witt_length must be >= 1")
+        # witt_theta takes i p-th roots of coordinate i of a depth-deep sequence
+        if self.witt_length > self.depth + 1:
+            raise ValueError(f"witt_length must be <= depth + 1 = {self.depth + 1}")
         if self.closure_mode not in (PLAIN, CERTIFIED):
             raise ValueError(f"unknown closure mode {self.closure_mode!r}")
 
@@ -64,15 +80,34 @@ class Config:
             "degree": DEGREE,
             "depth": self.depth,
             "witt_length": self.witt_length,
-            "m_max": fontaine.default_m_max(self.depth),
-            "seed": self.seed,
             "closure_mode": self.closure_mode,
         }
-        if self.timestamp:
-            out["timestamp"] = (
-                datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
+        return _stamped(out, self.timestamp)
+
+    @classmethod
+    def from_dict(cls, d) -> Config:
+        """The inverse of ``to_dict``: exactly its keys, integers where it
+        writes integers, a string timestamp if any, and a config that
+        passes ``validate_example``.  Raises TypeError or ValueError."""
+        if not isinstance(d, dict):
+            raise TypeError("config must be an object")
+        keys = set(cls(timestamp=False).to_dict())
+        missing, extra = keys - set(d), set(d) - keys - {"timestamp"}
+        if missing or extra:
+            raise ValueError(
+                f"config keys must be {', '.join(sorted(keys))} and an optional timestamp"
+                f" (missing: {sorted(missing)}, unexpected: {sorted(extra)})"
             )
-        return out
+        for key in ("p", "degree", "depth", "witt_length"):
+            if type(d[key]) is not int:
+                raise TypeError(f"config {key} must be an integer, not {d[key]!r}")
+        if d["degree"] != DEGREE:
+            raise ValueError(f"config degree is {d['degree']}, the example's is {DEGREE}")
+        if not isinstance(d.get("timestamp", ""), str):
+            raise TypeError("config timestamp must be a string")
+        cfg = cls(d["p"], d["depth"], d["witt_length"], d["closure_mode"], "timestamp" in d)
+        cfg.validate_example()
+        return cfg
 
 
 @dataclass
@@ -155,7 +190,7 @@ def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
 
 
 # ----------------------------------------------------------------------
-def _run_checks(cfg: Config, steps) -> Report:
+def _run_checks(config: dict, steps) -> Report:
     checks = []
     for name, fn in steps:
         try:
@@ -166,7 +201,7 @@ def _run_checks(cfg: Config, steps) -> Report:
         except Exception as exc:  # recorded, never raised past the runner
             status, details = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
         checks.append(CheckRecord(name, status, details))
-    return Report(cfg.to_dict(), checks)
+    return Report(config, checks)
 
 
 def _example_elements(cfg: Config, closure_mode: str):
@@ -301,15 +336,16 @@ def run_example_suite(cfg: Config) -> Report:
         check_certified_division,
         check_witt_roundtrip,
     )
-    return _run_checks(cfg, zip(CHECK_NAMES, checks, strict=True))
+    return _run_checks(cfg.to_dict(), zip(CHECK_NAMES, checks, strict=True))
 
 
-def run_property_suites(cfg: Config) -> Report:
+def run_property_suites(seed: int, timestamp: bool = True) -> Report:
     """Every entry of ``invariants.INVARIANTS``, in order, drawing from
-    one generator seeded by the config; statuses are deterministic across
-    seeds, the samples differ."""
-    rng = random.Random(cfg.seed)
-    return _run_checks(cfg, [(name, partial(fn, rng)) for name, fn in INVARIANTS])
+    one generator seeded by ``seed``, the only value the config records;
+    statuses are deterministic across seeds, the samples differ."""
+    rng = random.Random(seed)
+    steps = [(name, partial(fn, rng)) for name, fn in INVARIANTS]
+    return _run_checks(_stamped({"seed": seed}, timestamp), steps)
 
 
 # ----------------------------------------------------------------------
@@ -317,17 +353,21 @@ class MalformedReportError(ValueError):
     """Input without the shape of a report: nothing to revalidate."""
 
 
-def _revalidate_check(check: dict, cfg_d: dict) -> CheckRecord:
-    """Recompute every piece of evidence in one check record."""
+def _revalidate_check(check: dict, cfg: Config) -> CheckRecord:
+    """Recompute every piece of evidence in one check record.  A
+    certificate above the search bound the example derives from its
+    depth is refused before any power is built."""
     name, status, details = check["name"], check["status"], check.get("details", {})
     if not isinstance(name, str) or status not in (PASS, FAIL, UNDETERMINED):
         raise ValueError("a check needs a string name and a known status")
-    p = cfg_d["p"]
+    p, m_max = cfg.p, fontaine.default_m_max(cfg.depth)
     errors: list[str] = []
     revalidated = 0
     for cert_d in details.get("certificates", []):
         cert = cert_from_json(cert_d, p, DEGREE)
-        if not closure.validate_cert(cert):
+        if cert.m > m_max:
+            errors.append(f"certificate exponent {cert.m} above the search bound {m_max}")
+        elif not closure.validate_cert(cert):
             errors.append("certificate failed revalidation")
         revalidated += 1
     for div_d in details.get("divisions", []):
@@ -348,8 +388,6 @@ def _revalidate_check(check: dict, cfg_d: dict) -> CheckRecord:
             errors.append("sequence compatibility changed")
         revalidated += 1
     if details.get("recheck") == "witt_roundtrip":
-        cfg = Config(p, cfg_d["depth"], witt_length=cfg_d["witt_length"])
-        cfg.validate_example()
         _, result = _witt_roundtrip(cfg)
         if result.steps != details.get("steps"):
             errors.append("witt roundtrip precision changed")
@@ -366,19 +404,18 @@ def revalidate_report(data) -> Report:
     recomputation.  A recorded fail or undetermined keeps its status; a
     recorded pass stays a pass only when it carries evidence and all of
     it is reproduced.  Raises MalformedReportError on input without the
-    shape, field types, degree and check names (``CHECK_NAMES``, in
-    order) of an example report, or with evidence it cannot read."""
+    shape, config (``Config.from_dict``) and check names (``CHECK_NAMES``,
+    in order) of an example report, or with evidence it cannot read."""
     try:
-        cfg_d, records = data["config"], data["checks"]
-        if type(cfg_d["p"]) is not int or not isinstance(records, list):
-            raise TypeError("config p must be an integer, and checks a list")
-        if cfg_d["degree"] != DEGREE:
-            raise ValueError(f"config degree is {cfg_d['degree']}, the example's is {DEGREE}")
-        checks = [_revalidate_check(check, cfg_d) for check in records]
+        config, records = data["config"], data["checks"]
+        cfg = Config.from_dict(config)
+        if not isinstance(records, list):
+            raise TypeError("checks must be a list")
+        checks = [_revalidate_check(check, cfg) for check in records]
         if tuple(c.name for c in checks) != CHECK_NAMES:
             raise ValueError(f"the checks are not the example's: {', '.join(CHECK_NAMES)}")
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise MalformedReportError(
             f"not a report that can be revalidated ({type(exc).__name__}: {exc})"
         ) from exc
-    return Report(cfg_d, checks)
+    return Report(config, checks)

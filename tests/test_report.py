@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,17 @@ from rootclose.fontaine import PLAIN, UndeterminedCongruenceError
 def cfg(**kw):
     kw.setdefault("timestamp", False)
     return report.Config(**kw)
+
+
+@pytest.fixture(scope="module")
+def depth2_report():
+    return report.run_example_suite(cfg(depth=2))
+
+
+def _report_text(checks, **config) -> str:
+    """A report whose config ``Config.from_dict`` accepts, with ``config``
+    overriding its values."""
+    return json.dumps({"config": {**cfg(depth=2).to_dict(), **config}, "checks": checks})
 
 
 class TestExampleSuite:
@@ -62,19 +74,19 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "d3fd66e6fee48e379420534dec17bf8692be01d08def09ec0e4b03a9e2ef2962"),
+    "p5-d3": ({}, "2735eaec9ec1712dcb49af1206a7e1dcb4eaddfd3f50d128e9119bc7406250b1"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "5917a06eacbf4369ab68e2238b007b40750ab984ea73834b286ba53969d0d9f3",
+        "88390c0629149457e071ea30cb37a89d0599d1cd8d6ec1992385249a30d10171",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "d80979b866657b4aeb52a5cbd5b08d4f5da47f49d54592d3ceab913f50f8f217",
+        "b8639b637572a3a808808fb8a632f57501f57960530cdb108a3dd76814ac7b94",
     ),
-    "p5-d2": ({"depth": 2}, "9d54cdd986711583dc7ad3c606b9d0923afdf17d5d87718853aabc9afa57f95a"),
+    "p5-d2": ({"depth": 2}, "ca55625fa0bb5e03636af89a43baf81d55a6f3b65cb75167b6802d3af9d2708c"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
-        "0cf061a0883ead822c49975cb082dbbae689adf17ca134daa85a3911c8217178",
+        "f3255a76fb8374afbd04e3e5210ed0c93e7fea9bbc3e74d1477a7db08df01d0f",
     ),
 }
 
@@ -91,32 +103,71 @@ class TestDeterminism:
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
     def test_props_bytes_are_stable(self):
-        a = report.run_property_suites(cfg(seed=5)).to_json()
-        b = report.run_property_suites(cfg(seed=5)).to_json()
+        a = report.run_property_suites(5, timestamp=False).to_json()
+        b = report.run_property_suites(5, timestamp=False).to_json()
         assert a == b
 
     def test_props_bytes_match_the_recorded_digest(self):
         # recorded before the invariants moved into their own table: any
         # drift in sample order, case counts or details changes the digest
-        text = report.run_property_suites(cfg(seed=0)).to_json()
+        text = report.run_property_suites(0, timestamp=False).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9973fc4de6c53e177d34b808ce991405d9706ca4f4007fa67357c892e5872b54"
+            "8d58dd502742b39329f5edd2015a3b6c8144b6d3e99355250265e5418afc763d"
         )
 
     def test_seed_changes_samples_not_statuses(self):
-        a = report.run_property_suites(cfg(seed=0))
-        b = report.run_property_suites(cfg(seed=12345))
+        a = report.run_property_suites(0, timestamp=False)
+        b = report.run_property_suites(12345, timestamp=False)
         assert [c.status for c in a.checks] == [c.status for c in b.checks]
 
     def test_timestamp_flag(self):
-        with_ts = report.run_property_suites(report.Config(seed=0)).config
-        without = report.run_property_suites(cfg(seed=0)).config
-        assert "timestamp" in with_ts and "timestamp" not in without
+        # the seed is all a props run reads, so all its config records
+        with_ts = report.run_property_suites(0).config
+        without = report.run_property_suites(0, timestamp=False).config
+        assert isinstance(with_ts.pop("timestamp"), str)
+        assert with_ts == without == {"seed": 0}
+
+
+EXAMPLE_KEYS = {"p", "degree", "depth", "witt_length", "closure_mode"}
+
+#: ``Config.to_dict()`` as every report recorded it before the config held
+#: only what its run reads: ``seed`` and ``m_max`` are read by no example
+#: run, and a props run reads nothing but ``seed``
+OLD_CONFIG = {
+    "p": 5,
+    "degree": 3,
+    "depth": 3,
+    "witt_length": 2,
+    "m_max": 5,
+    "seed": 0,
+    "closure_mode": "certified",
+}
+
+
+class TestConfig:
+    def test_example_config_is_the_five_keys(self, example_report):
+        assert set(example_report.config) == EXAMPLE_KEYS
+        assert set(cfg(timestamp=True).to_dict()) == EXAMPLE_KEYS | {"timestamp"}
+
+    def test_from_dict_refuses_the_old_config(self):
+        with pytest.raises(ValueError, match="unexpected: \\['m_max', 'seed'\\]"):
+            report.Config.from_dict(OLD_CONFIG)
+
+    @pytest.mark.parametrize("timestamp", [False, True])
+    @pytest.mark.parametrize("name", EXAMPLE_DIGESTS)
+    def test_from_dict_inverts_to_dict(self, name, timestamp):
+        c = cfg(timestamp=timestamp, **EXAMPLE_DIGESTS[name][0])
+        assert report.Config.from_dict(c.to_dict()) == c
+
+    def test_witt_length_is_bounded_by_the_depth(self):
+        cfg(depth=3, witt_length=4).validate_example()
+        with pytest.raises(ValueError, match="witt_length must be <= depth \\+ 1 = 3"):
+            cfg(depth=2, witt_length=4).validate_example()
 
 
 class TestPropertySuites:
     def test_negative_control_present(self):
-        rep = report.run_property_suites(cfg())
+        rep = report.run_property_suites(0, timestamp=False)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["witt_ghost_negative_control"].details == {"detected": True}
 
@@ -173,7 +224,7 @@ class TestRunnerStatusMapping:
         def blow_up():
             raise UndeterminedCongruenceError(1, 3)
 
-        rep = report._run_checks(cfg(), [("semi", blow_up)])
+        rep = report._run_checks({}, [("semi", blow_up)])
         assert rep.checks[0].status == "undetermined"
         assert not rep.ok
 
@@ -190,6 +241,14 @@ class TestCli:
 
     def test_small_prime_exit_two(self, capsys):
         assert cli.main(["example", "--p", "2"]) == 2
+
+    def test_witt_length_above_depth_plus_one_exits_two_at_once(self, capsys):
+        started = time.perf_counter()
+        assert cli.main(["example", "--depth", "2", "--witt-len", "4"]) == 2
+        assert time.perf_counter() - started < 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv", [["eval", "x", "--check-closure", "--mmax", "-1"]], ids=["eval"]
@@ -262,15 +321,14 @@ class TestCli:
             "not json",
             "{}",
             "[]",
-            '{"config": {"p": 5, "degree": 3}, "checks": []}',
-            '{"config": {"p": "5", "degree": 3}, "checks": []}',
-            '{"config": {"p": 5, "degree": 3}, "checks": {}}',
-            '{"config": {"p": 5, "degree": 3}, "checks": [{"name": 1, "status": "pass"}]}',
-            '{"config": {"p": 5, "degree": 3}, "checks": [{"name": "c", "status": "ok"}]}',
-            '{"config": {"p": 5, "degree": 3},'
-            ' "checks": [{"name": "c", "status": "pass", "details": {"certificates": 3}}]}',
-            '{"config": {"p": 5, "degree": 3},'
-            ' "checks": [{"name": "c", "status": "pass", "details": {"residues": [{}]}}]}',
+            _report_text([]),
+            _report_text([], p="5"),
+            _report_text({}),
+            _report_text([{"name": 1, "status": "pass"}]),
+            _report_text([{"name": "c", "status": "ok"}]),
+            _report_text([{"name": "c", "status": "pass", "details": {"certificates": 3}}]),
+            _report_text([{"name": "c", "status": "pass", "details": {"residues": [{}]}}]),
+            '{"config": [], "checks": []}',
         ],
         ids=[
             "missing-file",
@@ -284,6 +342,7 @@ class TestCli:
             "unknown-status",
             "int-certificates",
             "residue-without-elem",
+            "config-list",
         ],
     )
     def test_revalidate_unusable_input_exits_two(self, tmp_path, capsys, content):
@@ -306,10 +365,66 @@ class TestCli:
             data["checks"] = data["checks"][1:] + data["checks"][:1]
         else:
             # property-suite reports carry case counts, no evidence
-            data = report.run_property_suites(cfg()).to_dict()
+            data = report.run_property_suites(0, timestamp=False).to_dict()
         path = tmp_path / "report.json"
         path.write_text(json.dumps(data))
         assert cli.main(["revalidate", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{key: None} for key in sorted(EXAMPLE_KEYS)]
+        + [
+            {"seed": 0},
+            {"m_max": 4},
+            {"closure_mode": "banana"},
+            {"witt_length": True},
+            {"depth": 2.0},
+            {"timestamp": 5},
+            {"witt_length": 4},
+        ],
+        ids=[f"drop-{key}" for key in sorted(EXAMPLE_KEYS)]
+        + ["seed", "m_max", "mode-banana", "bool-witt-length", "float-depth", "int-timestamp"]
+        + ["witt-length-depth-plus-2"],
+    )
+    def test_revalidate_refuses_an_edited_config(self, tmp_path, capsys, depth2_report, edit):
+        # None drops the key; every edit is refused before any check runs,
+        # so witt_length = depth + 2 no longer spends 25 s failing its division
+        data = depth2_report.to_dict()
+        config = {**data["config"], **edit}
+        data["config"] = {key: value for key, value in config.items() if value is not None}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path)]) == 2
+        assert time.perf_counter() - started < 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_revalidate_fails_a_certificate_above_the_search_bound(
+        self, tmp_path, capsys, depth2_report
+    ):
+        # depth 2 bounds the search at m = 4; recomputing an m = 6 witness
+        # would raise a depth-2 element to the 5^6-th power
+        data = copy.deepcopy(depth2_report.to_dict())
+        check = data["checks"][report.CHECK_NAMES.index("closure_certificates")]
+        assert check["details"]["certificates"][0]["m"] == 1
+        check["details"]["certificates"][0]["m"] = 6
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        assert time.perf_counter() - started < 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks.pop("closure_certificates") == {
+            "name": "closure_certificates",
+            "status": "fail",
+            "details": {
+                "revalidated": 1,
+                "errors": ["certificate exponent 6 above the search bound 4"],
+            },
+        }
+        assert {c["status"] for c in checks.values()} == {"pass"}
