@@ -154,12 +154,13 @@ def aligned(a: TowerElem | LocalElem, b: TowerElem | LocalElem) -> tuple:
 
 @dataclass(frozen=True)
 class ClosureCert:
-    """Witness that elem lies in the root closure: elem^(p^m) is the
-    honest ring element ``witness``.  Re-checkable from scratch."""
+    """Certificate (elem, m): elem^(p^m) is integral, which
+    ``validate_cert`` decides again.  ``witness``, absent from a report,
+    is the truncated quotient ``membership`` found (``_truncated_quotient``)."""
 
     elem: LocalElem
     m: int
-    witness: TowerElem
+    witness: TowerElem | None = None
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,21 @@ class NotMember:
     refuted: bool
 
 
+def _truncated_quotient(c: LocalElem, m: int) -> TowerElem | None:
+    """num^(p^m) / PI^j, j = denom_exp * p^m, with coefficients mod p^Q,
+    Q = ceil(j / p^level), so defined only modulo PI^(Q * p^level - j);
+    None when PI^j does not divide num^(p^m).  The answer is exact,
+    because p^Q = PI^(Q * p^level) lies in (PI^j)."""
+    p = c.ctx.p
+    j = c.denom_exp * p**m
+    if j == 0:
+        return c.num
+    try:
+        return c.num.pow_mod(p**m, p ** -(-j // c.ctx.pi_order)).pi_divide(j)
+    except NotDivisibleError:
+        return None
+
+
 def membership(c: LocalElem, m_max: int) -> ClosureCert | NotMember:
     """Smallest m <= m_max with c^(p^m) integral, as a certificate.
     A structural non-member is refuted before any power is built."""
@@ -183,28 +199,15 @@ def membership(c: LocalElem, m_max: int) -> ClosureCert | NotMember:
         raise ValueError("m_max must be non-negative")
     if definite_nonmember(c):
         return NotMember(m_max, True)
-    p = c.ctx.p
-    power = c.num
     for m in range(m_max + 1):
-        if m:
-            power = power**p
-        try:
-            witness = power.pi_divide(c.denom_exp * p**m)
-        except NotDivisibleError:
-            continue
-        return ClosureCert(c, m, witness)
+        if (witness := _truncated_quotient(c, m)) is not None:
+            return ClosureCert(c, m, witness)
     return NotMember(m_max, False)
 
 
 def validate_cert(cert: ClosureCert) -> bool:
-    """Recompute the witness from the element and compare."""
-    p = cert.elem.ctx.p
-    power = cert.elem.num ** (p**cert.m)
-    try:
-        witness = power.pi_divide(cert.elem.denom_exp * p**cert.m)
-    except NotDivisibleError:
-        return False
-    return witness == cert.witness
+    """Decide again, from elem and m alone, that elem^(p^m) is integral."""
+    return _truncated_quotient(cert.elem, cert.m) is not None
 
 
 def definite_nonmember(c: LocalElem) -> bool:
@@ -249,8 +252,8 @@ def certified_pi_factor(a: TowerElem) -> ClosureCert:
 
     One search decides the hypothesis: since PI^(p^n) = p, p divides
     a^(p^n) exactly when (a/PI)^(p^n) is a ring element, and a
-    certificate at any m <= n gives one at n (raise its witness to the
-    p^(n-m)-th power).  The smallest certificate is returned.
+    certificate at any m <= n gives one at n.  The smallest certificate
+    is returned.  With j = p^m <= p^n, Q = 1: the search runs over F_p.
     """
     n = a.level
     got = membership(LocalElem(a, 1), n)

@@ -286,9 +286,9 @@ class DivisionTrace:
     ``factors[n]`` for step 1 (n = 0..N), ``compat[n - 1]`` for step 4.
 
     Quotient component n is t_n = s_(n+1)^p, so its certificate follows
-    from ``factors[n + 1]``: exponent max(m - 1, 0) and the same witness,
-    because (s^p)^(p^(m-1)) = s^(p^m); when the factor is exact or has
-    m = 0, t_n is integral and is its own witness."""
+    from ``factors[n + 1]``: exponent max(m - 1, 0), because
+    (s^p)^(p^(m-1)) = s^(p^m); when the factor is exact or has m = 0,
+    t_n is integral."""
 
     factors: list[ClosureCert | None]
     compat: list[ClosureCert | None]

@@ -1,9 +1,10 @@
 """Check suites and machine-readable reports.
 
-Every passing record embeds enough data (certificates, witnesses,
-offending monomials) for the ``revalidate`` pass to reproduce it by
-independent recomputation.  Reports are deterministic: one config and
-seed give byte-identical JSON, modulo the optional timestamp.
+Every passing record embeds enough data (closure certificates
+``(elem, m)``, offending monomials, residues) for the ``revalidate``
+pass to reproduce it by independent recomputation.  Reports are
+deterministic: one config and seed give byte-identical JSON, modulo the
+optional timestamp.
 """
 
 from __future__ import annotations
@@ -146,6 +147,10 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+class MalformedReportError(ValueError):
+    """Input without the shape of a report: nothing to revalidate."""
+
+
 # ----------------------------------------------------------------------
 # serialization of elements and certificates (coefficients as decimal
 # strings: arbitrary precision, bit-exact)
@@ -170,6 +175,11 @@ def residue_from_json(d: dict, p: int, degree: int) -> TowerElem:
     return TowerElem(ctx, terms_from_json(d["terms"]), p)
 
 
+#: A certificate in a report: the element num / PI^denom_exp at ``level``
+#: of ``ring``, and the exponent m with elem^(p^m) integral.
+CERT_KEYS = ("m", "denom_exp", "level", "ring", "num_terms")
+
+
 def cert_to_json(cert: ClosureCert) -> dict:
     return {
         "m": cert.m,
@@ -177,16 +187,31 @@ def cert_to_json(cert: ClosureCert) -> dict:
         "level": cert.elem.level,
         "ring": cert.elem.ctx.mode,
         "num_terms": terms_to_json(cert.elem.num.terms),
-        "witness_terms": terms_to_json(cert.witness.terms),
     }
 
 
 def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
+    """The inverse of ``cert_to_json``: exactly ``CERT_KEYS``, with m,
+    denom_exp and level non-negative integers (not booleans) and a known
+    ring.  Raises MalformedReportError naming the offending key."""
+    if not isinstance(d, dict):
+        raise MalformedReportError("a certificate must be an object")
+    missing, extra = set(CERT_KEYS) - set(d), set(d) - set(CERT_KEYS)
+    if missing or extra:
+        raise MalformedReportError(
+            f"certificate keys must be {', '.join(CERT_KEYS)}"
+            f" (missing: {sorted(missing)}, unexpected: {sorted(extra)})"
+        )
+    for key in ("m", "denom_exp", "level"):
+        if type(d[key]) is not int or d[key] < 0:
+            raise MalformedReportError(
+                f"certificate {key} must be a non-negative integer, not {d[key]!r}"
+            )
+    if d["ring"] not in (FREE, QUOTIENT):
+        raise MalformedReportError(f"certificate ring {d['ring']!r} is not a known mode")
     ctx = TowerCtx(p, d["level"], degree, d["ring"])
     num = TowerElem(ctx, terms_from_json(d["num_terms"]))
-    witness = TowerElem(ctx, terms_from_json(d["witness_terms"]))
-    elem = LocalElem(num, d["denom_exp"])
-    return ClosureCert(elem, d["m"], witness)
+    return ClosureCert(LocalElem(num, d["denom_exp"]), d["m"])
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +374,6 @@ def run_property_suites(seed: int, timestamp: bool = True) -> Report:
 
 
 # ----------------------------------------------------------------------
-class MalformedReportError(ValueError):
-    """Input without the shape of a report: nothing to revalidate."""
-
-
 def _revalidate_check(check: dict, cfg: Config) -> CheckRecord:
     """Recompute every piece of evidence in one check record.  A
     certificate above the search bound the example derives from its
@@ -400,10 +421,10 @@ def _revalidate_check(check: dict, cfg: Config) -> CheckRecord:
 
 
 def revalidate_report(data) -> Report:
-    """Re-check every embedded certificate and witness by independent
-    recomputation.  A recorded fail or undetermined keeps its status; a
-    recorded pass stays a pass only when it carries evidence and all of
-    it is reproduced.  Raises MalformedReportError on input without the
+    """Re-check every embedded certificate and piece of evidence by
+    independent recomputation.  A recorded fail or undetermined keeps
+    its status; a recorded pass stays a pass only when it carries
+    evidence and all of it is reproduced.  Raises MalformedReportError on input without the
     shape, config (``Config.from_dict``) and check names (``CHECK_NAMES``,
     in order) of an example report, or with evidence it cannot read."""
     try:

@@ -65,15 +65,16 @@ class TestLocalElem:
 
 
 class TestMembership:
-    def test_cube_sum_over_pi(self):
+    def test_cube_sum_over_pi(self, witness_reconstructs):
         c1 = LocalElem(cubes(CTX), 1)
         got = membership(c1, 2)
         assert isinstance(got, ClosureCert)
         assert got.m == 1
-        # independent recomputation of the witness
-        expected = (cubes(CTX) ** 5).pi_divide(CTX.pi_order)
-        assert got.witness == expected
+        # the truncated witness against the exact fifth power
+        assert witness_reconstructs(got)
         assert validate_cert(got)
+        assert validate_cert(ClosureCert(c1, 1))
+        assert not validate_cert(ClosureCert(c1, 0))
 
     def test_integral_elements_certify_at_zero(self):
         e = LocalElem(x_var(CTX) + 3, 0)
@@ -206,6 +207,70 @@ class TestPiFactorAgreesWithExact:
         got = certified_pi_factor(a)
         assert got.m <= a.level
         assert validate_cert(got)
+
+
+@st.composite
+def truncation_cases(draw):
+    """num / PI^k at p in {2, 3, 5}, level 1-2, free or quotient mode,
+    with k up to 2 * p^level, so Q >= 2 at some m <= 2.  The numerator
+    has 1-3 terms, or is one term times PI plus PI^d + X^d + Y^d, which
+    gives members; few terms keep the exact 25th powers small."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = 2 if p == 3 else 3
+    level = draw(st.integers(1, 2))
+    ctx = TowerCtx(p, level, d, draw(st.sampled_from([FREE, QUOTIENT])))
+    monomial = st.tuples(st.integers(0, p**level - 1), st.integers(0, 3), st.integers(0, 3))
+    coeff = st.integers(-4, 4).filter(bool)
+    if draw(st.booleans()):
+        num = TowerElem(ctx, draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3)))
+    else:
+        one = TowerElem(ctx, {draw(monomial): draw(coeff)})
+        num = one * pi(ctx) + pi(ctx) ** d + x_var(ctx) ** d + y_var(ctx) ** d
+    return LocalElem(num, draw(st.integers(1, 2 * p**level)))
+
+
+#: (3*PI + X^3 + Y^3) / PI^2 at p = 2, level 1: at m = 1, j = 4 and Q = 2,
+#: and num^2 = 10 + 6*PI*(X^3 + Y^3) + 2*X^3*Y^3 is not divisible by
+#: PI^4 = 4, but is 0 modulo p^(Q - 1) = 2.
+Q_MINUS_ONE_FOOLED = LocalElem(
+    TowerElem(TowerCtx(2, 1, 3, QUOTIENT), {(1, 0, 0): 3, (0, 3, 0): 1, (0, 0, 3): 1}), 2
+)
+
+
+@given(c=truncation_cases())
+@example(c=Q_MINUS_ONE_FOOLED)
+@settings(max_examples=60, deadline=None)
+def test_truncated_decision_agrees_with_the_exact_power(c, witness_reconstructs):
+    """For every m <= 2 the decision in Z/p^Q (``validate_cert``) answers
+    as the exact power (num ** p^m).pi_divide(j) does, and a found
+    witness times PI^j is num^(p^m) modulo p^Q."""
+    p = c.ctx.p
+    for m in range(3):
+        try:
+            (c.num ** p**m).pi_divide(c.denom_exp * p**m)
+            exact = True
+        except NotDivisibleError:
+            exact = False
+        assert validate_cert(ClosureCert(c, m)) == exact, f"decision at m = {m}"
+    got = membership(c, 2)
+    if isinstance(got, ClosureCert):
+        assert witness_reconstructs(got)
+
+
+def test_agreement_test_catches_a_modulus_one_power_of_p_short(monkeypatch, witness_reconstructs):
+    """Negative control: deciding modulo p^(Q - 1) when Q >= 2 fails the
+    agreement test above."""
+    pow_mod = TowerElem.pow_mod
+
+    def one_short(self, e, coeff_mod):
+        p = self.ctx.p
+        return pow_mod(self, e, coeff_mod // p if coeff_mod > p else coeff_mod)
+
+    monkeypatch.setattr(TowerElem, "pow_mod", one_short)
+    with pytest.raises(AssertionError, match="decision at m = 1"):
+        test_truncated_decision_agrees_with_the_exact_power(
+            witness_reconstructs=witness_reconstructs
+        )
 
 
 #: A structural miss and an exhausted miss at p = 5, level 1, bound 1:

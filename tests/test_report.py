@@ -25,6 +25,9 @@ def _report_text(checks, **config) -> str:
     return json.dumps({"config": {**cfg(depth=2).to_dict(), **config}, "checks": checks})
 
 
+CERT_KEYS = {"m", "denom_exp", "level", "ring", "num_terms"}
+
+
 class TestExampleSuite:
     def test_default_config_passes(self, example_report):
         assert [c.status for c in example_report.checks] == ["pass"] * 6
@@ -55,13 +58,15 @@ class TestExampleSuite:
             report.run_example_suite(cfg(p=3))
 
     def test_certificate_details_embed_witnesses(self, example_report):
+        # a certificate is (elem, m): revalidation decides elem^(p^m)
+        # again, so no witness is written
         by_name = {c.name: c for c in example_report.checks}
         certs = by_name["closure_certificates"].details["certificates"]
         assert [c["m"] for c in certs] == [1, 2]
-        for c in certs:
-            assert c["denom_exp"] == 1
+        for c in certs + by_name["certified_division"].details["certificates"]:
+            assert set(c) == set(report.CERT_KEYS) == CERT_KEYS
             assert all(isinstance(t[3], str) for t in c["num_terms"])
-            assert all(isinstance(t[3], str) for t in c["witness_terms"])
+        assert all(c["denom_exp"] == 1 for c in certs)
 
     def test_json_schema_shape(self, example_report):
         data = json.loads(example_report.to_json())
@@ -74,19 +79,19 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "2735eaec9ec1712dcb49af1206a7e1dcb4eaddfd3f50d128e9119bc7406250b1"),
+    "p5-d3": ({}, "ee799f637230ffc1e6ae514fc10e62ba5438bd8274d541986ebcffc63975e94d"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "88390c0629149457e071ea30cb37a89d0599d1cd8d6ec1992385249a30d10171",
+        "d8017839ead86e36108b9a222724b824c200bc15522355d0c5af63262c5cc7ba",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "b8639b637572a3a808808fb8a632f57501f57960530cdb108a3dd76814ac7b94",
+        "9627f8d02dd35f8c3507cd53c4e6729ca9c0e9b792b80a60d8340867c2ef5080",
     ),
-    "p5-d2": ({"depth": 2}, "ca55625fa0bb5e03636af89a43baf81d55a6f3b65cb75167b6802d3af9d2708c"),
+    "p5-d2": ({"depth": 2}, "0d8b672d1b17f53b0cd41369eab305c5383249d90e4e17c68bc3cafbc4f4fa1c"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
-        "f3255a76fb8374afbd04e3e5210ed0c93e7fea9bbc3e74d1477a7db08df01d0f",
+        "c968c2440190c242cbddcf6e3d64a5e9e91421d765f0e6a39c6ef0cc7863c990",
     ),
 }
 
@@ -179,12 +184,28 @@ class TestRevalidation:
         assert sum(c.details["revalidated"] for c in rv.checks) >= 9
 
     def test_detects_tampered_witness(self, example_report):
-        data = copy.deepcopy(example_report.to_dict())
-        for check in data["checks"]:
-            if check["name"] == "closure_certificates":
-                check["details"]["certificates"][0]["witness_terms"][0][3] = "999"
-        rv = report.revalidate_report(data)
-        assert not rv.ok
+        # the certificates of u_1/PI (m = 1) and u_2/PI (m = 2): a changed
+        # numerator, a deeper denominator and an exponent below the true
+        # one each make elem^(p^m) non-integral
+        def num_terms(certs):
+            # X^3 -> 2*X^3
+            terms = certs[0]["num_terms"]
+            certs[0]["num_terms"] = [[a, b, c, "2" if b else v] for a, b, c, v in terms]
+
+        def denom_exp(certs):
+            certs[0]["denom_exp"] = 2
+
+        def m(certs):
+            certs[1]["m"] = 1
+
+        index = report.CHECK_NAMES.index("closure_certificates")
+        for tamper in (num_terms, denom_exp, m):
+            data = copy.deepcopy(example_report.to_dict())
+            tamper(data["checks"][index]["details"]["certificates"])
+            rv = report.revalidate_report(data)
+            assert rv.checks[index].status == "fail", tamper.__name__
+            assert rv.checks[index].details["errors"] == ["certificate failed revalidation"]
+            assert not rv.ok
 
     def test_detects_tampered_division_verdict(self, example_report):
         data = copy.deepcopy(example_report.to_dict())
@@ -407,8 +428,8 @@ class TestCli:
     def test_revalidate_fails_a_certificate_above_the_search_bound(
         self, tmp_path, capsys, depth2_report
     ):
-        # depth 2 bounds the search at m = 4; recomputing an m = 6 witness
-        # would raise a depth-2 element to the 5^6-th power
+        # depth 2 bounds the search at m = 4; deciding m = 6 would raise
+        # a depth-2 element to the 5^6-th power modulo 5^3125
         data = copy.deepcopy(depth2_report.to_dict())
         check = data["checks"][report.CHECK_NAMES.index("closure_certificates")]
         assert check["details"]["certificates"][0]["m"] == 1
@@ -428,3 +449,48 @@ class TestCli:
             },
         }
         assert {c["status"] for c in checks.values()} == {"pass"}
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ({"m": True}, "m"),
+            ({"m": -1}, "m"),
+            ({"m": 1.0}, "m"),
+            ({"m": "1"}, "m"),
+            ({"denom_exp": True}, "denom_exp"),
+            ({"denom_exp": -1}, "denom_exp"),
+            ({"level": 1.0}, "level"),
+            ({"level": -1}, "level"),
+            ({"ring": "banana"}, "ring"),
+            ({"witness_terms": []}, "witness_terms"),
+            ({"num_terms": None}, "num_terms"),
+        ],
+        ids=[
+            "bool-m",
+            "negative-m",
+            "float-m",
+            "string-m",
+            "bool-denom-exp",
+            "negative-denom-exp",
+            "float-level",
+            "negative-level",
+            "unknown-ring",
+            "old-format-witness",
+            "drop-num-terms",
+        ],
+    )
+    def test_revalidate_refuses_a_malformed_certificate(
+        self, tmp_path, capsys, depth2_report, edit, key
+    ):
+        # None drops the key
+        data = copy.deepcopy(depth2_report.to_dict())
+        check = data["checks"][report.CHECK_NAMES.index("closure_certificates")]
+        cert = {**check["details"]["certificates"][0], **edit}
+        check["details"]["certificates"][0] = {k: v for k, v in cert.items() if v is not None}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert f"certificate {key}" in out.err or f"'{key}'" in out.err
