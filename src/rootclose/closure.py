@@ -181,13 +181,29 @@ def _truncated_quotient(c: LocalElem, m: int) -> TowerElem | None:
     """num^(p^m) / PI^j, j = denom_exp * p^m, with coefficients mod p^Q,
     Q = ceil(j / p^level), so defined only modulo PI^(Q * p^level - j);
     None when PI^j does not divide num^(p^m).  The answer is exact,
-    because p^Q = PI^(Q * p^level) lies in (PI^j)."""
+    because p^Q = PI^(Q * p^level) lies in (PI^j).
+
+    Most exponents are refuted mod p first, where num^(p^m) is the
+    termwise Frobenius.  For z in normal form, PI^j * z is normalized
+    by carrying each PI^(a + j) with a + j >= p^level into a factor p
+    (PI^(p^level) = p); no Y exponent moves, so the Y rule (which adds
+    only p^d multiples) never fires.  Hence a multiple of PI^j has no
+    term PI^a with a < j mod p, and any such term of num^(p^m) mod p
+    refutes m.  Only a survivor pays for the power mod p^Q; when Q = 1
+    that power is the one just built.
+    """
     p = c.ctx.p
     j = c.denom_exp * p**m
     if j == 0:
         return c.num
+    power = c.num.pow_mod(p**m, p)
+    if any(a < j for a, _, _ in power.terms):
+        return None
+    q = -(-j // c.ctx.pi_order)
+    if q > 1:
+        power = c.num.pow_mod(p**m, p**q)
     try:
-        return c.num.pow_mod(p**m, p ** -(-j // c.ctx.pi_order)).pi_divide(j)
+        return power.pi_divide(j)
     except NotDivisibleError:
         return None
 

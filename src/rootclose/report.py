@@ -12,8 +12,10 @@ from __future__ import annotations
 import datetime
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from functools import partial
+from math import inf
 
 from . import closure, fontaine, tower, valuation, witt
 from .closure import ClosureCert, LocalElem, NotMember
@@ -158,8 +160,35 @@ def terms_to_json(terms: dict) -> list:
     return [[a, b, c, str(v)] for (a, b, c), v in sorted(terms.items())]
 
 
-def terms_from_json(data: list) -> dict:
-    return {(a, b, c): int(v) for a, b, c, v in data}
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def terms_from_json(data: list, ctx: TowerCtx, key: str) -> dict:
+    """The inverse of ``terms_to_json`` at ``ctx``.  Each term is
+    [a, b, c, "v"] with v a decimal string and ``int`` exponents (not
+    booleans) in normal form: 0 <= a < p^level, 0 <= b and, in quotient
+    mode, 0 <= c < degree * p^level (rewriting a larger c takes
+    c / (degree * p^level) steps); no monomial comes twice.  Raises
+    MalformedReportError naming ``key``."""
+    if not isinstance(data, list):
+        raise MalformedReportError(f"{key} must be a list of terms, not {type(data).__name__}")
+    pn, y_bound = ctx.pi_order, ctx.y_order if ctx.mode == QUOTIENT else inf
+    out: dict = {}
+    for term in data:
+        if type(term) is list and len(term) == 4:
+            a, b, c, v = term
+            if (
+                type(a) is int and type(b) is int and type(c) is int and type(v) is str
+                and 0 <= a < pn and b >= 0 and 0 <= c < y_bound
+                and _DECIMAL.fullmatch(v) and (a, b, c) not in out
+            ):
+                out[a, b, c] = int(v)
+                continue
+        raise MalformedReportError(
+            f'{key} holds {term!r:.80}, not a new [a, b, c, "v"] in normal form'
+            " with v a decimal string"
+        )
+    return out
 
 
 def elem_to_json(e: TowerElem) -> dict:
@@ -171,8 +200,8 @@ def elem_to_json(e: TowerElem) -> dict:
 
 
 def residue_from_json(d: dict, p: int, degree: int) -> TowerElem:
-    ctx = TowerCtx(p, d["level"], degree, d["ring"])
-    return TowerElem(ctx, terms_from_json(d["terms"]), p)
+    ctx = tower.context(p, d["level"], degree, d["ring"])
+    return TowerElem(ctx, terms_from_json(d["terms"], ctx, "residue terms"), p)
 
 
 #: A certificate in a report: the element num / PI^denom_exp at ``level``
@@ -192,8 +221,9 @@ def cert_to_json(cert: ClosureCert) -> dict:
 
 def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
     """The inverse of ``cert_to_json``: exactly ``CERT_KEYS``, with m,
-    denom_exp and level non-negative integers (not booleans) and a known
-    ring.  Raises MalformedReportError naming the offending key."""
+    denom_exp and level non-negative integers (not booleans), a known
+    ring and strict ``num_terms`` (``terms_from_json``).  Raises
+    MalformedReportError naming the offending key."""
     if not isinstance(d, dict):
         raise MalformedReportError("a certificate must be an object")
     missing, extra = set(CERT_KEYS) - set(d), set(d) - set(CERT_KEYS)
@@ -209,8 +239,8 @@ def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
             )
     if d["ring"] not in (FREE, QUOTIENT):
         raise MalformedReportError(f"certificate ring {d['ring']!r} is not a known mode")
-    ctx = TowerCtx(p, d["level"], degree, d["ring"])
-    num = TowerElem(ctx, terms_from_json(d["num_terms"]))
+    ctx = tower.context(p, d["level"], degree, d["ring"])
+    num = TowerElem(ctx, terms_from_json(d["num_terms"], ctx, "certificate num_terms"))
     return ClosureCert(LocalElem(num, d["denom_exp"]), d["m"])
 
 

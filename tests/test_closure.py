@@ -237,8 +237,17 @@ Q_MINUS_ONE_FOOLED = LocalElem(
 )
 
 
+#: (PI*X + X^15 + Y^15) / PI at p = 5, level 2, which the CLI reads from
+#: (p^(1/25)*x^(1/25)+x^(3/5)+y^(3/5))/p^(1/25): at m = 1, j = 5 and
+#: num^5 mod p is exactly PI^5 * X^5 (Y^75 = -X^75 mod p), so a mod-p
+#: pre-test that refutes a term PI^a with a <= j, not a < j, misses m = 1.
+PI_POWER_AT_J = LocalElem(TowerElem(CTX2, {(1, 1, 0): 1, (0, 15, 0): 1, (0, 0, 15): 1}), 1)
+
+
 @given(c=truncation_cases())
 @example(c=Q_MINUS_ONE_FOOLED)
+@example(c=PI_POWER_AT_J)
+@example(c=LocalElem(cubes(CTX), 1))
 @settings(max_examples=60, deadline=None)
 def test_truncated_decision_agrees_with_the_exact_power(c, witness_reconstructs):
     """For every m <= 2 the decision in Z/p^Q (``validate_cert``) answers
@@ -271,6 +280,50 @@ def test_agreement_test_catches_a_modulus_one_power_of_p_short(monkeypatch, witn
         test_truncated_decision_agrees_with_the_exact_power(
             witness_reconstructs=witness_reconstructs
         )
+
+
+def test_agreement_test_catches_a_pre_test_without_the_frobenius(
+    monkeypatch, witness_reconstructs
+):
+    """Negative control: a mod-p pre-test that reads num mod p, not
+    num^(p^m) mod p, refutes the member (PI^3 + X^3 + Y^3) / PI at m = 1
+    and fails the agreement test above."""
+    pow_mod = TowerElem.pow_mod
+
+    def no_frobenius(self, e, coeff_mod):
+        return pow_mod(self, 1 if coeff_mod == self.ctx.p else e, coeff_mod)
+
+    monkeypatch.setattr(TowerElem, "pow_mod", no_frobenius)
+    with pytest.raises(AssertionError, match="decision at m = 1"):
+        test_truncated_decision_agrees_with_the_exact_power(
+            witness_reconstructs=witness_reconstructs
+        )
+
+
+def test_the_pre_test_member_certifies_at_m_one():
+    got = membership(PI_POWER_AT_J, 2)
+    assert isinstance(got, ClosureCert) and got.m == 1
+    assert validate_cert(ClosureCert(PI_POWER_AT_J, 1))
+
+
+def test_a_refuted_exponent_builds_its_power_mod_p_only(monkeypatch):
+    """(3*X^7 + 2*Y^11 + PI^4 + 4*X^13) / PI^17 at p = 5, level 2 (the CLI's
+    (3*x^(7/25)+2*y^(11/25)+p^(4/25)+4*x^(13/25))/p^(17/25)): the
+    Frobenius of 3*X^7 refutes every m, so no power is built mod p^Q,
+    Q >= 2, not even for m = 30 and its 5^30-th power."""
+    num = TowerElem(CTX2, {(0, 7, 0): 3, (0, 0, 11): 2, (4, 0, 0): 1, (0, 13, 0): 4})
+    exponents = []
+    pow_mod = TowerElem.pow_mod
+
+    def mod_p_only(self, e, coeff_mod):
+        # fail before building the power: modulo p^Q it would not finish
+        assert coeff_mod == 5, f"a power modulo {coeff_mod}"
+        exponents.append(e)
+        return pow_mod(self, e, coeff_mod)
+
+    monkeypatch.setattr(TowerElem, "pow_mod", mod_p_only)
+    assert membership(LocalElem(num, 17), 30) == NotMember(30, False)
+    assert exponents == [5**m for m in range(31)]
 
 
 #: A structural miss and an exhausted miss at p = 5, level 1, bound 1:

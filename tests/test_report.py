@@ -464,6 +464,17 @@ class TestCli:
             ({"ring": "banana"}, "ring"),
             ({"witness_terms": []}, "witness_terms"),
             ({"num_terms": None}, "num_terms"),
+            ({"num_terms": [[True, 0, 0, "1"]]}, "num_terms"),
+            ({"num_terms": [[-1, 0, 0, "1"]]}, "num_terms"),
+            ({"num_terms": [[0, 0, 1.0, "1"]]}, "num_terms"),
+            ({"num_terms": [[0, 0, 0, 1]]}, "num_terms"),
+            ({"num_terms": [[0, 0, 0, "1.0"]]}, "num_terms"),
+            ({"num_terms": [[0, 0, 0, " 1"]]}, "num_terms"),
+            ({"num_terms": [[0, 0, "1"]]}, "num_terms"),
+            ({"num_terms": [[0, 0, 0, "1"], [0, 0, 0, "2"]]}, "num_terms"),
+            ({"num_terms": [[5, 0, 0, "1"]]}, "num_terms"),
+            ({"num_terms": [[0, 0, 10**9, "1"]]}, "num_terms"),
+            ({"num_terms": {}}, "num_terms"),
         ],
         ids=[
             "bool-m",
@@ -477,6 +488,17 @@ class TestCli:
             "unknown-ring",
             "old-format-witness",
             "drop-num-terms",
+            "bool-exponent",
+            "negative-exponent",
+            "float-exponent",
+            "int-coefficient",
+            "float-coefficient",
+            "padded-coefficient",
+            "three-entry-term",
+            "repeated-monomial",
+            "pi-exponent-not-normal",
+            "y-exponent-not-normal",
+            "terms-not-a-list",
         ],
     )
     def test_revalidate_refuses_a_malformed_certificate(
@@ -494,3 +516,33 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert f"certificate {key}" in out.err or f"'{key}'" in out.err
+
+    #: Where each check's first element sits in its details.
+    RESIDUE_AT = {
+        "sequence_compatibility": lambda d: d["sequence"][0],
+        "base_residue_vanishes": lambda d: d["residues"][0]["elem"],
+        "plain_division_fails": lambda d: d["divisions"][0]["divisor"],
+    }
+
+    @pytest.mark.parametrize(
+        "name, terms",
+        [
+            ("sequence_compatibility", [[0, 0, 0, 1]]),
+            ("base_residue_vanishes", [[True, 0, 0, "1"]]),
+            ("plain_division_fails", [[0, -1, 0, "1"]]),
+        ],
+        ids=["int-coefficient", "bool-exponent", "negative-exponent"],
+    )
+    def test_revalidate_refuses_malformed_residue_terms(
+        self, tmp_path, capsys, depth2_report, name, terms
+    ):
+        data = copy.deepcopy(depth2_report.to_dict())
+        details = data["checks"][report.CHECK_NAMES.index(name)]["details"]
+        self.RESIDUE_AT[name](details)["terms"] = terms
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "residue terms" in out.err
