@@ -22,10 +22,7 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
 
 
 def _emit(rep: report.Report, fmt: str) -> int:
-    if fmt == "json":
-        sys.stdout.write(rep.to_json())
-    else:
-        sys.stdout.write(rep.to_text())
+    sys.stdout.write(rep.to_json() if fmt == "json" else rep.to_text())
     return 0 if rep.ok else 1
 
 

@@ -25,6 +25,15 @@ def _report_text(checks, **config) -> str:
     return json.dumps({"config": {**cfg(depth=2).to_dict(), **config}, "checks": checks})
 
 
+def _example_checks(name=None, **record):
+    """The example's six check names in order, each a pass without
+    details, with ``record`` merged into check ``name``."""
+    return [
+        {"name": n, "status": "pass", "details": {}, **(record if n == name else {})}
+        for n in report.CHECK_NAMES
+    ]
+
+
 CERT_KEYS = {"m", "denom_exp", "level", "ring", "num_terms"}
 
 
@@ -79,19 +88,19 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "ee799f637230ffc1e6ae514fc10e62ba5438bd8274d541986ebcffc63975e94d"),
+    "p5-d3": ({}, "d0b3811a53790fa9c6b36c7a43142230fdb65f68a186414cd7cbec37181400f5"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "d8017839ead86e36108b9a222724b824c200bc15522355d0c5af63262c5cc7ba",
+        "e38490b0c49168d22389fcf7bbfe1ddd9b7cda8aab6d498836bdc52c94a9d1e7",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "9627f8d02dd35f8c3507cd53c4e6729ca9c0e9b792b80a60d8340867c2ef5080",
+        "efc2b4c6bbd5fe0f22a84b4cf12ca8c87dd37155f552875b1d4fb8678119b3a7",
     ),
-    "p5-d2": ({"depth": 2}, "0d8b672d1b17f53b0cd41369eab305c5383249d90e4e17c68bc3cafbc4f4fa1c"),
+    "p5-d2": ({"depth": 2}, "8b7a080d8cd53aa4b21d1d0676f41e43341176d73fb2c9a7c5f608c23e8b1704"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
-        "c968c2440190c242cbddcf6e3d64a5e9e91421d765f0e6a39c6ef0cc7863c990",
+        "7edf7d63674f15fa42f4cb34b44800901a8ff7838cd79dfb801f7f9965968f18",
     ),
 }
 
@@ -113,11 +122,12 @@ class TestDeterminism:
         assert a == b
 
     def test_props_bytes_match_the_recorded_digest(self):
-        # recorded before the invariants moved into their own table: any
-        # drift in sample order, case counts or details changes the digest
+        # the compact JSON of the same report as before the invariants moved
+        # into their own table: any drift in sample order, case counts or
+        # details changes the digest
         text = report.run_property_suites(0, timestamp=False).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8d58dd502742b39329f5edd2015a3b6c8144b6d3e99355250265e5418afc763d"
+            "b8c80de7201a76c9675936f6f7c68258af3980eec8dfcdb649e311e1c2cb2e48"
         )
 
     def test_seed_changes_samples_not_statuses(self):
@@ -239,6 +249,56 @@ class TestRevalidation:
         assert rv.checks[0].details == {"revalidated": 0, "errors": ["no evidence"]}
         assert [c.status for c in rv.checks[1:]] == ["pass"] * 5
 
+    def test_each_run_writes_exactly_its_evidence_keys(self, example_report):
+        for (name, _, keys, _), check in zip(report.EXAMPLE_CHECKS, example_report.checks):
+            assert check.name == name
+            assert set(check.details) == set(keys), name
+
+    @pytest.mark.parametrize(
+        "name, donor",
+        [(a, b) for a in report.CHECK_NAMES for b in report.CHECK_NAMES if a != b],
+        ids=lambda name: name,
+    )
+    def test_a_check_given_another_checks_details_fails(self, depth2_report, name, donor):
+        # every piece of evidence is bound to the check that wrote it: a
+        # check holding another's details has none of its own
+        data = copy.deepcopy(depth2_report.to_dict())
+        by_name = {c["name"]: c for c in data["checks"]}
+        by_name[name]["details"] = copy.deepcopy(by_name[donor]["details"])
+        rv = {c.name: c for c in report.revalidate_report(data).checks}
+        assert rv.pop(name).details == {"revalidated": 0, "errors": ["no evidence"]}
+        assert {c.status for c in rv.values()} == {"pass"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kernel_at_precision_1", False),
+            ("steps", 2),
+            ("steps", True),
+            ("component_depth", 9),
+            ("component_depth", 1.0),
+            ("exhausted", False),
+        ],
+        ids=["kernel", "steps", "bool-steps", "component-depth", "float-depth", "exhausted"],
+    )
+    def test_witt_rerun_compares_every_field(self, depth2_report, field, value):
+        data = copy.deepcopy(depth2_report.to_dict())
+        index = report.CHECK_NAMES.index("witt_division_roundtrip")
+        details = data["checks"][index]["details"]
+        assert details == {
+            "kernel_at_precision_1": True,
+            "steps": 1,
+            "component_depth": 1,
+            "exhausted": True,
+        }
+        details[field] = value
+        rv = report.revalidate_report(data)
+        assert rv.checks[index].status == "fail"
+        assert rv.checks[index].details == {
+            "revalidated": 1,
+            "errors": [f"witt roundtrip changed: {field}"],
+        }
+
 
 class TestRunnerStatusMapping:
     def test_undetermined_is_distinct(self):
@@ -346,9 +406,10 @@ class TestCli:
             _report_text([], p="5"),
             _report_text({}),
             _report_text([{"name": 1, "status": "pass"}]),
-            _report_text([{"name": "c", "status": "ok"}]),
-            _report_text([{"name": "c", "status": "pass", "details": {"certificates": 3}}]),
-            _report_text([{"name": "c", "status": "pass", "details": {"residues": [{}]}}]),
+            _report_text(_example_checks("sequence_compatibility", status="ok")),
+            _report_text(_example_checks("closure_certificates", details={"certificates": 3})),
+            _report_text(_example_checks("base_residue_vanishes", details={"residues": [{}]})),
+            _report_text(_example_checks("plain_division_fails", details=[])),
             '{"config": [], "checks": []}',
         ],
         ids=[
@@ -363,6 +424,7 @@ class TestCli:
             "unknown-status",
             "int-certificates",
             "residue-without-elem",
+            "details-list",
             "config-list",
         ],
     )
@@ -546,3 +608,23 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert "residue terms" in out.err
+
+    @pytest.mark.parametrize("name", list(RESIDUE_AT))
+    @pytest.mark.parametrize(
+        "key, value",
+        [("level", True), ("level", 1.0), ("level", -1), ("level", "1"), ("ring", "banana")],
+        ids=["bool-level", "float-level", "negative-level", "string-level", "unknown-ring"],
+    )
+    def test_revalidate_refuses_a_residue_level_or_ring(
+        self, tmp_path, capsys, depth2_report, name, key, value
+    ):
+        data = copy.deepcopy(depth2_report.to_dict())
+        details = data["checks"][report.CHECK_NAMES.index(name)]["details"]
+        self.RESIDUE_AT[name](details)[key] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert f"residue {key}" in out.err
