@@ -275,6 +275,27 @@ def theta(e: FontaineElem, precision: int) -> TowerElem:
     return last.lift().pow_mod(p**e.depth, p**precision)
 
 
+def _pow_p_mod_pR(t: LocalElem) -> LocalElem:
+    """t^p modulo p * R: the p-th power division step 4 compares.
+
+    With t = num / PI^k, j = p * k and M = 1 + ceil(j / p^level), p^M =
+    p * PI^((M - 1) * p^level) lies in p * PI^j, so num^p modulo p^M,
+    put over PI^j, differs from t^p by an element of p * R.  Two facts
+    make this exact for step 4:
+
+    - x = y mod p^s (s >= 1) implies x^p = y^p mod p^(s + 1), so num
+      modulo p^(M - 1) determines num^p modulo p^M (M = 1: num is kept);
+    - R is contained in the root closure, and the closure is a ring, so
+      adding p * z with z in R leaves "delta lies in p * closure" as it
+      is; a certificate with m = 0 (delta / p in R) stays at m = 0.
+    """
+    p = t.ctx.p
+    j = p * t.denom_exp
+    M = 1 + -(-j // t.ctx.pi_order)
+    num = t.num if M == 1 else t.num.reduce_coeffs(p ** (M - 1)).lift()
+    return LocalElem(num.pow_mod(p, p**M).lift(), j)
+
+
 def divide_by_p_seq(e: FontaineElem) -> FontaineElem:
     quotient, _ = divide_by_p_seq_traced(e)
     return quotient
@@ -288,7 +309,11 @@ class DivisionTrace:
     Quotient component n is t_n = s_(n+1)^p, so its certificate follows
     from ``factors[n + 1]``: exponent max(m - 1, 0), because
     (s^p)^(p^(m-1)) = s^(p^m); when the factor is exact or has m = 0,
-    t_n is integral."""
+    t_n is integral.
+
+    ``compat[n - 1]`` certifies delta / p, where delta is t_n^p - t_(n-1)
+    with t_n^p taken modulo p * R (``_pow_p_mod_pR``): a checker that
+    holds the quotient can rebuild delta from t_n and t_(n-1)."""
 
     factors: list[ClosureCert | None]
     compat: list[ClosureCert | None]
@@ -363,7 +388,7 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
 
     # step 4: the quotient sequence is itself compatible
     for n in range(1, N):
-        a, b = aligned(t[n] ** p, t[n - 1])
+        a, b = aligned(_pow_p_mod_pR(t[n]), t[n - 1])
         delta = a - b
         if delta.is_zero:
             trace.compat.append(None)

@@ -353,10 +353,16 @@ def _recheck_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
     yield None if FontaineElem(comps, PLAIN).check_compat() else "sequence compatibility changed"
 
 
+def _same(recorded, again) -> bool:
+    """A recorded value equals the one decided again, type included, so
+    that 1 or 0 does not stand in for a boolean."""
+    return type(recorded) is type(again) and recorded == again
+
+
 def _recheck_residues(details: dict, cfg: Config) -> Iterator[str | None]:
     for d in details["residues"]:
-        same = residue_from_json(d["elem"], cfg.p, DEGREE).is_zero == d["expect_zero"]
-        yield None if same else "residue zero-check changed"
+        is_zero = residue_from_json(d["elem"], cfg.p, DEGREE).is_zero
+        yield None if _same(d["expect_zero"], is_zero) else "residue zero-check changed"
 
 
 def _recheck_divisions(details: dict, cfg: Config) -> Iterator[str | None]:
@@ -364,7 +370,7 @@ def _recheck_divisions(details: dict, cfg: Config) -> Iterator[str | None]:
         divisor = residue_from_json(d["divisor"], cfg.p, DEGREE)
         dividend = residue_from_json(d["dividend"], cfg.p, DEGREE)
         divides, _ = tower.poly_divides(divisor, dividend)
-        yield None if divides == d["divides"] else "division outcome changed"
+        yield None if _same(d["divides"], divides) else "division outcome changed"
 
 
 def _recheck_certificates(details: dict, cfg: Config) -> Iterator[str | None]:
@@ -381,7 +387,7 @@ def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     """A re-run, not a check: each field must equal the recorded one, type included."""
     again = _check_witt_roundtrip(cfg)
     again.pop("_status", None)
-    changed = [k for k, v in again.items() if type(details[k]) is not type(v) or details[k] != v]
+    changed = [k for k, v in again.items() if not _same(details[k], v)]
     yield f"witt roundtrip changed: {', '.join(changed)}" if changed else None
 
 

@@ -157,13 +157,16 @@ def _proot(a):
 def evaluate(poly: SPoly, vals) -> object:
     """The polynomial at ``vals``, one value per variable, in their own
     component ring.  S and M have no constant term, so every term has a
-    variable."""
+    variable.  Each power v**e is built once per call, in ``powers``."""
+    powers = {}
     acc = None
     for exps, coeff in poly.items():
         term = None
-        for v, e in zip(vals, exps):
+        for i, (v, e) in enumerate(zip(vals, exps)):
             if e:
-                powered = v**e
+                if (i, e) not in powers:
+                    powers[i, e] = v**e
+                powered = powers[i, e]
                 term = powered if term is None else term * powered
         if coeff != 1:
             term = coeff * term

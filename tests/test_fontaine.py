@@ -1,9 +1,11 @@
 import operator
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rootclose import fontaine
 from rootclose.closure import CertificateSearchError, LocalElem, as_local, membership, validate_cert
 from rootclose.fontaine import (
     CERTIFIED,
@@ -14,6 +16,7 @@ from rootclose.fontaine import (
     SequenceDivisionError,
     UndeterminedCongruenceError,
     _p_closure_cert,
+    _pow_p_mod_pR,
     base_residue,
     divide_by_p_seq,
     divide_by_p_seq_traced,
@@ -23,12 +26,12 @@ from rootclose.fontaine import (
 from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx, TowerElem, context
 
 
-def gens(depth=3, closure=PLAIN):
-    return generators(5, 3, depth, QUOTIENT, closure)
+def gens(depth=3, closure=PLAIN, p=5):
+    return generators(p, 3, depth, QUOTIENT, closure)
 
 
-def cube_sum(depth=3, closure=PLAIN):
-    P, X, Y = gens(depth, closure)
+def cube_sum(depth=3, closure=PLAIN, p=5):
+    P, X, Y = gens(depth, closure, p)
     return P**3 + X**3 + Y**3
 
 
@@ -128,11 +131,12 @@ def seq_pairs(draw):
 
 
 @st.composite
-def plain_kernel_elems(draw):
-    """P * (s + s'), with s and s' the plain sequences of p-power roots of
-    two F_p monomials at level ``depth``: a kernel element whose division
-    is exact."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+def kernel_elems(draw, primes=(2, 3, 5, 7), modes=(PLAIN,)):
+    """P * (s + s'), with s and s' the sequences of p-power roots of two
+    F_p monomials at level ``depth``: a kernel element whose division is
+    exact."""
+    p = draw(st.sampled_from(primes))
+    mode = draw(st.sampled_from(modes))
     degree = 2 if p == 3 else 3
     depth = draw(st.integers(2, 4))
     ctx = context(p, depth, degree, QUOTIENT)
@@ -141,8 +145,8 @@ def plain_kernel_elems(draw):
         a = draw(st.integers(0, ctx.pi_order - 1))
         b, c, v = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, p - 1))
         seed = TowerElem.monomial(ctx, a, b, c, v, coeff_mod=p)
-        roots.append(FontaineElem([seed ** (p ** (depth - i)) for i in range(depth + 1)]))
-    P, _, _ = generators(p, degree, depth, QUOTIENT)
+        roots.append(FontaineElem([seed ** (p ** (depth - i)) for i in range(depth + 1)], mode))
+    P, _, _ = generators(p, degree, depth, QUOTIENT, mode)
     return P * (roots[0] + roots[1])
 
 
@@ -293,7 +297,7 @@ class TestDivision:
         with pytest.raises(DepthExhaustedError):
             divide_by_p_seq(P)
 
-    @given(e=plain_kernel_elems())
+    @given(e=kernel_elems())
     @settings(max_examples=40, deadline=None)
     def test_plain_division_needs_no_closure_exponent(self, e):
         # step 1 factors residues exactly, and step 3 leaves each step-4
@@ -312,6 +316,99 @@ class TestDivision:
         ]
         with pytest.raises(CertificateSearchError, match="approximation order"):
             divide_by_p_seq(FontaineElem(comps, PLAIN))
+
+
+@st.composite
+def step_4_cases(draw):
+    """Kernel elements at p in {2, 3, 5}, plain or certified, depth 2-4,
+    and the certified worked example (cube sum) at p in {5, 7}."""
+    if draw(st.booleans()):
+        return draw(kernel_elems(primes=(2, 3, 5), modes=(PLAIN, CERTIFIED)))
+    return cube_sum(draw(st.integers(2, 3)), CERTIFIED, draw(st.sampled_from((5, 7))))
+
+
+def _off_by_p_R(t, got) -> bool:
+    """Does got differ from t^p by p times an element of R?"""
+    diff = t ** t.ctx.p - got
+    return LocalElem(diff.num, diff.denom_exp + t.ctx.pi_order).is_integral
+
+
+@st.composite
+def pi_fractions(draw):
+    """num / PI^k at p in {2, 3, 5}, level 1-2, with 1-3 terms and k up
+    to 2 * p^level, so M = 1 + ceil(p * k / p^level) reaches 2p + 1,
+    where the divisions above only reach M = 2."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ctx = context(p, draw(st.integers(1, 2)), 2 if p == 3 else 3, QUOTIENT)
+    monomial = st.tuples(st.integers(0, ctx.pi_order - 1), st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(monomial, st.integers(-30, 30).filter(bool), min_size=1, max_size=3))
+    return LocalElem(TowerElem(ctx, terms), draw(st.integers(0, 2 * ctx.pi_order)))
+
+
+@given(t=pi_fractions())
+@settings(max_examples=60, deadline=None)
+def test_step_4_power_is_the_exact_power_modulo_p_R(t):
+    assert _off_by_p_R(t, _pow_p_mod_pR(t))
+
+
+def _division(e):
+    """The division's outcome: quotient components, factor certificates
+    and compat exponents (a step that is exact, None, read as m = 0, as
+    in the report's ``factor_exponents``), or the error it raised."""
+    try:
+        quotient, trace = divide_by_p_seq_traced(e)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return quotient.comps, trace.factors, [0 if c is None else c.m for c in trace.compat]
+
+
+@given(e=step_4_cases())
+@example(e=cube_sum(2, CERTIFIED))
+@settings(max_examples=60, deadline=None)
+def test_step_4_power_mod_pR_agrees_with_the_exact_power(e):
+    """Division step 4 with t_n^p modulo p * R (``_pow_p_mod_pR``) and
+    with the exact t_n ** p: the same outcome, factors and compat
+    exponents, and each power differs from the exact one by p times an
+    element of R."""
+    step_4 = fontaine._pow_p_mod_pR
+
+    def checked(t):
+        got = step_4(t)
+        assert _off_by_p_R(t, got), "(exact - reduced) / p is not integral"
+        return got
+
+    with mock.patch.object(fontaine, "_pow_p_mod_pR", lambda t: t ** t.ctx.p):
+        want = _division(e)
+    with mock.patch.object(fontaine, "_pow_p_mod_pR", checked):
+        assert _division(e) == want
+
+
+def test_step_4_agreement_catches_a_modulus_one_power_of_p_short(monkeypatch):
+    """Negative control: the power taken modulo p^(M - 1), not p^M, is
+    off by more than p * R on the depth-2 cube sum at p = 5 (its
+    division then exhausts the search at component 1, in about 3 min)."""
+    pow_mod = TowerElem.pow_mod
+
+    def one_short(t):
+        p = t.ctx.p
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                TowerElem, "pow_mod", lambda x, e, mod: pow_mod(x, e, mod // p if mod > p else mod)
+            )
+            return _pow_p_mod_pR(t)
+
+    monkeypatch.setattr(fontaine, "_pow_p_mod_pR", one_short)
+    with pytest.raises(AssertionError, match="not integral"):
+        test_step_4_power_mod_pR_agrees_with_the_exact_power()
+
+
+def test_step_4_power_is_small():
+    # p7-d2: the exact t_1^p has 1,272 terms of up to 75 bits
+    _, trace = divide_by_p_seq_traced(cube_sum(2, CERTIFIED, 7))
+    (cert,) = trace.compat
+    assert cert.m == 0
+    assert len(cert.elem.num.terms) < 100
+    assert max(abs(v) for v in cert.elem.num.terms.values()).bit_length() <= 12
 
 
 class TestZeroModPClosure:

@@ -88,16 +88,16 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "d0b3811a53790fa9c6b36c7a43142230fdb65f68a186414cd7cbec37181400f5"),
+    "p5-d3": ({}, "0185850b02c7935bf792c23b21289045ebdd94e08d0a7e7505e70ae4383bfffb"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "e38490b0c49168d22389fcf7bbfe1ddd9b7cda8aab6d498836bdc52c94a9d1e7",
+        "b30633fc48e8cf1381484911971826d60ae3b512264cd0eb0725e645d7623241",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "efc2b4c6bbd5fe0f22a84b4cf12ca8c87dd37155f552875b1d4fb8678119b3a7",
+        "e946d96e1b2ce8fd59a8591c38c7bf18133bb98f85efb90310ee76e1aed33369",
     ),
-    "p5-d2": ({"depth": 2}, "8b7a080d8cd53aa4b21d1d0676f41e43341176d73fb2c9a7c5f608c23e8b1704"),
+    "p5-d2": ({"depth": 2}, "d3db89c050cec3a314a71db7b9ec29b467285c03c2ae63eff09c21f7adae49e4"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
         "7edf7d63674f15fa42f4cb34b44800901a8ff7838cd79dfb801f7f9965968f18",
@@ -225,6 +225,27 @@ class TestRevalidation:
         rv = report.revalidate_report(data)
         assert not rv.ok
 
+    @pytest.mark.parametrize(
+        "name, key, field, value",
+        [
+            ("base_residue_vanishes", "residues", "expect_zero", 1),
+            ("plain_division_fails", "divisions", "divides", 0),
+        ],
+        ids=["expect_zero", "divides"],
+    )
+    def test_a_number_does_not_stand_in_for_a_boolean(
+        self, example_report, tmp_path, name, key, field, value
+    ):
+        data = copy.deepcopy(example_report.to_dict())
+        index = report.CHECK_NAMES.index(name)
+        record = data["checks"][index]["details"][key][0]
+        assert record[field] == value and type(record[field]) is bool
+        record[field] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 1
+        rv = report.revalidate_report(data)
+        assert [c.status for c in rv.checks] == ["fail" if c == name else "pass" for c in report.CHECK_NAMES]
 
     def test_recorded_failure_keeps_its_status(self, example_report, tmp_path, capsys):
         data = copy.deepcopy(example_report.to_dict())
