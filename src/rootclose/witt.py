@@ -1,22 +1,29 @@
 """Truncated p-typical Witt vectors over characteristic-p component rings.
 
-Arithmetic is driven by the universal sum/product polynomials, computed
-once per (p, length) through the ghost-component recursion with exact
-integer divisions, cached, and then evaluated in whatever component
-ring the vectors carry (plain integers for the test oracle, residue
-elements, or finite-depth compatible sequences); rings of
-characteristic p use the tables reduced mod p.
+Arithmetic runs through the ghost map.  A component ring R_n/p (F_p
+residues at one tower level) has the lift R_n, free over Z on the
+normal-form monomials and so without p-torsion; over it the ghost map
+is injective, and coordinate k of a sum, product or negative is solved
+in R_n/p^(k+1) from the ghost components (Hazewinkel, "Witt vectors.
+Part 1", arXiv:0804.3888).  Plain sequences run that recursion once per
+sequence index, integers and tower elements over Z run it exactly.
+Residues mod p^j (j >= 2) and certified sequences are refused.
+
+The universal sum/product polynomials, computed once per (p, length)
+through the same recursion with exact integer divisions, stay as the
+oracle of the ghost invariant and of the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .closure import HypothesisNotMetError
 from .fontaine import PLAIN, FontaineElem, PrecisionError, divide_by_p_seq, generators
 from .fontaine import theta as seq_theta
-from .tower import TowerElem
+from .tower import FREE, TowerElem, context
 from .valuation import check_prime
 
 SPoly = dict[tuple[int, ...], int]
@@ -113,22 +120,6 @@ def witt_polynomials(p: int, length: int) -> tuple[tuple[SPoly, ...], tuple[SPol
     return tuple(sums), tuple(prods)
 
 
-@cache
-def witt_polynomials_mod_p(p: int, length: int) -> tuple[tuple[SPoly, ...], tuple[SPoly, ...]]:
-    """The universal polynomials with coefficients reduced mod p, for
-    component rings of characteristic p, where they take the same values
-    with fewer terms (Finotti, "Computations with Witt vectors of length
-    3", JTNB 2011).  Built once per (p, length) from the exact tables.
-
-    Each keeps every variable of its exact polynomial (the tests check
-    this for the shapes in use), so a result over sequences, whose depth
-    is the least depth of the values it reads, keeps its depth too."""
-    return tuple(
-        tuple({m: r for m, v in poly.items() if (r := v % p)} for poly in table)
-        for table in witt_polynomials(p, length)
-    )
-
-
 # ----------------------------------------------------------------------
 # component-ring dispatch: plain ints, residues, or compatible sequences
 def _zero_like(a):
@@ -139,15 +130,6 @@ def _is_zero(a) -> bool:
     return a == 0 if isinstance(a, int) else a.is_zero
 
 
-def _char_p(a) -> bool:
-    """Residues mod p and plain sequences (whose components are residues
-    mod p); certified sequences read LocalElems modulo p * closure, and
-    their bytes depend on the exact coefficients."""
-    if isinstance(a, TowerElem):
-        return a.over_fp
-    return isinstance(a, FontaineElem) and a.mode == PLAIN
-
-
 def _proot(a):
     if isinstance(a, int):
         raise ValueError("integers are not a perfect characteristic-p ring")
@@ -156,8 +138,9 @@ def _proot(a):
 
 def evaluate(poly: SPoly, vals) -> object:
     """The polynomial at ``vals``, one value per variable, in their own
-    component ring.  S and M have no constant term, so every term has a
-    variable.  Each power v**e is built once per call, in ``powers``."""
+    component ring: the oracle of the ghost invariant and the tests.  S
+    and M have no constant term, so every term has a variable.  Each
+    power v**e is built once per call, in ``powers``."""
     powers = {}
     acc = None
     for exps, coeff in poly.items():
@@ -174,6 +157,157 @@ def evaluate(poly: SPoly, vals) -> object:
     return _zero_like(vals[0]) if acc is None else acc
 
 
+# ----------------------------------------------------------------------
+# + * - through the ghost map on a p-torsion-free lift
+#
+# A component ring A here has a lift B with B/p = A and no p-torsion:
+# Z for itself, R_n (free over Z on the normal-form monomials) for
+# R_n/p.  The ghost map w_k(x) = sum_(i<=k) p^i x_i^(p^(k-i)) is
+# injective over B, so coordinate k of x + y, x * y or -x solves
+#
+#     p^k c_k = G_k - sum_(j<k) p^j c_j^(p^(k-j)),
+#
+# with G_k = w_k(x) + w_k(y), w_k(x) * w_k(y) or -w_k(x).  Over F_p any
+# lift of each coordinate will do modulo p^(k+1), because u = v (mod p)
+# implies u^(p^e) = v^(p^e) (mod p^(e+1)): a coordinate needs only its
+# chain v^(p^e) mod p^(e+1) = (v^(p^(e-1)) mod p^e)^p.  Over Z (ints and
+# tower elements over Z) the same recursion runs exactly.
+_INTEGER, _EXACT, _RESIDUE, _SEQUENCE = "integer", "Z-tower", "residue", "sequence"
+
+
+def _kind(c, index: int) -> str:
+    """How coordinate ``index`` lifts: exactly (an integer or a tower
+    element over Z), as a residue mod p, or as a plain sequence of
+    residues.  Residues mod p^j (j >= 2) and certified sequences are
+    refused: Z/p^j has p-torsion, and a certified component is read
+    modulo p * closure, so the ghost map does not determine a coordinate
+    there."""
+    if isinstance(c, int):
+        return _INTEGER
+    if isinstance(c, TowerElem) and c.coeff_mod is None:
+        return _EXACT
+    if isinstance(c, TowerElem) and c.over_fp:
+        return _RESIDUE
+    if isinstance(c, FontaineElem) and c.mode == PLAIN:
+        return _SEQUENCE
+    if isinstance(c, TowerElem):
+        what = f"a residue mod {c.coeff_mod}"
+    elif isinstance(c, FontaineElem):
+        what = f"a {c.mode} sequence"
+    else:
+        what = f"a {type(c).__name__}"
+    raise ValueError(
+        f"coordinate {index} is {what}: Witt arithmetic runs over integers, "
+        "tower elements over Z, residues mod p and plain sequences"
+    )
+
+
+def _modulus(zero: TowerElem, e: int) -> int | None:
+    """The coefficient modulus of a value needed modulo p^e: p^e in a
+    ring of F_p residues, none over Z, where the recursion is exact."""
+    return None if zero.coeff_mod is None else zero.ctx.p**e
+
+
+def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
+    """Coordinates of x op y (op one of + * -; ys empty for -x) in one
+    ring of F_p residues, or exactly in one tower ring over Z."""
+    n = len(xs)
+    zero = xs[0].zero_like()
+    ctx = zero.ctx
+    if ctx.p != p or any(v.ctx != ctx for v in (*xs, *ys)):
+        raise ValueError(f"Witt components must lie in one tower ring with p = {p}")
+
+    def chain(v, i):
+        # v^(p^e) mod p^(e+1) for the e that coordinate i enters: e < n - i
+        if v.is_zero:
+            return None
+        out = [v]
+        for e in range(1, n - i):
+            out.append(TowerElem(ctx, out[-1].terms, _modulus(zero, e + 1)) ** p)
+        return out
+
+    def ghost(acc, chains, k, sign=1):
+        # acc + sign * sum of p^i v_i^(p^(k-i)) over the nonzero chains, as terms
+        for i, ch in enumerate(chains):
+            if ch is not None:
+                scale = sign * p**i
+                for mono, v in ch[k - i].terms.items():
+                    acc[mono] = acc.get(mono, 0) + scale * v
+        return acc
+
+    x_chains = [chain(v, i) for i, v in enumerate(xs)]
+    y_chains = [chain(v, i) for i, v in enumerate(ys)]
+    out, out_chains = [], []
+    for k in range(n):
+        mod = _modulus(zero, k + 1)
+        if op == "*":
+            gx, gy = (TowerElem(ctx, ghost({}, c[: k + 1], k), mod) for c in (x_chains, y_chains))
+            acc = {} if gx.is_zero or gy.is_zero else dict((gx * gy).terms)
+        else:
+            acc = ghost({}, x_chains[: k + 1], k, 1 if op == "+" else -1)
+            ghost(acc, y_chains[: k + 1], k)
+        rest = TowerElem(ctx, ghost(acc, out_chains, k, -1), mod)
+        # rest = p^k c_k exactly, so its division by p^k has no remainder
+        c = TowerElem(ctx, _poly_div_exact(rest.terms, p**k), zero.coeff_mod, _normal=True)
+        out.append(c)
+        out_chains.append(chain(c, k))
+    return out
+
+
+def _at_level(c: TowerElem, level: int) -> TowerElem:
+    """``c``, an embedding of an element of ``level``, written at that
+    level: ``embed`` multiplies every exponent by p^(c.level - level)
+    and is injective on monomials, so dividing them back is exact."""
+    f = c.ctx.p ** (c.level - level)
+    if f == 1:
+        return c
+    terms = {}
+    for (a, b, d), v in c.terms.items():
+        if a % f or b % f or d % f:
+            raise ArithmeticError(f"monomial {(a, b, d)} is not at level {level} (bug)")
+        terms[a // f, b // f, d // f] = v
+    return TowerElem(c.ctx.at_level(level), terms, c.coeff_mod, _normal=True)
+
+
+def _sequence_op(op: str, xs, ys, p: int) -> list:
+    """Coordinates of x op y over plain sequences.  Their arithmetic is
+    componentwise, so index j runs the residue recursion on the index-j
+    components.  Coordinate k reads coordinates 0..k of the operands,
+    zero ones included: it takes their least depth and, at each index,
+    their deepest level, computed at the deepest level of the index."""
+    operands = (xs, ys) if ys else (xs,)
+    depths = list(accumulate((min(v[k].depth for v in operands) for k in range(len(xs))), min))
+    comps: list[list] = [[] for _ in xs]
+    for j in range(depths[0] + 1):
+        m = sum(d >= j for d in depths)
+        levels = list(
+            accumulate((max(v[k].comps[j].level for v in operands) for k in range(m)), max)
+        )
+
+        def index_j(v):
+            return [c.comps[j].embed(levels[-1]) for c in v[:m]]
+
+        got = _lifted_op(op, index_j(xs), index_j(ys), p)
+        for k, level in enumerate(levels):
+            comps[k].append(_at_level(got[k], level))
+    return [FontaineElem(c, PLAIN) for c in comps]
+
+
+def _ghost_op(op: str, xs, ys, p: int) -> list:
+    """Coordinates of x op y through the ghost map, by component kind."""
+    kinds = {_kind(c, i % len(xs)) for i, c in enumerate(xs + ys)}
+    if len(kinds) > 1:
+        raise ValueError(f"coordinates mix {' and '.join(sorted(kinds))} components")
+    if _SEQUENCE in kinds:
+        return _sequence_op(op, xs, ys, p)
+    if _INTEGER in kinds:
+        # Z is the free tower ring at level 0, and integers its constants
+        ring = context(p, 0, 1, FREE)
+        lifted = ([TowerElem.integer(ring, v) for v in vs] for vs in (xs, ys))
+        return [c.terms.get((0, 0, 0), 0) for c in _lifted_op(op, *lifted, p)]
+    return _lifted_op(op, xs, ys, p)
+
+
 @dataclass(frozen=True)
 class WittCtx:
     p: int
@@ -184,22 +318,15 @@ class WittCtx:
         if self.length < 1:
             raise ValueError("length must be >= 1")
 
-    def polynomials(self, vals=()):
-        """The sum and product tables to evaluate at ``vals``: reduced mod
-        p when every value lies in a ring of characteristic p, else exact
-        (plain integers, the ghost oracle, and certified sequences)."""
-        if vals and all(_char_p(v) for v in vals):
-            return witt_polynomials_mod_p(self.p, self.length)
-        return witt_polynomials(self.p, self.length)
-
 
 class NotDivisibleWittError(ArithmeticError):
     """Division by p in the Witt ring needs a zero leading component."""
 
 
 class WittVec:
-    """Length-N vector over a component ring supporting +, *, -, ** and
-    integer coercion; p-th roots are needed only by the perfect-ring
+    """Length-N vector over integers, tower elements over Z, F_p residues
+    or plain sequences (``+ * -`` refuse any other component, naming its
+    coordinate); p-th roots are needed only by the perfect-ring
     operations (frobenius, division by p)."""
 
     __slots__ = ("ctx", "comps")
@@ -235,29 +362,16 @@ class WittVec:
         if not isinstance(other, WittVec):
             return NotImplemented
         self._check(other)
-        vals = self.comps + other.comps
-        sums, _ = self.ctx.polynomials(vals)
-        return WittVec(self.ctx, (evaluate(s, vals) for s in sums))
+        return WittVec(self.ctx, _ghost_op("+", self.comps, other.comps, self.ctx.p))
 
     def __mul__(self, other):
         if not isinstance(other, WittVec):
             return NotImplemented
         self._check(other)
-        vals = self.comps + other.comps
-        _, prods = self.ctx.polynomials(vals)
-        return WittVec(self.ctx, (evaluate(m, vals) for m in prods))
+        return WittVec(self.ctx, _ghost_op("*", self.comps, other.comps, self.ctx.p))
 
     def __neg__(self):
-        # solve x + z = 0 coordinate by coordinate: S_i is X_i + Y_i plus
-        # terms in strictly earlier coordinates
-        sums, _ = self.ctx.polynomials(self.comps)
-        zero = _zero_like(self.comps[0])
-        zs: list = []
-        for i in range(self.ctx.length):
-            pad = [zero] * (self.ctx.length - i)
-            partial = evaluate(sums[i], list(self.comps) + zs + pad)
-            zs.append(-partial)
-        return WittVec(self.ctx, zs)
+        return WittVec(self.ctx, _ghost_op("-", self.comps, (), self.ctx.p))
 
     def __sub__(self, other):
         if not isinstance(other, WittVec):

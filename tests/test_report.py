@@ -104,6 +104,11 @@ EXAMPLE_DIGESTS = {
     ),
 }
 
+#: sha256 of the first --witt-len 4 report (depth 3, no timestamp),
+#: recorded from the universal-polynomial path, which took about 24 s;
+#: kept apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
+W4_DIGEST = "0a4a40b8cbafc0d8321651c6a898b7821a5839ce4f25091648281a5ac08c506d"
+
 
 class TestDeterminism:
     def test_example_bytes_are_stable(self, example_report):
@@ -115,6 +120,10 @@ class TestDeterminism:
         overrides, digest = EXAMPLE_DIGESTS[name]
         rep = report.run_example_suite(cfg(**overrides)) if overrides else example_report
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+    def test_first_w4_report_matches_the_recorded_digest(self):
+        text = report.run_example_suite(cfg(depth=3, witt_length=4)).to_json()
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (2040, W4_DIGEST)
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(5, timestamp=False).to_json()

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from rootclose import witt
 from rootclose.closure import HypothesisNotMetError
-from rootclose.fontaine import CERTIFIED, PLAIN, SequenceDivisionError, generators
+from rootclose.fontaine import CERTIFIED, PLAIN, FontaineElem, SequenceDivisionError, generators
 from rootclose.invariants import random_seq, random_tower
 from rootclose.report import elem_to_json
-from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx
+from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx, TowerElem
 from rootclose.witt import (
     NotDivisibleWittError,
     WittCtx,
     WittVec,
     divide_by_p_seq_minus_p,
+    evaluate,
     ghost,
     mul_by_p,
     p_divide_witt,
@@ -24,7 +25,6 @@ from rootclose.witt import (
     verschiebung,
     witt_frobenius,
     witt_polynomials,
-    witt_polynomials_mod_p,
     witt_theta,
 )
 
@@ -60,39 +60,6 @@ class TestUniversalPolynomials:
                 (0, 1, p, 0): 1,
                 (0, 1, 0, 1): p,
             }
-
-    def test_mod_p_tables_are_smaller(self):
-        # total terms, sum/product: exact, then reduced mod p
-        def count(table):
-            return sum(len(poly) for poly in table)
-
-        for (p, n), want in {(2, 4): (53, 64, 41, 19), (3, 3): (30, 17, 28, 8)}.items():
-            S, M = witt_polynomials(p, n)
-            s, m = witt_polynomials_mod_p(p, n)
-            assert (count(S), count(M), count(s), count(m)) == want
-
-    def test_mod_p_tables_keep_every_variable(self):
-        def variables(poly):
-            return {i for mono in poly for i, e in enumerate(mono) if e}
-
-        shapes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)] + [(2, 4), (3, 4)]
-        for p, n in shapes:
-            exact = witt_polynomials(p, n)
-            reduced = witt_polynomials_mod_p(p, n)
-            for a, b in zip(exact[0] + exact[1], reduced[0] + reduced[1]):
-                assert variables(a) == variables(b)
-
-    def test_table_follows_the_component_ring(self):
-        ctx = WittCtx(3, 2)
-        P, X, _ = generators(3, 2, 2, QUOTIENT)
-        Pc, _, _ = generators(3, 2, 2, QUOTIENT, CERTIFIED)
-        fp = ResidueElem.monomial(TowerCtx(3, 1, 2, QUOTIENT), 0, 1, 0)
-        reduced, exact = witt_polynomials_mod_p(3, 2), witt_polynomials(3, 2)
-        assert ctx.polynomials((P, X)) is reduced
-        assert ctx.polynomials((fp, fp)) is reduced
-        assert ctx.polynomials((1, 2)) is exact
-        assert ctx.polynomials((Pc, X)) is exact
-        assert ctx.polynomials((fp.lift(), fp.lift())) is exact
 
     def test_cache_returns_same_object(self):
         assert witt_polynomials(2, 3) is witt_polynomials(2, 3)
@@ -289,18 +256,41 @@ class TestKernelDivision:
         assert result.steps == 2 and result.exhausted
 
 
+SHAPES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3, 4) if (p, n) != (5, 4)]
+
+
+def _residue_coord(rng, base):
+    if rng.random() < 0.4:
+        return TowerElem.zero(base, base.p)
+    return random_tower(rng, base, terms=2, span=4).reduce_mod_p()
+
+
+def _sequence_coord(rng, p, degree):
+    """A plain sequence of depth 1..3: a random monomial's roots (every
+    component at level depth), a generator (component i at level i), or
+    the zero of either; each component is sometimes embedded deeper."""
+    depth = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        seq = random_seq(rng, p, degree, depth)
+    else:
+        seq = generators(p, degree, depth, QUOTIENT)[rng.randrange(3)]
+    if rng.random() < 0.4:
+        seq = seq.zero_like()
+    return FontaineElem([c.embed(c.level + rng.randint(0, 1)) for c in seq.comps], PLAIN)
+
+
 @st.composite
-def char_p_pairs(draw):
-    """Two Witt vectors over F_p residues, or over plain sequences of
-    mixed depth (a result's depth is the least depth its terms use)."""
-    p, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]))
+def witt_pairs(draw):
+    """Two Witt vectors over one ring of F_p residues, or over plain
+    sequences of mixed depth and level, with many zero coordinates."""
+    p, n = draw(st.sampled_from(SHAPES))
     degree = 2 if p == 3 else 3
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         base = TowerCtx(p, rng.randint(0, 1), degree, rng.choice([FREE, QUOTIENT]))
-        comps = [random_tower(rng, base, terms=2, span=4).reduce_mod_p() for _ in range(2 * n)]
+        comps = [_residue_coord(rng, base) for _ in range(2 * n)]
     else:
-        comps = [random_seq(rng, p, degree, rng.randint(1, 3)) for _ in range(2 * n)]
+        comps = [_sequence_coord(rng, p, degree) for _ in range(2 * n)]
     ctx = WittCtx(p, n)
     return WittVec(ctx, comps[:n]), WittVec(ctx, comps[n:])
 
@@ -309,35 +299,150 @@ def witt_ops(x, y):
     return x + y, x * y, -x, x - y
 
 
-def ops_with_tables(x, y, tables):
-    """``witt_ops`` with the characteristic-p tables replaced by ``tables``."""
+def table_ops(x, y):
+    """``witt_ops`` by evaluating the exact universal polynomials; -x
+    solves x + z = 0 coordinate by coordinate, since S_i is X_i + Y_i
+    plus terms in strictly earlier coordinates."""
+    ctx = x.ctx
+    sums, prods = witt_polynomials(ctx.p, ctx.length)
+
+    def apply(table, a, b):
+        return WittVec(ctx, [evaluate(poly, a.comps + b.comps) for poly in table])
+
+    def neg(a):
+        zero = witt._zero_like(a.comps[0])
+        zs: list = []
+        for i in range(ctx.length):
+            pad = [zero] * (ctx.length - i)
+            zs.append(-evaluate(sums[i], list(a.comps) + zs + pad))
+        return WittVec(ctx, zs)
+
+    return apply(sums, x, y), apply(prods, x, y), neg(x), apply(sums, x, neg(y))
+
+
+def shape(vec):
+    """Terms, levels and depths of every coordinate; ``==`` cannot see
+    levels, because sequence comparison aligns them first."""
+
+    def one(c):
+        if isinstance(c, int):
+            return c
+        if isinstance(c, FontaineElem):
+            return c.depth, c.mode, [one(r) for r in c.comps]
+        return c.level, c.coeff_mod, sorted(c.terms.items())
+
+    return [one(c) for c in vec.comps]
+
+
+def shapes(vecs):
+    return [shape(v) for v in vecs]
+
+
+def short_modulus_disagrees(pair):
+    """Does the recursion taken modulo p^k instead of p^(k+1) disagree
+    with the tables, or raise, on this pair?"""
+    modulus = witt._modulus
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witt, "witt_polynomials_mod_p", tables)
-        return witt_ops(x, y)
+        mp.setattr(witt, "_modulus", lambda zero, e: modulus(zero, max(e - 1, 1)))
+        try:
+            got = shapes(witt_ops(*pair))
+        except ArithmeticError:
+            return True
+    return got != shapes(table_ops(*pair))
 
 
-class TestModPTables:
-    """Witt arithmetic on characteristic-p components: the tables reduced
-    mod p against the exact ones."""
+class TestGhostArithmetic:
+    """Witt + * - through the ghost map against the exact tables."""
 
-    @given(pair=char_p_pairs())
-    @settings(max_examples=40, deadline=None)
+    @given(pair=witt_pairs())
+    @settings(max_examples=60, deadline=None)
     def test_agrees_with_exact_tables(self, pair):
-        x, y = pair
-        assert witt_ops(x, y) == ops_with_tables(x, y, witt_polynomials)
+        assert shapes(witt_ops(*pair)) == shapes(table_ops(*pair))
 
-    def test_negative_control_dropped_term(self):
-        def tampered(p, n):
-            sums, prods = witt_polynomials_mod_p(p, n)
-            s1 = dict(sums[1])
-            del s1[next(iter(s1))]
-            return (sums[0], s1, *sums[2:]), prods
-
+    def test_negative_control_modulus_one_power_short(self):
         find(
-            char_p_pairs(),
-            lambda pair: ops_with_tables(*pair, tampered) != ops_with_tables(*pair, witt_polynomials),
+            witt_pairs(),
+            short_modulus_disagrees,
             settings=settings(database=None, derandomize=True, max_examples=200),
         )
+
+    def test_arithmetic_reads_no_tables(self, monkeypatch):
+        rng = random.Random(5)
+        base = TowerCtx(3, 1, 2, QUOTIENT)
+        ctx = WittCtx(3, 4)
+        cases = [
+            [_residue_coord(rng, base) for _ in range(8)],
+            [_sequence_coord(rng, 3, 2) for _ in range(8)],
+            [rng.randint(-9, 9) for _ in range(8)],
+        ]
+        want = [shapes(table_ops(WittVec(ctx, c[:4]), WittVec(ctx, c[4:]))) for c in cases]
+
+        def no_tables(*args):
+            raise AssertionError("the arithmetic path read the universal polynomials")
+
+        monkeypatch.setattr(witt, "witt_polynomials", no_tables)
+        monkeypatch.setattr(witt, "evaluate", no_tables)
+        got = [shapes(witt_ops(WittVec(ctx, c[:4]), WittVec(ctx, c[4:]))) for c in cases]
+        assert got == want
+
+    def test_coordinate_takes_least_depth_and_deepest_level(self):
+        # coordinate k reads coordinates 0..k of each operand, zero ones
+        # included, and nothing later
+        for seed in range(6):
+            rng = random.Random(seed)
+            ctx = WittCtx(3, 3)
+            x = WittVec(ctx, [_sequence_coord(rng, 3, 2) for _ in range(3)])
+            y = WittVec(ctx, [_sequence_coord(rng, 3, 2) for _ in range(3)])
+            for got, operands in zip(witt_ops(x, y), [(x, y), (x, y), (x,), (x, y)]):
+                for k, coord in enumerate(got.comps):
+                    read = [v.comps[i] for v in operands for i in range(k + 1)]
+                    assert coord.depth == min(c.depth for c in read)
+                    for j, comp in enumerate(coord.comps):
+                        assert comp.level == max(c.comps[j].level for c in read)
+
+    @pytest.mark.parametrize("kind", ["certified sequence", "residue mod 25"])
+    def test_refuses_rings_with_p_torsion(self, kind):
+        ctx = WittCtx(5, 2)
+        P, X, _ = generators(5, 3, 2, QUOTIENT)
+        if kind == "certified sequence":
+            Pc, Xc, _ = generators(5, 3, 2, QUOTIENT, CERTIFIED)
+            ok, bad = WittVec(ctx, (P, X)), WittVec(ctx, (X, Pc))
+            all_bad = WittVec(ctx, (Pc, Xc))
+        else:
+            r = X.comps[2].lift()
+            ok = WittVec(ctx, (r.reduce_mod_p(), r.reduce_mod_p()))
+            bad = WittVec(ctx, (r.reduce_mod_p(), r.reduce_coeffs(25)))
+            all_bad = WittVec(ctx, (r.reduce_coeffs(25), r.reduce_coeffs(25)))
+        for op in (lambda: ok + bad, lambda: bad * ok, lambda: -bad, lambda: ok - bad):
+            with pytest.raises(ValueError, match=f"coordinate 1 is a {kind}"):
+                op()
+        with pytest.raises(ValueError, match=f"coordinate 0 is a {kind}"):
+            all_bad * all_bad
+
+    def test_components_must_share_one_ring(self):
+        ctx = WittCtx(3, 2)
+        a = fp_const(TowerCtx(3, 1, 2, QUOTIENT), 1)
+        b = fp_const(TowerCtx(3, 2, 2, QUOTIENT), 1)
+        with pytest.raises(ValueError, match="one tower ring with p = 3"):
+            WittVec(ctx, (a, a)) + WittVec(ctx, (a, b))
+        with pytest.raises(ValueError, match="one tower ring with p = 3"):
+            -WittVec(ctx, (fp_const(F5, 1), fp_const(F5, 2)))
+        with pytest.raises(ValueError, match="mix integer and residue"):
+            WittVec(ctx, (1, 2)) * WittVec(ctx, (a, a))
+
+    def test_torsion_free_kinds_still_work(self):
+        rng = random.Random(2)
+        ctx = WittCtx(3, 3)
+        base = TowerCtx(3, 1, 2, QUOTIENT)
+        kinds = [
+            [rng.randint(-9, 9) for _ in range(6)],
+            [random_tower(rng, base, terms=2, span=3) for _ in range(6)],
+            [_residue_coord(rng, base) for _ in range(6)],
+            [_sequence_coord(rng, 3, 2) for _ in range(6)],
+        ]
+        for comps in kinds:
+            pair = WittVec(ctx, comps[:3]), WittVec(ctx, comps[3:])
+            assert shapes(witt_ops(*pair)) == shapes(table_ops(*pair))
 
 
 class TestSharedPSeqMinusP:
@@ -362,8 +467,8 @@ class TestSharedPSeqMinusP:
 #: sha256 of report.elem_to_json over the quotient components of
 #: divide_by_p_seq_minus_p((p-root sequence - p) * w), with w made of
 #: the sequences x + y, x * y, x, y cut to the Witt length, per
-#: (p, degree, length, depth).  Recorded from the multiply-out paths,
-#: which the characteristic-p fast paths reproduce byte for byte.
+#: (p, degree, length, depth).  Recorded from the universal-polynomial
+#: paths, which the ghost recursion reproduces byte for byte.
 WITT_PATH_DIGESTS = {
     (5, 3, 2, 4): "0e43a720555095f5525177f2aa0b7ffb04b0463a764b176dbc67d2866d48a02b",
     (2, 3, 4, 7): "1e6bc4c8feb415fbe2c235adfd0738952ff1300db7c57f4141c79939f0c86714",
