@@ -80,16 +80,15 @@ def main(argv: list[str] | None = None) -> int:
         return _emit(rep, args.format)
 
     if args.command == "eval":
+        # a coefficient past Python's int-to-str digit limit is unusable
+        # input too: terms_to_json raises ValueError naming the limit
         try:
             elem = parse_expr(args.expr, args.p, args.degree)
+            num_terms = report.terms_to_json(elem.num.terms)
         except (ParseError, ValueError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
-        out: dict = {
-            "level": elem.level,
-            "denom_exp": elem.denom_exp,
-            "num_terms": report.terms_to_json(elem.num.terms),
-        }
+        out: dict = {"level": elem.level, "denom_exp": elem.denom_exp, "num_terms": num_terms}
         status = 0
         if args.check_closure:
             if args.mmax < 0:
@@ -121,12 +120,13 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
     if args.command == "revalidate":
-        # unreadable file, invalid JSON and malformed reports all land here
+        # unreadable file, invalid or too deeply nested JSON and
+        # malformed reports all land here
         try:
             with open(args.report, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             rep = report.revalidate_report(data)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
         return _emit(rep, args.format)

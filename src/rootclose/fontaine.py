@@ -24,7 +24,6 @@ from .closure import (
     NotMember,
     aligned,
     as_local,
-    certified_pi_factor,
     membership,
 )
 from .tower import NotDivisibleError, TowerCtx, TowerElem, context
@@ -347,8 +346,7 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
     s: list[LocalElem] = []
     for n in range(N + 1):
         rep = as_local(e.comps[n])
-        level = rep.level
-        jn = p ** (level - n)  # PI at slot n, written at the component's level
+        jn = p ** (rep.level - n)  # PI at slot n, written at the component's level
         if not certified:
             try:
                 s.append(LocalElem(rep.num.pi_divide(jn)))
@@ -361,12 +359,9 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
             s.append(cand)
             trace.factors.append(None)
             continue
-        if rep.is_integral and level == n:
-            cert = certified_pi_factor(rep.num)
-        else:
-            cert = membership(cand, m_max)
-            if isinstance(cert, NotMember):
-                raise SequenceDivisionError(n)
+        cert = membership(cand, m_max)
+        if isinstance(cert, NotMember):
+            raise SequenceDivisionError(n)
         s.append(cert.elem)
         trace.factors.append(cert)
 

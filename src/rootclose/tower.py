@@ -359,7 +359,8 @@ class TowerElem:
         PI^a, a >= r, moves to PI^(a - r) and its coefficient is divided
         by p^q; one with a < r wraps to PI^(a - r + p^level), one carry
         more, and is divided by p^(q + 1).  The shift is a bijection on
-        PI exponents, so no two terms meet.  With a coefficient modulus
+        PI exponents, so no two terms meet.  A refusal names the least
+        term whose coefficient fails its test.  With a coefficient modulus
         the divisibility answer is exact when the modulus lies in
         (PI^j), and the quotient keeps the modulus of its representative.
         """
@@ -380,23 +381,10 @@ class TowerElem:
                 quo, rem = divmod(v, pq * p)
                 key = (a - r + pn, b, c)
             if rem:
-                raise NotDivisibleError(self._pi_refusal(q, r))
+                bad = (m for m, w in self.terms.items() if w % (pq if m[0] >= r else pq * p))
+                raise NotDivisibleError(min(bad))
             out[key] = quo
         return self._new(out)
-
-    def _pi_refusal(self, q: int, r: int) -> Monomial:
-        """The monomial that refuses division by PI^(q * p^level + r), as
-        dividing by p^q and then by PI one step at a time meets it: the
-        least term whose coefficient p^q does not divide; else, among the
-        wrapping terms (a < r) that fail the one extra p, those with the
-        least a fail first, at the bottom slot (0, b, c), least (b, c)."""
-        p = self.ctx.p
-        pq = p**q
-        bad = [m for m, v in self.terms.items() if v % pq]
-        if bad:
-            return min(bad)
-        _, b, c = min(m for m, v in self.terms.items() if m[0] < r and v % (pq * p))
-        return (0, b, c)
 
     def pi_valuation(self, bound: int) -> int:
         """min(bound, v_PI(self)): the largest j <= bound with PI^j

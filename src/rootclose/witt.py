@@ -3,7 +3,7 @@
 Arithmetic runs through the ghost map.  A component ring R_n/p (F_p
 residues at one tower level) has the lift R_n, free over Z on the
 normal-form monomials and so without p-torsion; over it the ghost map
-is injective, and coordinate k of a sum, product or negative is solved
+is injective, and coordinate k of a sum, product or difference is solved
 in R_n/p^(k+1) from the ghost components (Hazewinkel, "Witt vectors.
 Part 1", arXiv:0804.3888).  Plain sequences run that recursion once per
 sequence index, integers and tower elements over Z run it exactly.
@@ -163,15 +163,16 @@ def evaluate(poly: SPoly, vals) -> object:
 # A component ring A here has a lift B with B/p = A and no p-torsion:
 # Z for itself, R_n (free over Z on the normal-form monomials) for
 # R_n/p.  The ghost map w_k(x) = sum_(i<=k) p^i x_i^(p^(k-i)) is
-# injective over B, so coordinate k of x + y, x * y or -x solves
+# injective over B, so coordinate k of x + y, x * y or x - y solves
 #
 #     p^k c_k = G_k - sum_(j<k) p^j c_j^(p^(k-j)),
 #
-# with G_k = w_k(x) + w_k(y), w_k(x) * w_k(y) or -w_k(x).  Over F_p any
-# lift of each coordinate will do modulo p^(k+1), because u = v (mod p)
-# implies u^(p^e) = v^(p^e) (mod p^(e+1)): a coordinate needs only its
-# chain v^(p^e) mod p^(e+1) = (v^(p^(e-1)) mod p^e)^p.  Over Z (ints and
-# tower elements over Z) the same recursion runs exactly.
+# with G_k = w_k(x) + w_k(y), w_k(x) * w_k(y) or w_k(x) - w_k(y); -x is
+# 0 - x.  Over F_p any lift of each coordinate will do modulo p^(k+1),
+# because u = v (mod p) implies u^(p^e) = v^(p^e) (mod p^(e+1)): a
+# coordinate needs only its chain v^(p^e) mod p^(e+1) =
+# (v^(p^(e-1)) mod p^e)^p.  Over Z (ints and tower elements over Z) the
+# same recursion runs exactly.
 _INTEGER, _EXACT, _RESIDUE, _SEQUENCE = "integer", "Z-tower", "residue", "sequence"
 
 
@@ -209,8 +210,8 @@ def _modulus(zero: TowerElem, e: int) -> int | None:
 
 
 def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
-    """Coordinates of x op y (op one of + * -; ys empty for -x) in one
-    ring of F_p residues, or exactly in one tower ring over Z."""
+    """Coordinates of x op y (op one of + * -) in one ring of F_p
+    residues, or exactly in one tower ring over Z."""
     n = len(xs)
     zero = xs[0].zero_like()
     ctx = zero.ctx
@@ -244,8 +245,8 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
             gx, gy = (TowerElem(ctx, ghost({}, c[: k + 1], k), mod) for c in (x_chains, y_chains))
             acc = {} if gx.is_zero or gy.is_zero else dict((gx * gy).terms)
         else:
-            acc = ghost({}, x_chains[: k + 1], k, 1 if op == "+" else -1)
-            ghost(acc, y_chains[: k + 1], k)
+            acc = ghost({}, x_chains[: k + 1], k)
+            ghost(acc, y_chains[: k + 1], k, 1 if op == "+" else -1)
         rest = TowerElem(ctx, ghost(acc, out_chains, k, -1), mod)
         # rest = p^k c_k exactly, so its division by p^k has no remainder
         c = TowerElem(ctx, _poly_div_exact(rest.terms, p**k), zero.coeff_mod, _normal=True)
@@ -254,42 +255,21 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
     return out
 
 
-def _at_level(c: TowerElem, level: int) -> TowerElem:
-    """``c``, an embedding of an element of ``level``, written at that
-    level: ``embed`` multiplies every exponent by p^(c.level - level)
-    and is injective on monomials, so dividing them back is exact."""
-    f = c.ctx.p ** (c.level - level)
-    if f == 1:
-        return c
-    terms = {}
-    for (a, b, d), v in c.terms.items():
-        if a % f or b % f or d % f:
-            raise ArithmeticError(f"monomial {(a, b, d)} is not at level {level} (bug)")
-        terms[a // f, b // f, d // f] = v
-    return TowerElem(c.ctx.at_level(level), terms, c.coeff_mod, _normal=True)
-
-
 def _sequence_op(op: str, xs, ys, p: int) -> list:
     """Coordinates of x op y over plain sequences.  Their arithmetic is
     componentwise, so index j runs the residue recursion on the index-j
-    components.  Coordinate k reads coordinates 0..k of the operands,
-    zero ones included: it takes their least depth and, at each index,
-    their deepest level, computed at the deepest level of the index."""
-    operands = (xs, ys) if ys else (xs,)
-    depths = list(accumulate((min(v[k].depth for v in operands) for k in range(len(xs))), min))
+    components, at the deepest level among those it reads, and every
+    result component at index j stays at that level.  Coordinate k
+    reads coordinates 0..k of the operands, zero ones included, so it
+    takes their least depth."""
+    depths = list(accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min))
     comps: list[list] = [[] for _ in xs]
     for j in range(depths[0] + 1):
         m = sum(d >= j for d in depths)
-        levels = list(
-            accumulate((max(v[k].comps[j].level for v in operands) for k in range(m)), max)
-        )
-
-        def index_j(v):
-            return [c.comps[j].embed(levels[-1]) for c in v[:m]]
-
-        got = _lifted_op(op, index_j(xs), index_j(ys), p)
-        for k, level in enumerate(levels):
-            comps[k].append(_at_level(got[k], level))
+        level = max(c.comps[j].level for c in (*xs[:m], *ys[:m]))
+        index_j = ([c.comps[j].embed(level) for c in v[:m]] for v in (xs, ys))
+        for k, c in enumerate(_lifted_op(op, *index_j, p)):
+            comps[k].append(c)
     return [FontaineElem(c, PLAIN) for c in comps]
 
 
@@ -371,12 +351,13 @@ class WittVec:
         return WittVec(self.ctx, _ghost_op("*", self.comps, other.comps, self.ctx.p))
 
     def __neg__(self):
-        return WittVec(self.ctx, _ghost_op("-", self.comps, (), self.ctx.p))
+        return WittVec(self.ctx, map(_zero_like, self.comps)) - self
 
     def __sub__(self, other):
         if not isinstance(other, WittVec):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return WittVec(self.ctx, _ghost_op("-", self.comps, other.comps, self.ctx.p))
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):

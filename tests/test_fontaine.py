@@ -292,6 +292,15 @@ class TestDivision:
         P_deep = FontaineElem([c.embed(3) for c in P.comps], CERTIFIED)
         assert (P_deep.truncate(2) * quotient).equals(deep.truncate(2), m_max=5)
 
+    def test_certified_component_without_certificate_fails_at_its_index(self):
+        # component 1 is X at level 1: X / PI has no certificate at any
+        # exponent, so step 1 refuses it like any other component
+        _, X, _ = gens(depth=2, closure=CERTIFIED)
+        e = FontaineElem([X.comps[0].zero_like(), *X.comps[1:]], CERTIFIED)
+        with pytest.raises(SequenceDivisionError) as err:
+            divide_by_p_seq(e)
+        assert err.value.index == 1
+
     def test_depth_zero_rejected(self):
         P, _, _ = gens(0)
         with pytest.raises(DepthExhaustedError):

@@ -1,11 +1,12 @@
 import copy
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
-from rootclose import cli, report
+from rootclose import cli, closure, report
 from rootclose.fontaine import PLAIN, UndeterminedCongruenceError
 
 
@@ -116,9 +117,19 @@ class TestDeterminism:
         assert again.to_json() == example_report.to_json()
 
     @pytest.mark.parametrize("name", EXAMPLE_DIGESTS)
-    def test_example_bytes_match_the_recorded_digest(self, name, example_report):
+    def test_example_bytes_match_the_recorded_digest(self, name, monkeypatch):
+        # with certified_pi_factor refused: the division certifies step 1
+        # through membership alone
+        original = closure.certified_pi_factor
+
+        def refuse(a):
+            raise AssertionError("certified_pi_factor was called")
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("rootclose") and vars(mod).get("certified_pi_factor") is original:
+                monkeypatch.setattr(mod, "certified_pi_factor", refuse)
         overrides, digest = EXAMPLE_DIGESTS[name]
-        rep = report.run_example_suite(cfg(**overrides)) if overrides else example_report
+        rep = report.run_example_suite(cfg(**overrides))
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
     def test_first_w4_report_matches_the_recorded_digest(self):
@@ -410,6 +421,18 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no int-to-str digit limit",
+    )
+    def test_eval_unprintable_coefficient_exits_two(self, capsys):
+        # Y^3000 at p = 31 has a coefficient past the int-to-str limit
+        assert cli.main(["eval", "y^3000", "--p", "31"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "limit" in out.err
+
     def test_revalidate_roundtrip(self, tmp_path, example_report, capsys):
         path = tmp_path / "report.json"
         path.write_text(example_report.to_json())
@@ -441,6 +464,7 @@ class TestCli:
             _report_text(_example_checks("base_residue_vanishes", details={"residues": [{}]})),
             _report_text(_example_checks("plain_division_fails", details=[])),
             '{"config": [], "checks": []}',
+            "[" * 100_000 + "]" * 100_000,
         ],
         ids=[
             "missing-file",
@@ -456,6 +480,7 @@ class TestCli:
             "residue-without-elem",
             "details-list",
             "config-list",
+            "deep-nesting",
         ],
     )
     def test_revalidate_unusable_input_exits_two(self, tmp_path, capsys, content):

@@ -403,6 +403,15 @@ def pi_divide_off_by_one(x, j):
     return TowerElem(x.ctx, out, x.coeff_mod)
 
 
+def refusing_terms(x, j):
+    """Terms of x whose coefficient fails division by PI^j, with
+    j = q * p^level + r: p^q must divide it when the term's PI exponent
+    is at least r, and p^(q + 1) when the term wraps."""
+    p, pn = x.ctx.p, x.ctx.pi_order
+    q, r = divmod(j, pn)
+    return [m for m, v in x.terms.items() if v % p ** (q if m[0] >= r else q + 1)]
+
+
 def division_outcome(divide, x, j):
     try:
         return divide(x, j)
@@ -431,11 +440,16 @@ class TestOnePassPiDivision:
 
     @given(case=pi_division_cases())
     @settings(max_examples=150, deadline=None)
-    def test_agrees_with_stepwise(self, case):
+    def test_agrees_with_stepwise_and_names_least_refusing_term(self, case):
+        # the same quotient, or a refusal by both; one-pass names the
+        # least term of x that fails its coefficient test
         x, j = case
-        assert division_outcome(TowerElem.pi_divide, x, j) == division_outcome(
-            pi_divide_stepwise, x, j
-        )
+        got = division_outcome(TowerElem.pi_divide, x, j)
+        want = division_outcome(pi_divide_stepwise, x, j)
+        if isinstance(want, TowerElem):
+            assert got == want
+        else:
+            assert got == min(refusing_terms(x, j))
 
     @given(case=pi_division_cases())
     @settings(max_examples=100, deadline=None)

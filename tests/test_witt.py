@@ -320,15 +320,28 @@ def table_ops(x, y):
     return apply(sums, x, y), apply(prods, x, y), neg(x), apply(sums, x, neg(y))
 
 
+def lowest_level(c):
+    """A sequence component written at the lowest level at which all
+    its exponents are integral: ``embed`` multiplies every exponent by
+    p per level, so this form does not depend on the level it was
+    written at."""
+    p, level, terms = c.ctx.p, c.level, sorted(c.terms.items())
+    while level and all(e % p == 0 for mono, _ in terms for e in mono):
+        level -= 1
+        terms = [(tuple(e // p for e in mono), v) for mono, v in terms]
+    return level, c.coeff_mod, terms
+
+
 def shape(vec):
-    """Terms, levels and depths of every coordinate; ``==`` cannot see
-    levels, because sequence comparison aligns them first."""
+    """Terms, moduli and depths of every coordinate.  A ring of residues
+    keeps its level; a sequence component is read at ``lowest_level``,
+    since the level it is written at is not part of its value."""
 
     def one(c):
         if isinstance(c, int):
             return c
         if isinstance(c, FontaineElem):
-            return c.depth, c.mode, [one(r) for r in c.comps]
+            return c.depth, c.mode, [lowest_level(r) for r in c.comps]
         return c.level, c.coeff_mod, sorted(c.terms.items())
 
     return [one(c) for c in vec.comps]
@@ -385,9 +398,34 @@ class TestGhostArithmetic:
         got = [shapes(witt_ops(WittVec(ctx, c[:4]), WittVec(ctx, c[4:]))) for c in cases]
         assert got == want
 
-    def test_coordinate_takes_least_depth_and_deepest_level(self):
+    def test_difference_and_negative_take_one_ghost_pass(self, monkeypatch):
+        rng = random.Random(7)
+        base = TowerCtx(3, 1, 2, QUOTIENT)
+        ctx = WittCtx(3, 3)
+        cases = [
+            [_residue_coord(rng, base) for _ in range(6)],
+            [_sequence_coord(rng, 3, 2) for _ in range(6)],
+            [rng.randint(-9, 9) for _ in range(6)],
+        ]
+        pairs = [(WittVec(ctx, c[:3]), WittVec(ctx, c[3:])) for c in cases]
+        want = [(shape(x + (-y)), shape(table_ops(x, y)[2])) for x, y in pairs]
+        ghost_op, ops = witt._ghost_op, []
+
+        def counted(op, xs, ys, p):
+            ops.append(op)
+            return ghost_op(op, xs, ys, p)
+
+        monkeypatch.setattr(witt, "_ghost_op", counted)
+        for (x, y), (diff, neg) in zip(pairs, want):
+            assert shape(x - y) == diff and ops == ["-"]
+            assert shape(-x) == neg and ops == ["-", "-"]
+            ops.clear()
+
+    def test_coordinate_takes_least_depth_and_index_deepest_level(self):
         # coordinate k reads coordinates 0..k of each operand, zero ones
-        # included, and nothing later
+        # included, and nothing later; index j is computed once, for
+        # every coordinate deep enough to have it, at the deepest level
+        # of the index-j components it reads, and stays there
         for seed in range(6):
             rng = random.Random(seed)
             ctx = WittCtx(3, 3)
@@ -397,8 +435,10 @@ class TestGhostArithmetic:
                 for k, coord in enumerate(got.comps):
                     read = [v.comps[i] for v in operands for i in range(k + 1)]
                     assert coord.depth == min(c.depth for c in read)
-                    for j, comp in enumerate(coord.comps):
-                        assert comp.level == max(c.comps[j].level for c in read)
+                for j in range(got.comps[0].depth + 1):
+                    at_j = [coord.comps[j] for coord in got.comps if coord.depth >= j]
+                    read = [v.comps[i].comps[j] for v in operands for i in range(len(at_j))]
+                    assert {c.level for c in at_j} == {max(c.level for c in read)}
 
     @pytest.mark.parametrize("kind", ["certified sequence", "residue mod 25"])
     def test_refuses_rings_with_p_torsion(self, kind):
