@@ -275,12 +275,12 @@ def theta(e: FontaineElem, precision: int) -> TowerElem:
 
 
 def _pow_p_mod_pR(t: LocalElem) -> LocalElem:
-    """t^p modulo p * R: the p-th power division step 4 compares.
+    """t^p modulo p * R: the power the quotient-compatibility step compares.
 
     With t = num / PI^k, j = p * k and M = 1 + ceil(j / p^level), p^M =
     p * PI^((M - 1) * p^level) lies in p * PI^j, so num^p modulo p^M,
     put over PI^j, differs from t^p by an element of p * R.  Two facts
-    make this exact for step 4:
+    make this exact for that step:
 
     - x = y mod p^s (s >= 1) implies x^p = y^p mod p^(s + 1), so num
       modulo p^(M - 1) determines num^p modulo p^M (M = 1: num is kept);
@@ -303,7 +303,7 @@ def divide_by_p_seq(e: FontaineElem) -> FontaineElem:
 @dataclass(frozen=True)
 class DivisionTrace:
     """Certificates of a sequence division, None where a step is exact:
-    ``factors[n]`` for step 1 (n = 0..N), ``compat[n - 1]`` for step 4.
+    ``factors[n]`` for s_n (n = 0..N), ``compat[n - 1]`` for t_(n-1), t_n.
 
     Quotient component n is t_n = s_(n+1)^p, so its certificate follows
     from ``factors[n + 1]``: exponent max(m - 1, 0), because
@@ -321,14 +321,15 @@ class DivisionTrace:
 def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace]:
     """Divide by the sequence of p-power roots of p, constructively.
 
-    Steps: (1) factor each component exactly, or with a closure
-    certificate in certified mode; (2) square the factors down one slot
-    (t_n = s_{n+1}^p); (3) verify the approximation order
-    s_{n+1}^p = s_n up to the expected PI power; (4) verify the
-    quotient sequence is compatible modulo p * closure (in plain mode
-    step 3 puts t_n^p - t_{n-1} in p * R, so m = 0); (5) assert that
-    the product with the p-root sequence gives back the input, one
-    depth lower.  Searches stop at ``default_m_max(depth)``.
+    Steps: (1) factor each component, s_n = r_n / PI_n, exactly or, in
+    certified mode, with a closure certificate; (2) square the factors
+    down one slot (t_n = s_{n+1}^p); (3) the roundtrip: PI_n * t_n gives
+    back r_n, one depth lower; (4) the quotient sequence is compatible
+    modulo p * closure.  As PI_n = PI_(n+1)^p, PI_n * t_n = r_(n+1)^p:
+    step 3 reads r_(n+1)^p = r_n modulo p * R in plain mode (then
+    t_n^p - t_(n-1) lies in p * R, and step 4 finds m = 0) and modulo
+    p * closure in certified mode, the ring the quotient lives in.
+    Searches stop at ``default_m_max(depth)``.
     """
     N = e.depth
     if N < 1:
@@ -347,39 +348,31 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
     for n in range(N + 1):
         rep = as_local(e.comps[n])
         jn = p ** (rep.level - n)  # PI at slot n, written at the component's level
-        if not certified:
-            try:
-                s.append(LocalElem(rep.num.pi_divide(jn)))
-            except NotDivisibleError as exc:
-                raise SequenceDivisionError(n, exc.monomial) from exc
-            trace.factors.append(None)
-            continue
         cand = LocalElem(rep.num, rep.denom_exp + jn)
-        if cand.denom_exp == 0:
-            s.append(cand)
-            trace.factors.append(None)
-            continue
-        cert = membership(cand, m_max)
-        if isinstance(cert, NotMember):
-            raise SequenceDivisionError(n)
-        s.append(cert.elem)
+        cert = None
+        if not cand.is_integral:
+            if not certified:  # refused, at the monomial pi_divide names
+                try:
+                    rep.num.pi_divide(jn)
+                except NotDivisibleError as exc:
+                    raise SequenceDivisionError(n, exc.monomial) from exc
+            cert = membership(cand, m_max)
+            if isinstance(cert, NotMember):
+                raise SequenceDivisionError(n)
+        s.append(cand)
         trace.factors.append(cert)
 
     # step 2: shift the factors down by squaring to the p-th power
     t = [s[n + 1] ** p for n in range(N)]
 
-    # step 3: s_{n+1}^p = s_n + PI^(p^L - p^(L-n)) * v with v integral
+    # step 3: the roundtrip PI_n * t_n = r_n
     for n in range(N):
-        a, b = aligned(t[n], s[n])
-        diff, level = a - b, a.level
-        exponent = p**level - p ** (level - n)
-        if exponent and not diff.is_zero:
-            try:
-                diff.num.pi_divide(diff.denom_exp + exponent)
-            except NotDivisibleError as exc:
-                raise CertificateSearchError(
-                    f"approximation order failed at component {n}: {exc}"
-                ) from exc
+        prod = t[n] * TowerElem.monomial(t[n].ctx, p ** (t[n].level - n), 0, 0)
+        if not prod.is_integral:
+            raise CertificateSearchError(f"roundtrip product not integral at component {n}")
+        got = prod if certified else prod.num.reduce_mod_p()
+        if not _comp_equal(got, e.comps[n], n, m_max):
+            raise CertificateSearchError(f"roundtrip mismatch at component {n}")
 
     # step 4: the quotient sequence is itself compatible
     for n in range(1, N):
@@ -393,17 +386,5 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
             raise CertificateSearchError(f"quotient compatibility failed at component {n}")
         trace.compat.append(cert)
 
-    # step 5: components of the quotient, with the roundtrip assertion
-    out: list[Component] = []
-    for n in range(N):
-        level = t[n].level
-        pi_n = TowerElem.monomial(t[n].ctx, p ** (level - n), 0, 0)
-        prod = t[n] * pi_n
-        if not prod.is_integral:
-            raise CertificateSearchError(f"roundtrip product not integral at component {n}")
-        got = prod if certified else prod.num.reduce_mod_p()
-        if not _comp_equal(got, e.comps[n], n, m_max):
-            raise CertificateSearchError(f"roundtrip mismatch at component {n}")
-        out.append(t[n] if certified else t[n].num.reduce_mod_p())
-
+    out = t if certified else [x.num.reduce_mod_p() for x in t]
     return FontaineElem(out, e.mode), trace

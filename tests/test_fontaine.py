@@ -2,7 +2,7 @@ import operator
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from rootclose import fontaine
@@ -309,22 +309,83 @@ class TestDivision:
     @given(e=kernel_elems())
     @settings(max_examples=40, deadline=None)
     def test_plain_division_needs_no_closure_exponent(self, e):
-        # step 1 factors residues exactly, and step 3 leaves each step-4
-        # difference in p * R, so its certificate has m = 0
+        # step 1 factors residues exactly, and the roundtrip (step 3) leaves
+        # each step-4 difference in p * R, so its certificate has m = 0
         _, trace = divide_by_p_seq_traced(e)
         assert trace.factors == [None] * (e.depth + 1)
         assert all(c.m == 0 for c in trace.compat if c is not None)
 
-    def test_incompatible_plain_sequence_fails_the_approximation_order(self):
+    def test_incompatible_plain_sequence_fails_the_roundtrip(self, monkeypatch):
         # negative control: [0, PI_1 X, PI_2 Y] has base residue 0, but
-        # (PI_2 Y / PI_2)^p = Y^p is not X up to PI_2^20
+        # PI_1 * (PI_2 Y / PI_2)^p = PI_1 Y^p is not PI_1 X modulo p; the
+        # roundtrip refuses it before any certificate search runs
         comps = [
             TowerElem.zero(context(5, 0, 3, QUOTIENT), 5),
             TowerElem.monomial(context(5, 1, 3, QUOTIENT), 1, 1, 0, coeff_mod=5),
             TowerElem.monomial(context(5, 2, 3, QUOTIENT), 1, 0, 1, coeff_mod=5),
         ]
-        with pytest.raises(CertificateSearchError, match="approximation order"):
-            divide_by_p_seq(FontaineElem(comps, PLAIN))
+        e = FontaineElem(comps, PLAIN)
+        with pytest.raises(CertificateSearchError, match="roundtrip mismatch at component 1"):
+            divide_by_p_seq(e)
+
+        def no_search(*args):
+            raise AssertionError("a certificate search ran")
+
+        monkeypatch.setattr(fontaine, "membership", no_search)
+        with pytest.raises(CertificateSearchError, match="roundtrip mismatch at component 1"):
+            divide_by_p_seq(e)
+
+    def test_certified_input_is_read_modulo_p_closure(self):
+        # z = PI^4 (X^3 + Y^3) at level 1 has z / p = u_1 / PI - PI^2 in
+        # the closure but not in R: eta + [0, z, 0, 0] divides like eta,
+        # though two residues still compare exactly
+        eta = cube_sum(closure=CERTIFIED)
+        ctx1 = context(5, 1, 3, QUOTIENT)
+        z = TowerElem(ctx1, {(4, 3, 0): 1, (4, 0, 3): 1}, 5)
+        bump = [z if i == 1 else c.zero_like() for i, c in enumerate(eta.comps)]
+        bumped = eta + FontaineElem(bump, CERTIFIED)
+        assert not bumped.equals(eta)
+        quotient, trace = divide_by_p_seq_traced(bumped)
+        want, want_trace = divide_by_p_seq_traced(eta)
+        assert quotient.equals(want, m_max=5)
+
+        def exponents(trace):  # factors, then compat; None reads as 0
+            return [0 if c is None else c.m for c in trace.factors + trace.compat]
+
+        assert exponents(trace) == exponents(want_trace) == [0, 1, 2, 3, 0, 0]
+
+
+def _roundtrip_identity_holds(e, off=0) -> bool:
+    """Does PI_n * t_n equal r_(n+1)^p exactly at every slot n?  Here
+    s_(n+1) = r_(n+1) / PI_(n+1) and t_n = s_(n+1)^p, as the division
+    builds them, and ``off`` is added to the exponent of PI_n.  The
+    division's quotient must be t (plain mode: t modulo p)."""
+    quotient = divide_by_p_seq(e)
+    p = e.family.p
+    for n, got in enumerate(quotient.comps):
+        r = as_local(e.comps[n + 1])
+        t = LocalElem(r.num, r.denom_exp + p ** (r.level - n - 1)) ** p
+        assert got == (t if e.mode == CERTIFIED else t.num.reduce_mod_p())
+        if t * TowerElem.monomial(t.ctx, p ** (t.level - n) + off, 0, 0) != r**p:
+            return False
+    return True
+
+
+@given(e=kernel_elems(modes=(PLAIN, CERTIFIED)))
+@settings(max_examples=40, deadline=None)
+def test_roundtrip_product_is_the_next_component_to_the_p(e):
+    """The identity behind the division's roundtrip step: PI_n = PI_(n+1)^p,
+    so PI_n * s_(n+1)^p = (PI_(n+1) * s_(n+1))^p = r_(n+1)^p."""
+    assert _roundtrip_identity_holds(e)
+
+
+def test_roundtrip_identity_fails_with_the_pi_exponent_one_off():
+    # negative control: PI_n * PI * t_n is not r_(n+1)^p on some draw
+    find(
+        kernel_elems(modes=(PLAIN, CERTIFIED)),
+        lambda e: not _roundtrip_identity_holds(e, off=1),
+        settings=settings(derandomize=True, database=None, max_examples=40),
+    )
 
 
 @st.composite

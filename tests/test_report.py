@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from rootclose import cli, closure, report
+from rootclose import cli, closure, fontaine, report, witt
+from rootclose.closure import CertificateSearchError
 from rootclose.fontaine import PLAIN, UndeterminedCongruenceError
 
 
@@ -37,6 +38,10 @@ def _example_checks(name=None, **record):
 
 CERT_KEYS = {"m", "denom_exp", "level", "ring", "num_terms"}
 
+#: A residue at level 10**7, far above any report's depth: reading its
+#: terms would compute p**level.
+FAR_ELEM = {"level": 10**7, "ring": "quotient", "terms": [[0, 0, 0, "1"]]}
+
 
 class TestExampleSuite:
     def test_default_config_passes(self, example_report):
@@ -60,6 +65,35 @@ class TestExampleSuite:
         assert by_name["certified_division"] == "fail"
         assert by_name["plain_division_fails"] == "pass"
         assert not rep.ok
+
+    def test_a_failed_division_fails_its_check_and_the_example(self, monkeypatch, capsys):
+        # the check records what the division decided: it raises unless
+        # P * quotient gives eta back, so no product is taken again
+        divide = fontaine.divide_by_p_seq_traced
+
+        def mismatch(e):
+            if e.mode == PLAIN:
+                return divide(e)
+            raise CertificateSearchError("roundtrip mismatch at component 1")
+
+        monkeypatch.setattr(fontaine, "divide_by_p_seq_traced", mismatch)
+        rep = report.run_example_suite(cfg(depth=2))
+        failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
+        assert failed == {
+            "certified_division": {"error": "CertificateSearchError: roundtrip mismatch at component 1"}
+        }
+        assert cli.main(["example", "--depth", "2", "--no-timestamp"]) == 1
+        assert "[fail] certified_division" in capsys.readouterr().out
+
+    def test_a_dividend_outside_the_kernel_fails_the_witt_check(self, monkeypatch):
+        # the check records what the division decided: it opens with the
+        # theta test and raises HypothesisNotMetError when it fails
+        theta = witt.witt_theta
+        monkeypatch.setattr(witt, "witt_theta", lambda x, precision: theta(x, precision) + 1)
+        rep = report.run_example_suite(cfg(depth=2))
+        failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
+        assert list(failed) == ["witt_division_roundtrip"]
+        assert failed["witt_division_roundtrip"]["error"].startswith("HypothesisNotMetError: ")
 
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -465,6 +499,12 @@ class TestCli:
             _report_text(_example_checks("plain_division_fails", details=[])),
             '{"config": [], "checks": []}',
             "[" * 100_000 + "]" * 100_000,
+            _report_text(
+                _example_checks(
+                    "base_residue_vanishes",
+                    details={"residues": [{"elem": FAR_ELEM, "expect_zero": False}]},
+                )
+            ),
         ],
         ids=[
             "missing-file",
@@ -481,6 +521,7 @@ class TestCli:
             "details-list",
             "config-list",
             "deep-nesting",
+            "residue-level-above-depth",
         ],
     )
     def test_revalidate_unusable_input_exits_two(self, tmp_path, capsys, content):
@@ -578,6 +619,7 @@ class TestCli:
             ({"denom_exp": -1}, "denom_exp"),
             ({"level": 1.0}, "level"),
             ({"level": -1}, "level"),
+            ({"level": 10**7}, "level"),
             ({"ring": "banana"}, "ring"),
             ({"witness_terms": []}, "witness_terms"),
             ({"num_terms": None}, "num_terms"),
@@ -602,6 +644,7 @@ class TestCli:
             "negative-denom-exp",
             "float-level",
             "negative-level",
+            "level-above-depth",
             "unknown-ring",
             "old-format-witness",
             "drop-num-terms",
@@ -667,8 +710,22 @@ class TestCli:
     @pytest.mark.parametrize("name", list(RESIDUE_AT))
     @pytest.mark.parametrize(
         "key, value",
-        [("level", True), ("level", 1.0), ("level", -1), ("level", "1"), ("ring", "banana")],
-        ids=["bool-level", "float-level", "negative-level", "string-level", "unknown-ring"],
+        [
+            ("level", True),
+            ("level", 1.0),
+            ("level", -1),
+            ("level", "1"),
+            ("level", 10**7),
+            ("ring", "banana"),
+        ],
+        ids=[
+            "bool-level",
+            "float-level",
+            "negative-level",
+            "string-level",
+            "level-above-depth",
+            "unknown-ring",
+        ],
     )
     def test_revalidate_refuses_a_residue_level_or_ring(
         self, tmp_path, capsys, depth2_report, name, key, value
