@@ -15,8 +15,6 @@ certificate search that never silently passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import (
     CertificateSearchError,
     ClosureCert,
@@ -274,61 +272,39 @@ def theta(e: FontaineElem, precision: int) -> TowerElem:
     return last.lift().pow_mod(p**e.depth, p**precision)
 
 
-def _pow_p_mod_pR(t: LocalElem) -> LocalElem:
-    """t^p modulo p * R: the power the quotient-compatibility step compares.
-
-    With t = num / PI^k, j = p * k and M = 1 + ceil(j / p^level), p^M =
-    p * PI^((M - 1) * p^level) lies in p * PI^j, so num^p modulo p^M,
-    put over PI^j, differs from t^p by an element of p * R.  Two facts
-    make this exact for that step:
-
-    - x = y mod p^s (s >= 1) implies x^p = y^p mod p^(s + 1), so num
-      modulo p^(M - 1) determines num^p modulo p^M (M = 1: num is kept);
-    - R is contained in the root closure, and the closure is a ring, so
-      adding p * z with z in R leaves "delta lies in p * closure" as it
-      is; a certificate with m = 0 (delta / p in R) stays at m = 0.
-    """
-    p = t.ctx.p
-    j = p * t.denom_exp
-    M = 1 + -(-j // t.ctx.pi_order)
-    num = t.num if M == 1 else t.num.reduce_coeffs(p ** (M - 1)).lift()
-    return LocalElem(num.pow_mod(p, p**M).lift(), j)
-
-
 def divide_by_p_seq(e: FontaineElem) -> FontaineElem:
     quotient, _ = divide_by_p_seq_traced(e)
     return quotient
 
 
-@dataclass(frozen=True)
-class DivisionTrace:
-    """Certificates of a sequence division, None where a step is exact:
-    ``factors[n]`` for s_n (n = 0..N), ``compat[n - 1]`` for t_(n-1), t_n.
-
-    Quotient component n is t_n = s_(n+1)^p, so its certificate follows
-    from ``factors[n + 1]``: exponent max(m - 1, 0), because
-    (s^p)^(p^(m-1)) = s^(p^m); when the factor is exact or has m = 0,
-    t_n is integral.
-
-    ``compat[n - 1]`` certifies delta / p, where delta is t_n^p - t_(n-1)
-    with t_n^p taken modulo p * R (``_pow_p_mod_pR``): a checker that
-    holds the quotient can rebuild delta from t_n and t_(n-1)."""
-
-    factors: list[ClosureCert | None]
-    compat: list[ClosureCert | None]
-
-
-def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace]:
+def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureCert | None]]:
     """Divide by the sequence of p-power roots of p, constructively.
 
-    Steps: (1) factor each component, s_n = r_n / PI_n, exactly or, in
-    certified mode, with a closure certificate; (2) square the factors
-    down one slot (t_n = s_{n+1}^p); (3) the roundtrip: PI_n * t_n gives
-    back r_n, one depth lower; (4) the quotient sequence is compatible
-    modulo p * closure.  As PI_n = PI_(n+1)^p, PI_n * t_n = r_(n+1)^p:
-    step 3 reads r_(n+1)^p = r_n modulo p * R in plain mode (then
-    t_n^p - t_(n-1) lies in p * R, and step 4 finds m = 0) and modulo
-    p * closure in certified mode, the ring the quotient lives in.
+    Three steps: (1) factor each component, s_n = r_n / PI_n, exactly or,
+    in certified mode, with a closure certificate; (2) shift the factors
+    down one slot, t_n = s_(n+1)^p; (3) the roundtrip: PI_n * t_n gives
+    back r_n for n = 1..N-1, modulo p * R in plain mode and modulo
+    p * closure in certified mode.  Returns the quotient t_0..t_(N-1)
+    and the factor certificates, ``factors[n]`` for s_n and None where
+    the factor is exact.  Quotient component n is certified by
+    ``factors[n + 1]`` with exponent max(m - 1, 0), because
+    (s^p)^(p^(m-1)) = s^(p^m); when that factor is exact or has m = 0,
+    t_n is integral.
+
+    Nothing else needs deciding, because the root closure is a ring (in
+    plain mode read R for the closure throughout):
+
+    - the base residue: PI_0 = p, so step 1 at n = 0 asks whether r_0
+      lies in p * closure;
+    - the roundtrip at n = 0: PI_0 * t_0 - r_0 = p * (t_0 - s_0), and
+      t_0, s_0 lie in the closure;
+    - the quotient's compatibility: with delta = t_n - s_n, step 3 puts
+      PI_n * delta in p * closure, so delta lies in
+      PI_n^(p^n - 1) * closure; as t_(n-1) = s_n^p, t_n^p - t_(n-1) is
+      the sum of C(p, i) s_n^(p-i) delta^i over 0 < i < p, which lies in
+      p * closure, plus delta^p, which lies in
+      PI_n^(p (p^n - 1)) * closure, inside p * closure for n >= 1.
+
     Searches stop at ``default_m_max(depth)``.
     """
     N = e.depth
@@ -337,14 +313,10 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
     certified = e.mode == CERTIFIED
     m_max = default_m_max(N)
     p = e.family.p
-    trace = DivisionTrace([], [])
-
-    r0 = base_residue(e)
-    if not r0.is_zero:
-        raise SequenceDivisionError(0, min(r0.terms))
 
     # step 1: r_n = PI_n * s_n
     s: list[LocalElem] = []
+    factors: list[ClosureCert | None] = []
     for n in range(N + 1):
         rep = as_local(e.comps[n])
         jn = p ** (rep.level - n)  # PI at slot n, written at the component's level
@@ -360,13 +332,13 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
             if isinstance(cert, NotMember):
                 raise SequenceDivisionError(n)
         s.append(cand)
-        trace.factors.append(cert)
+        factors.append(cert)
 
     # step 2: shift the factors down by squaring to the p-th power
     t = [s[n + 1] ** p for n in range(N)]
 
     # step 3: the roundtrip PI_n * t_n = r_n
-    for n in range(N):
+    for n in range(1, N):
         prod = t[n] * TowerElem.monomial(t[n].ctx, p ** (t[n].level - n), 0, 0)
         if not prod.is_integral:
             raise CertificateSearchError(f"roundtrip product not integral at component {n}")
@@ -374,17 +346,5 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, DivisionTrace
         if not _comp_equal(got, e.comps[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
 
-    # step 4: the quotient sequence is itself compatible
-    for n in range(1, N):
-        a, b = aligned(_pow_p_mod_pR(t[n]), t[n - 1])
-        delta = a - b
-        if delta.is_zero:
-            trace.compat.append(None)
-            continue
-        cert = _p_closure_cert(delta, n, m_max)
-        if cert is None:
-            raise CertificateSearchError(f"quotient compatibility failed at component {n}")
-        trace.compat.append(cert)
-
     out = t if certified else [x.num.reduce_mod_p() for x in t]
-    return FontaineElem(out, e.mode), trace
+    return FontaineElem(out, e.mode), factors

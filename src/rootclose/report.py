@@ -316,11 +316,10 @@ def _check_closure_certs(cfg: Config) -> dict:
 def _check_certified_division(cfg: Config) -> dict:
     _, _, _, eta = _example_elements(cfg, cfg.closure_mode)
     # the division raises unless P * quotient gives eta back, one depth lower
-    quotient, trace = fontaine.divide_by_p_seq_traced(eta)
-    certs = [c for c in trace.factors + trace.compat if c is not None]
+    quotient, factors = fontaine.divide_by_p_seq_traced(eta)
     return {
-        "certificates": [cert_to_json(c) for c in certs],
-        "factor_exponents": [0 if c is None else c.m for c in trace.factors],
+        "certificates": [cert_to_json(c) for c in factors if c is not None],
+        "factor_exponents": [0 if c is None else c.m for c in factors],
         "roundtrip": True,
         "quotient_depth": quotient.depth,
     }

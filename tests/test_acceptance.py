@@ -155,10 +155,10 @@ def test_criterion_4_example_suite():
     # (d) certified division returns a quotient with product equal to the
     # input at depth 2; every congruence check is determined at m_max 5
     eta_c = fontaine.FontaineElem(eta.comps, CERTIFIED)
-    quotient, trace = fontaine.divide_by_p_seq_traced(eta_c)
+    quotient, factors = fontaine.divide_by_p_seq_traced(eta_c)
     assert quotient.depth == 2
-    assert len(trace.compat) == 2
-    assert all(c is None or isinstance(c, ClosureCert) for c in trace.compat)
+    assert [0 if c is None else c.m for c in factors] == [0, 1, 2, 3]
+    assert quotient.check_compat()
     P_short = P.truncate(2)
     assert (P_short * quotient).equals(eta.truncate(2), m_max=5)
 

@@ -2,7 +2,7 @@ import operator
 from unittest import mock
 
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from rootclose import fontaine
@@ -16,7 +16,6 @@ from rootclose.fontaine import (
     SequenceDivisionError,
     UndeterminedCongruenceError,
     _p_closure_cert,
-    _pow_p_mod_pR,
     base_residue,
     divide_by_p_seq,
     divide_by_p_seq_traced,
@@ -251,17 +250,18 @@ class TestDivision:
         assert err.value.monomial in ((0, 0, 3), (0, 3, 0))  # a unit X- or Y-cube
 
     def test_nonzero_base_residue_fails_at_zero(self):
+        # step 1 at n = 0 divides by PI_0 = p and refuses the least term
         _, X, _ = gens()
         with pytest.raises(SequenceDivisionError) as err:
             divide_by_p_seq(X)
         assert err.value.index == 0
+        assert err.value.monomial == min(base_residue(X).terms)
 
     def test_cube_sum_divides_with_certificates(self):
         eta = cube_sum(closure=CERTIFIED)
-        quotient, trace = divide_by_p_seq_traced(eta)
+        quotient, factors = divide_by_p_seq_traced(eta)
         assert quotient.depth == eta.depth - 1
-        assert [None if c is None else c.m for c in trace.factors] == [None, 1, 2, 3]
-        assert all(c.m == 0 for c in trace.compat if c is not None)
+        assert [None if c is None else c.m for c in factors] == [None, 1, 2, 3]
         P, _, _ = gens(closure=CERTIFIED)
         assert (P.truncate(2) * quotient).equals(eta.truncate(2), m_max=5)
 
@@ -269,11 +269,11 @@ class TestDivision:
         # t_n = s_(n+1)^p is certified by factor n + 1 with one exponent
         # less; both witnesses are num^(p^m) / PI^j modulo p^Q
         eta = cube_sum(depth=2, closure=CERTIFIED)
-        quotient, trace = divide_by_p_seq_traced(eta)
+        quotient, factors = divide_by_p_seq_traced(eta)
         exponents = []
         for n, comp in enumerate(quotient.comps):
             assert isinstance(comp, LocalElem)
-            factor = trace.factors[n + 1]
+            factor = factors[n + 1]
             got = membership(comp, 3)
             assert got.m == (0 if factor is None else max(factor.m - 1, 0))
             assert witness_reconstructs(got)
@@ -286,8 +286,8 @@ class TestDivision:
         # components represented above their canonical level still factor
         eta = cube_sum()
         deep = FontaineElem([c.embed(3) for c in eta.comps], CERTIFIED)
-        quotient, trace = divide_by_p_seq_traced(deep)
-        assert [None if c is None else c.m for c in trace.factors] == [None, 1, 2, 3]
+        quotient, factors = divide_by_p_seq_traced(deep)
+        assert [None if c is None else c.m for c in factors] == [None, 1, 2, 3]
         P, _, _ = gens(closure=CERTIFIED)
         P_deep = FontaineElem([c.embed(3) for c in P.comps], CERTIFIED)
         assert (P_deep.truncate(2) * quotient).equals(deep.truncate(2), m_max=5)
@@ -309,11 +309,9 @@ class TestDivision:
     @given(e=kernel_elems())
     @settings(max_examples=40, deadline=None)
     def test_plain_division_needs_no_closure_exponent(self, e):
-        # step 1 factors residues exactly, and the roundtrip (step 3) leaves
-        # each step-4 difference in p * R, so its certificate has m = 0
-        _, trace = divide_by_p_seq_traced(e)
-        assert trace.factors == [None] * (e.depth + 1)
-        assert all(c.m == 0 for c in trace.compat if c is not None)
+        # step 1 factors residues exactly
+        _, factors = divide_by_p_seq_traced(e)
+        assert factors == [None] * (e.depth + 1)
 
     def test_incompatible_plain_sequence_fails_the_roundtrip(self, monkeypatch):
         # negative control: [0, PI_1 X, PI_2 Y] has base residue 0, but
@@ -345,14 +343,31 @@ class TestDivision:
         bump = [z if i == 1 else c.zero_like() for i, c in enumerate(eta.comps)]
         bumped = eta + FontaineElem(bump, CERTIFIED)
         assert not bumped.equals(eta)
-        quotient, trace = divide_by_p_seq_traced(bumped)
-        want, want_trace = divide_by_p_seq_traced(eta)
+        quotient, factors = divide_by_p_seq_traced(bumped)
+        want, want_factors = divide_by_p_seq_traced(eta)
         assert quotient.equals(want, m_max=5)
+        assert _exponents(factors) == _exponents(want_factors) == [0, 1, 2, 3]
 
-        def exponents(trace):  # factors, then compat; None reads as 0
-            return [0 if c is None else c.m for c in trace.factors + trace.compat]
+    @pytest.mark.parametrize("kind", ["residue", "LocalElem"])
+    def test_component_zero_is_read_modulo_p_closure(self, kind):
+        # the same z at slot 0: z / p is in the closure with m = 1, so
+        # step 1 factors component 0 with a certificate, though z is not
+        # zero modulo p * R; as a LocalElem z is zero modulo p * closure
+        eta = cube_sum(closure=CERTIFIED)
+        ctx1 = context(5, 1, 3, QUOTIENT)
+        z = TowerElem(ctx1, {(4, 3, 0): 1, (4, 0, 3): 1}, 5)
+        if kind == "LocalElem":
+            z = LocalElem(z.lift())
+            assert not z.is_zero and FontaineElem([z], CERTIFIED).is_zero
+        bump = [z if i == 0 else c.zero_like() for i, c in enumerate(eta.comps)]
+        quotient, factors = divide_by_p_seq_traced(eta + FontaineElem(bump, CERTIFIED))
+        assert _exponents(factors) == [1, 1, 2, 3]
+        assert quotient.equals(divide_by_p_seq(eta), m_max=5)
 
-        assert exponents(trace) == exponents(want_trace) == [0, 1, 2, 3, 0, 0]
+
+def _exponents(factors):
+    """Factor exponents as the report records them: an exact factor reads 0."""
+    return [0 if c is None else c.m for c in factors]
 
 
 def _roundtrip_identity_holds(e, off=0) -> bool:
@@ -389,96 +404,44 @@ def test_roundtrip_identity_fails_with_the_pi_exponent_one_off():
 
 
 @st.composite
-def step_4_cases(draw):
+def division_cases(draw):
     """Kernel elements at p in {2, 3, 5}, plain or certified, depth 2-4,
-    and the certified worked example (cube sum) at p in {5, 7}."""
+    and the certified worked example (cube sum) at p in {5, 7, 11}."""
     if draw(st.booleans()):
         return draw(kernel_elems(primes=(2, 3, 5), modes=(PLAIN, CERTIFIED)))
-    return cube_sum(draw(st.integers(2, 3)), CERTIFIED, draw(st.sampled_from((5, 7))))
+    return cube_sum(draw(st.integers(2, 4)), CERTIFIED, draw(st.sampled_from((5, 7, 11))))
 
 
-def _off_by_p_R(t, got) -> bool:
-    """Does got differ from t^p by p times an element of R?"""
-    diff = t ** t.ctx.p - got
-    return LocalElem(diff.num, diff.denom_exp + t.ctx.pi_order).is_integral
-
-
-@st.composite
-def pi_fractions(draw):
-    """num / PI^k at p in {2, 3, 5}, level 1-2, with 1-3 terms and k up
-    to 2 * p^level, so M = 1 + ceil(p * k / p^level) reaches 2p + 1,
-    where the divisions above only reach M = 2."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    ctx = context(p, draw(st.integers(1, 2)), 2 if p == 3 else 3, QUOTIENT)
-    monomial = st.tuples(st.integers(0, ctx.pi_order - 1), st.integers(0, 3), st.integers(0, 3))
-    terms = draw(st.dictionaries(monomial, st.integers(-30, 30).filter(bool), min_size=1, max_size=3))
-    return LocalElem(TowerElem(ctx, terms), draw(st.integers(0, 2 * ctx.pi_order)))
-
-
-@given(t=pi_fractions())
+@given(e=division_cases())
 @settings(max_examples=60, deadline=None)
-def test_step_4_power_is_the_exact_power_modulo_p_R(t):
-    assert _off_by_p_R(t, _pow_p_mod_pR(t))
+def test_quotient_compatibility_follows_from_the_roundtrip(e):
+    """The division decides no compatibility: with delta = t_n - s_n in
+    PI_n^(p^n - 1) * closure by the roundtrip, t_n^p - t_(n-1) lies in
+    p * closure because the closure is a ring."""
+    assert divide_by_p_seq(e).check_compat()
 
 
-def _division(e):
-    """The division's outcome: quotient components, factor certificates
-    and compat exponents (a step that is exact, None, read as m = 0, as
-    in the report's ``factor_exponents``), or the error it raised."""
-    try:
-        quotient, trace = divide_by_p_seq_traced(e)
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
-        return type(exc), str(exc)
-    return quotient.comps, trace.factors, [0 if c is None else c.m for c in trace.compat]
+@given(e=kernel_elems(primes=(2, 3, 5)))
+@settings(max_examples=30, deadline=None)
+def test_quotient_with_one_component_moved_by_x_is_incompatible(e):
+    # negative control, in plain mode, where residues compare exactly:
+    # (t + X)^p = t^p + X one level down, so the moved top component
+    # breaks the relation with the one below it
+    comps = divide_by_p_seq(e).comps
+    top = comps[-1]
+    moved = top + TowerElem.monomial(top.ctx, 0, 1, 0, coeff_mod=top.ctx.p)
+    assert not FontaineElem(comps[:-1] + (moved,), PLAIN).check_compat()
 
 
-@given(e=step_4_cases())
-@example(e=cube_sum(2, CERTIFIED))
-@settings(max_examples=60, deadline=None)
-def test_step_4_power_mod_pR_agrees_with_the_exact_power(e):
-    """Division step 4 with t_n^p modulo p * R (``_pow_p_mod_pR``) and
-    with the exact t_n ** p: the same outcome, factors and compat
-    exponents, and each power differs from the exact one by p times an
-    element of R."""
-    step_4 = fontaine._pow_p_mod_pR
+@given(e=kernel_elems())
+@settings(max_examples=30, deadline=None)
+def test_plain_division_runs_no_certificate_search(e):
+    def no_search(*args):
+        raise AssertionError("a certificate search ran")
 
-    def checked(t):
-        got = step_4(t)
-        assert _off_by_p_R(t, got), "(exact - reduced) / p is not integral"
-        return got
-
-    with mock.patch.object(fontaine, "_pow_p_mod_pR", lambda t: t ** t.ctx.p):
-        want = _division(e)
-    with mock.patch.object(fontaine, "_pow_p_mod_pR", checked):
-        assert _division(e) == want
-
-
-def test_step_4_agreement_catches_a_modulus_one_power_of_p_short(monkeypatch):
-    """Negative control: the power taken modulo p^(M - 1), not p^M, is
-    off by more than p * R on the depth-2 cube sum at p = 5 (its
-    division then exhausts the search at component 1, in about 3 min)."""
-    pow_mod = TowerElem.pow_mod
-
-    def one_short(t):
-        p = t.ctx.p
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                TowerElem, "pow_mod", lambda x, e, mod: pow_mod(x, e, mod // p if mod > p else mod)
-            )
-            return _pow_p_mod_pR(t)
-
-    monkeypatch.setattr(fontaine, "_pow_p_mod_pR", one_short)
-    with pytest.raises(AssertionError, match="not integral"):
-        test_step_4_power_mod_pR_agrees_with_the_exact_power()
-
-
-def test_step_4_power_is_small():
-    # p7-d2: the exact t_1^p has 1,272 terms of up to 75 bits
-    _, trace = divide_by_p_seq_traced(cube_sum(2, CERTIFIED, 7))
-    (cert,) = trace.compat
-    assert cert.m == 0
-    assert len(cert.elem.num.terms) < 100
-    assert max(abs(v) for v in cert.elem.num.terms.values()).bit_length() <= 12
+    with mock.patch.object(fontaine, "membership", no_search):
+        with mock.patch.object(fontaine, "_p_closure_cert", no_search):
+            assert divide_by_p_seq(e).depth == e.depth - 1
 
 
 class TestZeroModPClosure:

@@ -123,26 +123,26 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "0185850b02c7935bf792c23b21289045ebdd94e08d0a7e7505e70ae4383bfffb"),
+    "p5-d3": ({}, "cd51055957b910470b69ffcea17c94f60d939b4a4d2b278ca1c718c815710f51"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "b30633fc48e8cf1381484911971826d60ae3b512264cd0eb0725e645d7623241",
+        "899d2ddde1a86776651c2c3125e7db76ac1d94b346b2421e3273c0731b64dd9a",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "e946d96e1b2ce8fd59a8591c38c7bf18133bb98f85efb90310ee76e1aed33369",
+        "7d8f0233da7c68fbb98b0414cb72db21decfa1f9c70beaf9929b21315c6d8628",
     ),
-    "p5-d2": ({"depth": 2}, "d3db89c050cec3a314a71db7b9ec29b467285c03c2ae63eff09c21f7adae49e4"),
+    "p5-d2": ({"depth": 2}, "aefe6743a62da8b5128ffa32e3bfefc7a34a109278247ebd52b41ac4720a31d6"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
         "7edf7d63674f15fa42f4cb34b44800901a8ff7838cd79dfb801f7f9965968f18",
     ),
 }
 
-#: sha256 of the first --witt-len 4 report (depth 3, no timestamp),
-#: recorded from the universal-polynomial path, which took about 24 s;
-#: kept apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
-W4_DIGEST = "0a4a40b8cbafc0d8321651c6a898b7821a5839ce4f25091648281a5ac08c506d"
+#: sha256 of the --witt-len 4 report (depth 3, no timestamp), whose Witt
+#: check the universal-polynomial path first recorded in about 24 s; kept
+#: apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
+W4_DIGEST = "01d3e44b63de820b694cd7dc1bb1a63e11d26437f924606a072933c14e6ef122"
 
 
 class TestDeterminism:
@@ -168,7 +168,7 @@ class TestDeterminism:
 
     def test_first_w4_report_matches_the_recorded_digest(self):
         text = report.run_example_suite(cfg(depth=3, witt_length=4)).to_json()
-        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (2040, W4_DIGEST)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1715, W4_DIGEST)
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(5, timestamp=False).to_json()
