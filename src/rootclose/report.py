@@ -62,7 +62,8 @@ class Config:
             raise ValueError("the example suite requires depth >= 2")
         if self.witt_length < 1:
             raise ValueError("witt_length must be >= 1")
-        # witt_theta takes i p-th roots of coordinate i of a depth-deep sequence
+        # a work bound: at most (depth + 1) // 2 coordinates are determined,
+        # and a longer vector only adds zero coordinates to every ghost pass
         if self.witt_length > self.depth + 1:
             raise ValueError(f"witt_length must be <= depth + 1 = {self.depth + 1}")
         if self.closure_mode not in (PLAIN, CERTIFIED):
@@ -326,8 +327,9 @@ def _check_certified_division(cfg: Config) -> dict:
 
 
 def _check_witt_roundtrip(cfg: Config) -> dict:
-    """Divide (p-root sequence - p) * [x] by (p-root sequence - p), which
-    raises unless theta at precision 1 kills it, and record how far it got."""
+    """Divide (p-root sequence - p) * [x] by (p-root sequence - p), whose
+    first sequence division decides that theta kills it at precision 1
+    (it raises otherwise), and record how far it got."""
     ctx = witt.WittCtx(cfg.p, cfg.witt_length)
     _, X, _, _ = _example_elements(cfg, PLAIN)
     w = witt.WittVec.teichmuller(ctx, X)

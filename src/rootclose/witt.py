@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from .closure import HypothesisNotMetError
 from .fontaine import PLAIN, FontaineElem, PrecisionError, divide_by_p_seq, generators
 from .fontaine import theta as seq_theta
 from .tower import FREE, TowerElem, context
@@ -417,27 +416,26 @@ def ghost(x: WittVec) -> list[int]:
 # ----------------------------------------------------------------------
 # the map to the p-adic ring and the division by (p-root sequence - p)
 def witt_theta(x: WittVec, precision: int) -> TowerElem:
-    """Sum of p^i * theta(a_i^(1/p^i)) over the coordinates, modulo
-    p^precision.
+    """Sum of p^i * theta(a_i^(1/p^i)) over the coordinates i <
+    precision, modulo p^precision; the later terms are multiples of
+    p^precision, so those coordinates are not read.
 
     The precision is capped by the vector length (truncating the
-    coordinates at N discards exactly a p^N-multiple) and by each
+    coordinates at N discards exactly a p^N-multiple) and by each read
     coordinate's depth after its root shifts.
     """
-    if precision > x.ctx.length:
-        raise PrecisionError(
-            f"length {x.ctx.length} only determines the image modulo p^{x.ctx.length}"
-        )
+    if not 1 <= precision <= x.ctx.length:
+        n = x.ctx.length
+        raise PrecisionError(f"length {n} only determines the image modulo p^k, 1 <= k <= {n}")
+    if not all(isinstance(c, FontaineElem) for c in x.comps):
+        raise ValueError("witt_theta needs compatible-sequence components")
     terms = []
     p = x.ctx.p
-    for i, comp in enumerate(x.comps):
-        if not isinstance(comp, FontaineElem):
-            raise ValueError("witt_theta needs compatible-sequence components")
-        shifted = comp
+    for i, shifted in enumerate(x.comps[:precision]):
         for _ in range(i):
             shifted = shifted.proot()
         terms.append(seq_theta(shifted, precision) * p**i)
-    level = max(t.level for t in terms)
+    level = max(c.comps[-1].level for c in x.comps)  # theta(c) is at c's last level
     return sum((t.embed(level) for t in terms[1:]), terms[0].embed(level))
 
 
@@ -473,50 +471,43 @@ class SeqDivisionResult:
 
 
 def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
-    """Successive approximation: peel one factor per step.
-
-    At step k the remainder is reduced to its leading coordinate (an
-    element of the sequence ring with vanishing base residue), divided
-    by the p-root sequence, and the Teichmueller lift of the quotient
-    is folded into the answer with weight p^(k-1); the corrected
-    remainder is then exactly divisible by p in the Witt ring.  Each
-    step costs one unit of component depth.
+    """Successive approximation: step k divides the remainder's leading
+    coordinate r by the p-root sequence PI, y_k = r / PI, at the cost
+    of one unit of component depth.  The first such division is the
+    kernel test: theta(x) mod p is the base residue of x_0, which it
+    refuses at component 0, where PI_0 = p.  As rem = [r] + (0, rem_1,
+    ...) and [PI][y_k] = [r], rem - (p-root sequence - p)[y_k] is
+    (0, rem_1, ...) + p[y_k], exactly divisible by p.  The quotient,
+    the sum of p^k [y_k], is (y_0, y_1^p, y_2^(p^2), ...), since p = VF
+    and (a_0, a_1, ...) is the sum of V^k [a_k].
     """
     ctx = x.ctx
     length = ctx.length
     for c in x.comps:
         if not isinstance(c, FontaineElem):
             raise ValueError("division needs compatible-sequence components")
-    template = x.comps[0]
-    pmp = p_seq_minus_p(ctx, template)
 
-    if not witt_theta(x, 1).is_zero:
-        raise HypothesisNotMetError("input is not in the kernel even at precision 1")
-
-    w = WittVec.zero(ctx, template)
-    rem = x
-    done = 0
-    while done < length:
+    ys, rem = [], x
+    while len(ys) < length:
         head = rem.comps[0]
         if head.depth < 1:
             break  # out of component depth
-        factor = divide_by_p_seq(head)
-        y = WittVec.teichmuller(ctx, factor)
-        incr = y
-        for _ in range(done):
-            incr = mul_by_p(incr)
-        w = w + incr
-        done += 1
-        if done < length:
-            # fold the correction in and strip one factor of p; the zero
-            # leading coordinate is checked by p_divide_witt itself
-            folded = rem - pmp * y
+        ys.append(divide_by_p_seq(head))
+        if len(ys) < length:
+            # not F^-1(rem_1, ...) + [y_k] after the root shift: that keeps one
+            # more unit of depth per step, so (steps, depth, exhausted) change
+            tail = WittVec(ctx, (head.zero_like(), *rem.comps[1:]))
+            folded = tail + mul_by_p(WittVec.teichmuller(ctx, ys[-1]))
             if min(c.depth for c in folded.comps) < 1:
                 break  # the root shift of the next division has no depth left
             rem = p_divide_witt(folded)
 
-    final_depth = min(c.depth for c in w.comps) if done else min(c.depth for c in x.comps)
-    product = pmp * w
+    p, done = ctx.p, len(ys)
+    final_depth = min(y.depth for y in ys) if ys else min(c.depth for c in x.comps)
+    zero = x.comps[0].truncate(final_depth).zero_like()
+    coords = [(y ** p**k).truncate(final_depth) for k, y in enumerate(ys)]
+    w = WittVec(ctx, coords + [zero] * (length - done))
+    product = p_seq_minus_p(ctx, x.comps[0]) * w
     for i in range(done):
         got, want = product.comps[i], x.comps[i]
         d = min(got.depth, want.depth, final_depth)

@@ -86,14 +86,21 @@ class TestExampleSuite:
         assert "[fail] certified_division" in capsys.readouterr().out
 
     def test_a_dividend_outside_the_kernel_fails_the_witt_check(self, monkeypatch):
-        # the check records what the division decided: it opens with the
-        # theta test and raises HypothesisNotMetError when it fails
-        theta = witt.witt_theta
-        monkeypatch.setattr(witt, "witt_theta", lambda x, precision: theta(x, precision) + 1)
+        # the check records what the division decided: (pmp + [1]) * [x]
+        # has theta = x mod p, and the first sequence division refuses
+        # its component 0
+        pmp = witt.p_seq_minus_p
+
+        def off_by_one(ctx, template):
+            return pmp(ctx, template) + witt.WittVec.teichmuller(ctx, template.one_like())
+
+        monkeypatch.setattr(witt, "p_seq_minus_p", off_by_one)
         rep = report.run_example_suite(cfg(depth=2))
         failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
         assert list(failed) == ["witt_division_roundtrip"]
-        assert failed["witt_division_roundtrip"]["error"].startswith("HypothesisNotMetError: ")
+        assert failed["witt_division_roundtrip"]["error"] == (
+            "SequenceDivisionError: component 0 is not divisible (monomial (0, 1, 0))"
+        )
 
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):

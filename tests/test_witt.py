@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from rootclose import witt
 from rootclose.closure import HypothesisNotMetError
-from rootclose.fontaine import CERTIFIED, PLAIN, FontaineElem, SequenceDivisionError, generators
+from rootclose.fontaine import (
+    CERTIFIED,
+    PLAIN,
+    FontaineElem,
+    SequenceDivisionError,
+    divide_by_p_seq,
+    generators,
+)
 from rootclose.invariants import random_seq, random_tower
 from rootclose.report import elem_to_json
 from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx, TowerElem
@@ -213,6 +220,16 @@ class TestThetaMap:
             assert witt_theta(x + y, k) == witt_theta(x, k) + witt_theta(y, k)
             assert witt_theta(x * y, k) == witt_theta(x, k) * witt_theta(y, k)
 
+    def test_reads_only_the_coordinates_below_the_precision(self):
+        # coordinate 1 has depth 0, so no root to take, but its term
+        # p * theta(...) vanishes modulo p
+        _, X, _ = generators(5, 3, 3, QUOTIENT)
+        ctx = WittCtx(5, 2)
+        short = WittVec(ctx, [X, X.truncate(0)])
+        assert witt_theta(short, 1) == witt_theta(WittVec.teichmuller(ctx, X), 1)
+        with pytest.raises(ValueError, match="compatible-sequence components"):
+            witt_theta(WittVec(ctx, [X, 0]), 1)
+
 
 class TestKernelDivision:
     def test_roundtrip_teichmuller_x(self):
@@ -240,10 +257,23 @@ class TestKernelDivision:
         assert err.value.index == 1
 
     def test_non_kernel_input_rejected(self):
+        # theta([x]) mod p is the base residue of x, which the first
+        # sequence division refuses at component 0, where PI_0 = p
         _, X, _ = generators(5, 3, 3, QUOTIENT)
         ctx = WittCtx(5, 2)
-        with pytest.raises(HypothesisNotMetError):
+        with pytest.raises(SequenceDivisionError) as err:
             divide_by_p_seq_minus_p(WittVec.teichmuller(ctx, X))
+        assert (err.value.index, err.value.monomial) == (0, (0, 1, 0))
+
+    def test_short_coordinate_divides_as_far_as_its_depth_allows(self):
+        # coordinate 1 has depth 0: the first fold has no depth left for
+        # the next division, so the division stops after one step
+        P, X, _ = generators(5, 3, 3, QUOTIENT)
+        ctx = WittCtx(5, 2)
+        x_vec = p_seq_minus_p(ctx, P) * WittVec(ctx, [X, X.truncate(0)])
+        result = divide_by_p_seq_minus_p(x_vec)
+        assert (result.steps, result.depth, result.exhausted) == (1, 2, True)
+        assert result.quotient.comps[0].equals(X.truncate(2))
 
     def test_depth_exhaustion_stops_cleanly(self):
         # length 3 but only depth 3: the third step has no root shift left,
@@ -265,11 +295,12 @@ def _residue_coord(rng, base):
     return random_tower(rng, base, terms=2, span=4).reduce_mod_p()
 
 
-def _sequence_coord(rng, p, degree):
-    """A plain sequence of depth 1..3: a random monomial's roots (every
-    component at level depth), a generator (component i at level i), or
-    the zero of either; each component is sometimes embedded deeper."""
-    depth = rng.randint(1, 3)
+def _sequence_coord(rng, p, degree, max_depth=3):
+    """A plain sequence of depth 1..max_depth: a random monomial's roots
+    (every component at level depth), a generator (component i at level
+    i), or the zero of either; each component is sometimes embedded
+    deeper."""
+    depth = rng.randint(1, max_depth)
     if rng.random() < 0.5:
         seq = random_seq(rng, p, degree, depth)
     else:
@@ -504,16 +535,125 @@ class TestSharedPSeqMinusP:
         assert p_seq_minus_p(ctx, deep) == WittVec.teichmuller(ctx, P) - p_one
 
 
+def _reference_division(x):
+    """The division's earlier loop, kept as the oracle of its closed
+    forms: the theta test at precision 1 first, then per step the fold
+    rem - (p-root sequence - p) * [y_k] and the quotient as a running
+    Witt sum of the increments p^k [y_k]."""
+    ctx = x.ctx
+    pmp = p_seq_minus_p(ctx, x.comps[0])
+    if not witt_theta(x, 1).is_zero:
+        raise HypothesisNotMetError("input is not in the kernel even at precision 1")
+    w = WittVec.zero(ctx, x.comps[0])
+    rem, done = x, 0
+    while done < ctx.length:
+        head = rem.comps[0]
+        if head.depth < 1:
+            break
+        y = WittVec.teichmuller(ctx, divide_by_p_seq(head))
+        incr = y
+        for _ in range(done):
+            incr = mul_by_p(incr)
+        w = w + incr
+        done += 1
+        if done < ctx.length:
+            folded = rem - pmp * y
+            if min(c.depth for c in folded.comps) < 1:
+                break
+            rem = p_divide_witt(folded)
+    depth = min(c.depth for c in w.comps) if done else min(c.depth for c in x.comps)
+    return witt.SeqDivisionResult(w, done, depth, done < ctx.length)
+
+
+def division_outcome(divide, x):
+    """What a division gives: (steps, depth, exhausted) and the
+    quotient's ``shape``, or the arithmetic error it raises."""
+    try:
+        r = divide(x)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return r.steps, r.depth, r.exhausted, shape(r.quotient)
+
+
+@st.composite
+def division_inputs(draw):
+    """A plain vector of length 1..4 whose coordinates have depth 1..4
+    and mixed levels, times (p-root sequence - p) or as it is."""
+    p, n = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ctx = WittCtx(p, n)
+    w = WittVec(ctx, [_sequence_coord(rng, p, 2 if p == 3 else 3, 4) for _ in range(n)])
+    return p_seq_minus_p(ctx, w.comps[0]) * w if draw(st.booleans()) else w
+
+
+class TestClosedFormDivision:
+    """One sequence division and one Witt addition per step, against
+    the earlier loop."""
+
+    @given(x=division_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_reference_loop(self, x):
+        try:
+            want = division_outcome(_reference_division, x)
+        except HypothesisNotMetError:
+            # outside the kernel: the first sequence division refuses
+            # component 0
+            with pytest.raises(SequenceDivisionError) as err:
+                divide_by_p_seq_minus_p(x)
+            assert err.value.index == 0
+        else:
+            assert division_outcome(divide_by_p_seq_minus_p, x) == want
+
+    def test_negative_control_fold_without_p_times_y(self):
+        # without p [y_k] the fold is rem - [r], off by exactly p [y_k]
+        rng = random.Random(11)
+        cases = []
+        for p, degree in ((2, 3), (3, 2)):
+            for depth, n in ((4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)):
+                _, X, Y = generators(p, degree, depth, QUOTIENT)
+                ctx = WittCtx(p, n)
+                coords = [X ** rng.randint(1, 3) + Y ** rng.randint(0, 2) for _ in range(n)]
+                cases.append(p_seq_minus_p(ctx, X) * WittVec(ctx, coords))
+        want = [division_outcome(divide_by_p_seq_minus_p, x) for x in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witt, "mul_by_p", lambda v: WittVec.zero(v.ctx, v.comps[0]))
+            got = [division_outcome(divide_by_p_seq_minus_p, x) for x in cases]
+        witt._p_seq_minus_p.cache_clear()  # built under the patch, if at all
+        assert all(len(w) == 4 and w[0] >= 2 for w in want)
+        assert all(g != w for g, w in zip(got, want))
+
+    def test_one_addition_per_fold_and_one_product(self, monkeypatch):
+        _, X, Y = generators(2, 3, 7, QUOTIENT)
+        ctx = WittCtx(2, 4)
+        x_vec = p_seq_minus_p(ctx, X) * WittVec(ctx, [X + Y, X * Y, X, Y])
+        ghost_op, ops = witt._ghost_op, []
+
+        def counted(op, xs, ys, p):
+            ops.append(op)
+            return ghost_op(op, xs, ys, p)
+
+        def no_theta(*args):
+            raise AssertionError("the division ran witt_theta")
+
+        monkeypatch.setattr(witt, "_ghost_op", counted)
+        monkeypatch.setattr(witt, "witt_theta", no_theta)
+        assert divide_by_p_seq_minus_p(x_vec).steps == 4
+        # three folds, then the closing roundtrip
+        assert ops == ["+", "+", "+", "*"]
+
+
 #: sha256 of report.elem_to_json over the quotient components of
 #: divide_by_p_seq_minus_p((p-root sequence - p) * w), with w made of
 #: the sequences x + y, x * y, x, y cut to the Witt length, per
-#: (p, degree, length, depth).  Recorded from the universal-polynomial
-#: paths, which the ghost recursion reproduces byte for byte.
+#: (p, degree, length, depth).  Quotient coordinate k is y_k^(p^k),
+#: written at the levels of the sequence-division quotient y_k; in
+#: ``lowest_level`` form it is what the earlier Witt-sum loop gave
+#: (``test_agrees_with_the_reference_loop``).
 WITT_PATH_DIGESTS = {
-    (5, 3, 2, 4): "0e43a720555095f5525177f2aa0b7ffb04b0463a764b176dbc67d2866d48a02b",
-    (2, 3, 4, 7): "1e6bc4c8feb415fbe2c235adfd0738952ff1300db7c57f4141c79939f0c86714",
-    (3, 2, 3, 6): "9311f7ef1a0f0f58dc7b1fcd0d6b0b7b219a6c373bce996433573f39c27fc371",
-    (7, 3, 2, 3): "e5c7260d99b69d65893111b4d50d97dad34097a6833a2a0e3b5a3b5a4f318a81",
+    (5, 3, 2, 4): "487faf950f248f4cdd207f800c993007e8640a3842b17f570572a0cd6762ae2a",
+    (2, 3, 4, 7): "0fd86d3a77049fe00d4777d20df8d8bfd8d5f34402b25763cf17079e3cc27f7b",
+    (3, 2, 3, 6): "d59f46a922d5c387b0420eea759a94509c159dd3be8fa4986022b220db0f7e45",
+    (7, 3, 2, 3): "6f88ef497c63542cd5042a89caf87bfa3038a230d1b1aeed8311bcb58abdd5f4",
 }
 
 
