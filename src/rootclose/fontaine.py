@@ -205,16 +205,17 @@ class FontaineElem:
         return FontaineElem(self.comps[1:], self.mode)
 
     # ------------------------------------------------------------------
-    def equals(self, other: "FontaineElem", m_max: int = CONGRUENCE_M_MAX) -> bool:
-        if not isinstance(other, FontaineElem):
-            return NotImplemented
-        if self.depth != other.depth or not self.family.same_family(other.family):
+    def equals(self, other, m_max: int = CONGRUENCE_M_MAX) -> bool:
+        """Equal as sequences; anything that is not a sequence is unequal."""
+        if not (isinstance(other, FontaineElem) and self.depth == other.depth):
             return False
-        return all(
+        return self.family.same_family(other.family) and all(
             _comp_equal(a, b, i, m_max) for i, (a, b) in enumerate(zip(self.comps, other.comps))
         )
 
-    __eq__ = equals
+    def __eq__(self, other):
+        return self.equals(other) if isinstance(other, FontaineElem) else NotImplemented
+
     __hash__ = None
 
     def check_compat(self) -> bool:

@@ -185,40 +185,56 @@ def closure_monotone(rng: random.Random) -> dict:
     return {"cases": checked}
 
 
-def witt_ghost(rng: random.Random, polys_override=None) -> dict:
+_WITT_OPS = {"add": operator.add, "mul": operator.mul, "sub": operator.sub}
+
+
+def _random_witt(rng: random.Random, ctx: witt.WittCtx) -> witt.WittVec:
+    return witt.WittVec(ctx, [rng.randint(-9, 9) for _ in range(ctx.length)])
+
+
+def _witt_violation(x: witt.WittVec, y: witt.WittVec, results: dict) -> dict | None:
+    """The first of ``results`` (op name -> the computed x op y over the
+    integers) that fails a check, or None.  Exact path: the ghost map is
+    a ring map W(Z) -> Z^n, so ghost(x op y) = ghost(x) op ghost(y).
+    F_p chain path: reduction mod p is a ring map W(Z) -> W(F_p), so
+    (x mod p) op (y mod p) = (x op y) mod p coordinatewise."""
+    p = x.ctx.p
+    fp = tower.context(p, 0, 1, FREE)
+
+    def mod_p(v):
+        return witt.WittVec(v.ctx, [TowerElem.integer(fp, c, p) for c in v.comps])
+
+    gx, gy, xp, yp = witt.ghost(x), witt.ghost(y), mod_p(x), mod_p(y)
+    for op, got in results.items():
+        fn = _WITT_OPS[op]
+        if witt.ghost(got) != [fn(a, b) for a, b in zip(gx, gy)]:
+            return {"p": p, "op": op}
+        if fn(xp, yp) != mod_p(got):
+            return {"p": p, "op": op, "path": "mod p"}
+    return None
+
+
+def witt_ghost(rng: random.Random) -> dict:
+    """Witt + * - over the integers, checked by ``_witt_violation``."""
     for p, n in ((2, 3), (3, 3), (5, 2)):
         ctx = witt.WittCtx(p, n)
-        sums, prods = polys_override or witt.witt_polynomials(p, n)
         for _ in range(30):
-            xs = [rng.randint(-9, 9) for _ in range(n)]
-            ys = [rng.randint(-9, 9) for _ in range(n)]
-            vals = xs + ys
-            sv = [witt.evaluate(s, vals) for s in sums]
-            mv = [witt.evaluate(m, vals) for m in prods]
-            gx = witt.ghost(witt.WittVec(ctx, xs))
-            gy = witt.ghost(witt.WittVec(ctx, ys))
-            gs = witt.ghost(witt.WittVec(ctx, sv))
-            gm = witt.ghost(witt.WittVec(ctx, mv))
-            if gs != [a + b for a, b in zip(gx, gy)]:
-                return {"_status": FAIL, "p": p, "op": "add"}
-            if gm != [a * b for a, b in zip(gx, gy)]:
-                return {"_status": FAIL, "p": p, "op": "mul"}
+            x, y = _random_witt(rng, ctx), _random_witt(rng, ctx)
+            bad = _witt_violation(x, y, {op: fn(x, y) for op, fn in _WITT_OPS.items()})
+            if bad:
+                return {"_status": FAIL, **bad}
     return {"cases": 90}
 
 
 def witt_ghost_negative(rng: random.Random) -> dict:
-    # tamper with a copy of the cached polynomials: the ghost oracle
-    # must notice (negative control for the oracle itself)
-    sums, prods = witt.witt_polynomials(2, 3)
-    bad_sums = list(sums)
-    bad = dict(bad_sums[1])
-    first = next(iter(bad))
-    bad[first] += 1
-    bad_sums[1] = bad
-    result = witt_ghost(rng, polys_override=(tuple(bad_sums), prods))
-    if result.get("_status") == FAIL:
+    # a sum with coordinate 1 moved by 1: the check of witt_ghost must
+    # notice (negative control for the check itself)
+    ctx = witt.WittCtx(2, 3)
+    x, y = _random_witt(rng, ctx), _random_witt(rng, ctx)
+    s = (x + y).comps
+    if _witt_violation(x, y, {"add": witt.WittVec(ctx, (s[0], s[1] + 1, s[2]))}):
         return {"detected": True}
-    return {"_status": FAIL, "error": "tampered polynomials went unnoticed"}
+    return {"_status": FAIL, "error": "a moved sum coordinate went unnoticed"}
 
 
 def witt_order(rng: random.Random) -> dict:
@@ -324,6 +340,11 @@ def witt_kernel_roundtrip(rng: random.Random) -> dict:
         result = witt.divide_by_p_seq_minus_p(witt.p_seq_minus_p(ctx, w.comps[0]) * w)
         if result.steps < 2:
             return {"_status": FAIL, "steps": result.steps}
+        # the quotient is w itself, at the depth reached
+        d = result.depth
+        for i in range(result.steps):
+            if not result.quotient.comps[i].truncate(d).equals(w.comps[i].truncate(d)):
+                return {"_status": FAIL, "coordinate": i}
     return {"cases": 3}
 
 

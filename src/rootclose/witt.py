@@ -11,7 +11,7 @@ Residues mod p^j (j >= 2) and certified sequences are refused.
 
 The universal sum/product polynomials, computed once per (p, length)
 through the same recursion with exact integer divisions, stay as the
-oracle of the ghost invariant and of the tests.
+oracle of the tests, which evaluate them; no arithmetic path reads them.
 """
 
 from __future__ import annotations
@@ -135,27 +135,6 @@ def _proot(a):
     return a.proot()
 
 
-def evaluate(poly: SPoly, vals) -> object:
-    """The polynomial at ``vals``, one value per variable, in their own
-    component ring: the oracle of the ghost invariant and the tests.  S
-    and M have no constant term, so every term has a variable.  Each
-    power v**e is built once per call, in ``powers``."""
-    powers = {}
-    acc = None
-    for exps, coeff in poly.items():
-        term = None
-        for i, (v, e) in enumerate(zip(vals, exps)):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = v**e
-                powered = powers[i, e]
-                term = powered if term is None else term * powered
-        if coeff != 1:
-            term = coeff * term
-        acc = term if acc is None else acc + term
-    return _zero_like(vals[0]) if acc is None else acc
-
-
 # ----------------------------------------------------------------------
 # + * - through the ghost map on a p-torsion-free lift
 #
@@ -175,31 +154,28 @@ def evaluate(poly: SPoly, vals) -> object:
 _INTEGER, _EXACT, _RESIDUE, _SEQUENCE = "integer", "Z-tower", "residue", "sequence"
 
 
-def _kind(c, index: int) -> str:
+def _kind(c, index: int, char_p: bool = False) -> str:
     """How coordinate ``index`` lifts: exactly (an integer or a tower
     element over Z), as a residue mod p, or as a plain sequence of
     residues.  Residues mod p^j (j >= 2) and certified sequences are
     refused: Z/p^j has p-torsion, and a certified component is read
     modulo p * closure, so the ghost map does not determine a coordinate
-    there."""
+    there.  With ``char_p`` the exact kinds are refused too: the
+    componentwise p-th power is Frobenius only in characteristic p."""
     if isinstance(c, int):
-        return _INTEGER
-    if isinstance(c, TowerElem) and c.coeff_mod is None:
-        return _EXACT
-    if isinstance(c, TowerElem) and c.over_fp:
-        return _RESIDUE
-    if isinstance(c, FontaineElem) and c.mode == PLAIN:
-        return _SEQUENCE
-    if isinstance(c, TowerElem):
-        what = f"a residue mod {c.coeff_mod}"
+        kind, what = _INTEGER, "an integer"
+    elif isinstance(c, TowerElem) and c.coeff_mod is None:
+        kind, what = _EXACT, "a tower element over Z"
+    elif isinstance(c, TowerElem):
+        kind, what = (_RESIDUE if c.over_fp else None), f"a residue mod {c.coeff_mod}"
     elif isinstance(c, FontaineElem):
-        what = f"a {c.mode} sequence"
+        kind, what = (_SEQUENCE if c.mode == PLAIN else None), f"a {c.mode} sequence"
     else:
-        what = f"a {type(c).__name__}"
-    raise ValueError(
-        f"coordinate {index} is {what}: Witt arithmetic runs over integers, "
-        "tower elements over Z, residues mod p and plain sequences"
-    )
+        kind, what = None, f"a {type(c).__name__}"
+    if kind and not (char_p and kind in (_INTEGER, _EXACT)):
+        return kind
+    runs = "Frobenius runs over" if char_p else "Witt + * - run over integers, tower elements over Z,"
+    raise ValueError(f"coordinate {index} is {what}: {runs} residues mod p and plain sequences")
 
 
 def _modulus(zero: TowerElem, e: int) -> int | None:
@@ -377,9 +353,10 @@ def verschiebung(x: WittVec) -> WittVec:
 
 
 def witt_frobenius(x: WittVec) -> WittVec:
-    """Componentwise p-th power; correct over characteristic-p rings."""
-    if any(isinstance(c, int) for c in x.comps):
-        raise ValueError("frobenius needs a characteristic-p component ring")
+    """Componentwise p-th power over residues mod p or plain sequences;
+    any other coordinate is refused, by index."""
+    for i, c in enumerate(x.comps):
+        _kind(c, i, char_p=True)
     p = x.ctx.p
     return WittVec(x.ctx, (c**p for c in x.comps))
 

@@ -1,4 +1,5 @@
 import operator
+import warnings
 from unittest import mock
 
 import pytest
@@ -99,6 +100,17 @@ class TestRingOps:
         _, X, _ = gens()
         assert (2 * X + 3 * X).equals(5 * X)
         assert (X + 0).equals(X)
+
+    def test_a_non_sequence_is_unequal(self):
+        # equals answers False, while == lets the other operand decide: a
+        # NotImplemented from equals would be truthy in an ``if``
+        _, X, _ = gens()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert X.equals(5) is False and X.equals(None) is False
+            assert X.__eq__(5) is NotImplemented
+            assert (X == 5) is False and (X != X.comps[0]) is True
+            assert X == X.truncate(X.depth)
 
     def test_constant_sequences_are_compatible(self):
         _, X, _ = gens()

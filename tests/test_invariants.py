@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from rootclose import invariants, witt
 from rootclose.invariants import FAIL, INVARIANTS
 
 
@@ -39,3 +40,21 @@ def test_draws_match_the_recorded_digest():
     assert rng.digest.hexdigest() == (
         "d47622ecf5ac64ae4181d53f4dc4706cab775c368bd8d1433efc979f56e1b879"
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_witt_ghost_catches_a_moved_exact_coordinate(monkeypatch, seed):
+    # the exact path (integers lifted to the tower ring over Z) with
+    # coordinate 1 of every result moved by one: the invariant runs that
+    # path, so it must fail
+    lifted_op = witt._lifted_op
+
+    def moved(op, xs, ys, p):
+        out = lifted_op(op, xs, ys, p)
+        if out[0].coeff_mod is None:
+            out[1] = out[1] + 1
+        return out
+
+    monkeypatch.setattr(witt, "_lifted_op", moved)
+    details = invariants.witt_ghost(random.Random(seed))
+    assert details.get("_status") == FAIL, details

@@ -247,6 +247,16 @@ class TestPropertySuites:
         by_name = {c.name: c for c in rep.checks}
         assert by_name["witt_ghost_negative_control"].details == {"detected": True}
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_passes_without_the_universal_polynomials(self, monkeypatch, seed):
+        # the invariants check the ghost-map arithmetic, which reads no tables
+        def no_tables(*args):
+            raise AssertionError("props read the universal polynomials")
+
+        monkeypatch.setattr(witt, "witt_polynomials", no_tables)
+        rep = report.run_property_suites(seed, timestamp=False)
+        assert rep.ok and len(rep.checks) == 20
+
 
 class TestRevalidation:
     def test_reproduces_example_suite(self, example_report):

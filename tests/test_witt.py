@@ -24,7 +24,6 @@ from rootclose.witt import (
     WittCtx,
     WittVec,
     divide_by_p_seq_minus_p,
-    evaluate,
     ghost,
     mul_by_p,
     p_divide_witt,
@@ -37,6 +36,7 @@ from rootclose.witt import (
 
 F5 = TowerCtx(5, 0, 1, FREE)
 F2 = TowerCtx(2, 0, 1, FREE)
+B3 = TowerCtx(3, 0, 1, FREE)  # level 0 at p = 3: Z, or F_3 for residues
 
 
 def fp_const(ctx, k):
@@ -186,10 +186,23 @@ class TestStandardMaps:
         with pytest.raises(NotDivisibleWittError):
             p_divide_witt(vec)
 
-    def test_frobenius_needs_char_p(self):
-        ctx = WittCtx(3, 2)
-        with pytest.raises(ValueError):
-            witt_frobenius(WittVec(ctx, (1, 2)))
+    @pytest.mark.parametrize(
+        "comps, index, what",
+        [
+            ((1, 2), 0, "an integer"),
+            ((TowerElem.integer(B3, 2), TowerElem.integer(B3, 1)), 0, "a tower element over Z"),
+            ((TowerElem.integer(B3, 2, 9), TowerElem.integer(B3, 1, 9)), 0, "a residue mod 9"),
+            ((fp_const(B3, 1), 1), 1, "an integer"),
+        ],
+        ids=["integers", "Z-tower", "Z/9", "F_3 then integer"],
+    )
+    def test_frobenius_needs_char_p(self, comps, index, what):
+        # the componentwise p-th power is no ring map over Z: over the
+        # tower ring, V(F(2, 1)) would be (0, 8), while (2, 1) * 3 is (6, -61)
+        v = WittVec(WittCtx(3, 2), comps)
+        for fn in (witt_frobenius, mul_by_p):
+            with pytest.raises(ValueError, match=f"coordinate {index} is {what}: Frobenius runs"):
+                fn(v)
 
 
 class TestThetaMap:
@@ -284,6 +297,27 @@ class TestKernelDivision:
         x_vec = pmp * WittVec.teichmuller(ctx, X)
         result = divide_by_p_seq_minus_p(x_vec)
         assert result.steps == 2 and result.exhausted
+
+
+def evaluate(poly, vals):
+    """The polynomial at ``vals``, one value per variable, in their own
+    component ring: the oracle of the tests.  S and M have no constant
+    term, so every term has a variable.  Each power v**e is built once
+    per call, in ``powers``."""
+    powers = {}
+    acc = None
+    for exps, coeff in poly.items():
+        term = None
+        for i, (v, e) in enumerate(zip(vals, exps)):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = v**e
+                powered = powers[i, e]
+                term = powered if term is None else term * powered
+        if coeff != 1:
+            term = coeff * term
+        acc = term if acc is None else acc + term
+    return witt._zero_like(vals[0]) if acc is None else acc
 
 
 SHAPES = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3, 4) if (p, n) != (5, 4)]
@@ -425,7 +459,6 @@ class TestGhostArithmetic:
             raise AssertionError("the arithmetic path read the universal polynomials")
 
         monkeypatch.setattr(witt, "witt_polynomials", no_tables)
-        monkeypatch.setattr(witt, "evaluate", no_tables)
         got = [shapes(witt_ops(WittVec(ctx, c[:4]), WittVec(ctx, c[4:]))) for c in cases]
         assert got == want
 
