@@ -18,7 +18,9 @@ class HypothesisNotMetError(ValueError):
 
 
 class CertificateSearchError(RuntimeError):
-    """A search that is guaranteed to succeed came up empty: library bug."""
+    """A check that holds on valid input failed: a search that is
+    guaranteed to succeed came up empty (a library bug), or a sequence
+    division met an incompatible input ("roundtrip mismatch")."""
 
 
 class LocalElem:

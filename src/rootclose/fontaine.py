@@ -281,13 +281,16 @@ def divide_by_p_seq(e: FontaineElem) -> FontaineElem:
 def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureCert | None]]:
     """Divide by the sequence of p-power roots of p, constructively.
 
-    Three steps: (1) factor each component, s_n = r_n / PI_n, exactly or,
-    in certified mode, with a closure certificate; (2) shift the factors
-    down one slot, t_n = s_(n+1)^p; (3) the roundtrip: PI_n * t_n gives
-    back r_n for n = 1..N-1, modulo p * R in plain mode and modulo
-    p * closure in certified mode.  Returns the quotient t_0..t_(N-1)
-    and the factor certificates, ``factors[n]`` for s_n and None where
-    the factor is exact.  Quotient component n is certified by
+    Three steps: (1) factor each component, s_n = r_n / PI_n, exactly
+    over F_p in plain mode (p = PI_n^(p^n) lies in (PI_n), so R/p
+    decides divisibility by PI_n) or, in certified mode, with a closure
+    certificate; (2) compatibility: r_(n+1)^p = r_n for n = 1..N-1,
+    modulo p * R in plain mode and modulo p * closure in certified mode;
+    (3) shift the factors down one slot, t_n = s_(n+1)^p.  Step 2 is the
+    roundtrip PI_n * t_n = r_n, because PI_n * t_n = (PI_(n+1) *
+    s_(n+1))^p = r_(n+1)^p.  Returns the quotient t_0..t_(N-1) and the
+    factor certificates, ``factors[n]`` for s_n and None where the
+    factor is exact.  Quotient component n is certified by
     ``factors[n + 1]`` with exponent max(m - 1, 0), because
     (s^p)^(p^(m-1)) = s^(p^m); when that factor is exact or has m = 0,
     t_n is integral.
@@ -299,7 +302,7 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureC
       lies in p * closure;
     - the roundtrip at n = 0: PI_0 * t_0 - r_0 = p * (t_0 - s_0), and
       t_0, s_0 lie in the closure;
-    - the quotient's compatibility: with delta = t_n - s_n, step 3 puts
+    - the quotient's compatibility: with delta = t_n - s_n, step 2 puts
       PI_n * delta in p * closure, so delta lies in
       PI_n^(p^n - 1) * closure; as t_(n-1) = s_n^p, t_n^p - t_(n-1) is
       the sum of C(p, i) s_n^(p-i) delta^i over 0 < i < p, which lies in
@@ -314,38 +317,32 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureC
     certified = e.mode == CERTIFIED
     m_max = default_m_max(N)
     p = e.family.p
+    r = [as_local(c) for c in e.comps] if certified else e.comps
 
-    # step 1: r_n = PI_n * s_n
-    s: list[LocalElem] = []
+    # step 1: r_n = PI_n * s_n, with PI_n = PI^jn at the component's level
+    s: list[Component] = []
     factors: list[ClosureCert | None] = []
-    for n in range(N + 1):
-        rep = as_local(e.comps[n])
-        jn = p ** (rep.level - n)  # PI at slot n, written at the component's level
-        cand = LocalElem(rep.num, rep.denom_exp + jn)
+    for n, rn in enumerate(r):
+        jn = p ** (rn.level - n)
         cert = None
-        if not cand.is_integral:
-            if not certified:  # refused, at the monomial pi_divide names
-                try:
-                    rep.num.pi_divide(jn)
-                except NotDivisibleError as exc:
-                    raise SequenceDivisionError(n, exc.monomial) from exc
-            cert = membership(cand, m_max)
-            if isinstance(cert, NotMember):
-                raise SequenceDivisionError(n)
-        s.append(cand)
+        if certified:
+            sn = LocalElem(rn.num, rn.denom_exp + jn)
+            if not sn.is_integral:
+                cert = membership(sn, m_max)
+                if isinstance(cert, NotMember):
+                    raise SequenceDivisionError(n)
+        else:
+            try:
+                sn = rn.pi_divide(jn)
+            except NotDivisibleError as exc:  # refused at the least failing monomial
+                raise SequenceDivisionError(n, exc.monomial) from exc
+        s.append(sn)
         factors.append(cert)
 
-    # step 2: shift the factors down by squaring to the p-th power
-    t = [s[n + 1] ** p for n in range(N)]
-
-    # step 3: the roundtrip PI_n * t_n = r_n
+    # step 2: the input's compatibility, which is the roundtrip PI_n * t_n = r_n
     for n in range(1, N):
-        prod = t[n] * TowerElem.monomial(t[n].ctx, p ** (t[n].level - n), 0, 0)
-        if not prod.is_integral:
-            raise CertificateSearchError(f"roundtrip product not integral at component {n}")
-        got = prod if certified else prod.num.reduce_mod_p()
-        if not _comp_equal(got, e.comps[n], n, m_max):
+        if not _comp_equal(r[n + 1] ** p, r[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
 
-    out = t if certified else [x.num.reduce_mod_p() for x in t]
-    return FontaineElem(out, e.mode), factors
+    # step 3: shift the factors down by raising them to the p-th power
+    return FontaineElem([sn**p for sn in s[1:]], e.mode), factors

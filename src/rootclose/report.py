@@ -316,7 +316,8 @@ def _check_closure_certs(cfg: Config) -> dict:
 
 def _check_certified_division(cfg: Config) -> dict:
     _, _, _, eta = _example_elements(cfg, cfg.closure_mode)
-    # the division raises unless P * quotient gives eta back, one depth lower
+    # the division raises unless eta is compatible, which is what makes
+    # P * quotient give eta back, one depth lower
     quotient, factors = fontaine.divide_by_p_seq_traced(eta)
     return {
         "certificates": [cert_to_json(c) for c in factors if c is not None],
@@ -351,6 +352,8 @@ def _check_witt_roundtrip(cfg: Config) -> dict:
 
 def _recheck_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
     comps = [residue_from_json(d, cfg.p, DEGREE, cfg.depth) for d in details["sequence"]]
+    if not _same(details["depth"], cfg.depth) or len(comps) != cfg.depth + 1:
+        yield f"the sequence must have depth {cfg.depth}, with {cfg.depth + 1} components"
     yield None if FontaineElem(comps, PLAIN).check_compat() else "sequence compatibility changed"
 
 
@@ -374,14 +377,39 @@ def _recheck_divisions(details: dict, cfg: Config) -> Iterator[str | None]:
         yield None if _same(d["divides"], divides) else "division outcome changed"
 
 
-def _recheck_certificates(details: dict, cfg: Config) -> Iterator[str | None]:
-    """Every certificate, read first; one above the search bound builds no power."""
+def _validated(certs: list[ClosureCert], cfg: Config) -> Iterator[str | None]:
+    """Every certificate decided again; one above the search bound builds no power."""
     m_max = fontaine.default_m_max(cfg.depth)
-    for cert in [cert_from_json(d, cfg.p, DEGREE, cfg.depth) for d in details["certificates"]]:
+    for cert in certs:
         if cert.m > m_max:
             yield f"certificate exponent {cert.m} above the search bound {m_max}"
         else:
             yield None if closure.validate_cert(cert) else "certificate failed revalidation"
+
+
+def _read_certs(details: dict, cfg: Config) -> list[ClosureCert]:
+    return [cert_from_json(d, cfg.p, DEGREE, cfg.depth) for d in details["certificates"]]
+
+
+def _recheck_closure_certs(details: dict, cfg: Config) -> Iterator[str | None]:
+    """Certificate n of u_n / PI, for n = 1..depth-1, sits at level n with m = n."""
+    certs = _read_certs(details, cfg)
+    if [(c.elem.level, c.m) for c in certs] != [(n, n) for n in range(1, cfg.depth)]:
+        yield f"the certificates must be one per level 1..{cfg.depth - 1}, each with m = its level"
+    yield from _validated(certs, cfg)
+
+
+def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
+    """One factor exponent per component and one certificate per nonzero
+    exponent, with that m; the quotient is one unit of depth shorter."""
+    certs, exponents = _read_certs(details, cfg), details["factor_exponents"]
+    if type(exponents) is not list or [type(e) for e in exponents] != [int] * (cfg.depth + 1):
+        yield f"factor_exponents must be {cfg.depth + 1} integers"
+    elif [c.m for c in certs] != [e for e in exponents if e]:
+        yield "the certificates must be one per nonzero factor exponent, with that m"
+    if not _same(details["quotient_depth"], cfg.depth - 1):
+        yield f"quotient_depth must be {cfg.depth - 1}"
+    yield from _validated(certs, cfg)
 
 
 def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
@@ -406,12 +434,12 @@ EXAMPLE_CHECKS = (
         ("component", "monomial", "divisions"),
         _recheck_divisions,
     ),
-    ("closure_certificates", _check_closure_certs, ("certificates",), _recheck_certificates),
+    ("closure_certificates", _check_closure_certs, ("certificates",), _recheck_closure_certs),
     (
         "certified_division",
         _check_certified_division,
         ("certificates", "factor_exponents", "roundtrip", "quotient_depth"),
-        _recheck_certificates,
+        _recheck_division,
     ),
     (
         "witt_division_roundtrip",

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from rootclose import fontaine
-from rootclose.closure import CertificateSearchError, LocalElem, as_local, membership, validate_cert
+from rootclose import closure, fontaine, witt
+from rootclose.closure import (
+    CertificateSearchError,
+    LocalElem,
+    NotMember,
+    as_local,
+    membership,
+    validate_cert,
+)
 from rootclose.fontaine import (
     CERTIFIED,
     PLAIN,
@@ -16,14 +23,24 @@ from rootclose.fontaine import (
     PrecisionError,
     SequenceDivisionError,
     UndeterminedCongruenceError,
+    _comp_equal,
     _p_closure_cert,
     base_residue,
+    default_m_max,
     divide_by_p_seq,
     divide_by_p_seq_traced,
     generators,
     theta,
 )
-from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx, TowerElem, context
+from rootclose.tower import (
+    FREE,
+    QUOTIENT,
+    NotDivisibleError,
+    ResidueElem,
+    TowerCtx,
+    TowerElem,
+    context,
+)
 
 
 def gens(depth=3, closure=PLAIN, p=5):
@@ -454,6 +471,195 @@ def test_plain_division_runs_no_certificate_search(e):
     with mock.patch.object(fontaine, "membership", no_search):
         with mock.patch.object(fontaine, "_p_closure_cert", no_search):
             assert divide_by_p_seq(e).depth == e.depth - 1
+
+
+def _reference_division(e):
+    """The division's earlier body, kept as the oracle of the one that
+    computes in each mode's own ring: every component lifted to a
+    LocalElem over Z, a plain refusal named by a second ``pi_divide``,
+    the roundtrip built as the product PI_n * t_n and the plain quotient
+    reduced mod p at the end."""
+    N = e.depth
+    if N < 1:
+        raise DepthExhaustedError("division needs depth >= 1")
+    certified = e.mode == CERTIFIED
+    m_max = default_m_max(N)
+    p = e.family.p
+
+    s, factors = [], []
+    for n in range(N + 1):
+        rep = as_local(e.comps[n])
+        jn = p ** (rep.level - n)
+        cand = LocalElem(rep.num, rep.denom_exp + jn)
+        cert = None
+        if not cand.is_integral:
+            if not certified:
+                try:
+                    rep.num.pi_divide(jn)
+                except NotDivisibleError as exc:
+                    raise SequenceDivisionError(n, exc.monomial) from exc
+            cert = membership(cand, m_max)
+            if isinstance(cert, NotMember):
+                raise SequenceDivisionError(n)
+        s.append(cand)
+        factors.append(cert)
+
+    t = [s[n + 1] ** p for n in range(N)]
+
+    for n in range(1, N):
+        prod = t[n] * TowerElem.monomial(t[n].ctx, p ** (t[n].level - n), 0, 0)
+        if not prod.is_integral:
+            raise CertificateSearchError(f"roundtrip product not integral at component {n}")
+        got = prod if certified else prod.num.reduce_mod_p()
+        if not _comp_equal(got, e.comps[n], n, m_max):
+            raise CertificateSearchError(f"roundtrip mismatch at component {n}")
+
+    out = t if certified else [x.num.reduce_mod_p() for x in t]
+    return FontaineElem(out, e.mode), factors
+
+
+def _elem_key(c):
+    """A component or certificate element as data: kind, level, terms."""
+    if isinstance(c, LocalElem):
+        return "LocalElem", c.level, c.denom_exp, c.num.coeff_mod, c.num.terms
+    return "TowerElem", c.level, c.coeff_mod, c.terms
+
+
+def _division_outcome(divide, e):
+    """Quotient components and factor certificates as data, or the
+    error's type, message, index and monomial."""
+    try:
+        quotient, factors = divide(e)
+    except (ArithmeticError, RuntimeError) as exc:
+        index, monomial = getattr(exc, "index", None), getattr(exc, "monomial", None)
+        return type(exc).__name__, str(exc), index, monomial
+    certs = [
+        None if c is None else (c.m, _elem_key(c.elem), _elem_key(c.witness)) for c in factors
+    ]
+    return quotient.mode, [_elem_key(c) for c in quotient.comps], certs
+
+
+def _root_seq(draw, ctx, mode, depth, factor):
+    """``factor`` times the sequence of p-power roots of an F_p combination
+    of one or two monomials at level ``depth``: compatible."""
+    p = ctx.p
+    seed = TowerElem.zero(ctx, p)
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(st.integers(0, ctx.pi_order - 1))
+        b, c, v = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, p - 1))
+        seed = seed + TowerElem.monomial(ctx, a, b, c, v, coeff_mod=p)
+    roots = FontaineElem([seed ** (p ** (depth - i)) for i in range(depth + 1)], mode)
+    return factor * roots
+
+
+@st.composite
+def nonkernel_elems(draw, modes=(PLAIN, CERTIFIED)):
+    """A root sequence times 1, the p-root sequence P or the relation sum
+    P^d + X^d + Y^d, with certified components residues or their lifts:
+    divisible, refused at component 0 (a nonzero base residue) or refused
+    plainly further up, as the cube sum is."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    mode = draw(st.sampled_from(modes))
+    degree = 2 if p == 3 else 3
+    depth = draw(st.integers(1, 3))
+    P, X, Y = generators(p, degree, depth, QUOTIENT, mode)
+    factor = draw(st.sampled_from((P.one_like(), P, P**degree + X**degree + Y**degree)))
+    e = _root_seq(draw, context(p, depth, degree, QUOTIENT), mode, depth, factor)
+    if mode == CERTIFIED and draw(st.booleans()):
+        e = FontaineElem([as_local(c) for c in e.comps], CERTIFIED)
+    return e
+
+
+@st.composite
+def incompatible_elems(draw, modes=(PLAIN, CERTIFIED)):
+    """A division case of depth >= 2 with component n >= 1 moved by
+    PI_n * X^b * v, which keeps step 1's verdict there and breaks the
+    component's relation with a neighbour."""
+    e = draw(st.one_of(division_cases(), nonkernel_elems(modes)).filter(lambda e: e.depth >= 2))
+    if e.mode not in modes:
+        e = FontaineElem(e.comps, modes[0])
+    n = draw(st.integers(1, e.depth))
+    comp = e.comps[n]
+    p = comp.ctx.p
+    b, v = draw(st.integers(0, 2)), draw(st.integers(1, p - 1))
+    bump = TowerElem.monomial(comp.ctx, p ** (comp.level - n), b, 0, v, coeff_mod=p)
+    moved = comp + (as_local(bump) if isinstance(comp, LocalElem) else bump)
+    return FontaineElem(e.comps[:n] + (moved,) + e.comps[n + 1 :], e.mode)
+
+
+class TestAgreementWithTheReference:
+    """Plain mode divides in R/p and both modes read the roundtrip as the
+    input's compatibility; the earlier body lifted, multiplied and
+    reduced.  All drawn components are integral, so the one case where
+    the two differ (``test_a_non_integral_p_th_power_is_read_modulo_p_closure``)
+    does not arise."""
+
+    @given(e=st.one_of(division_cases(), nonkernel_elems(), incompatible_elems()))
+    @settings(max_examples=150, deadline=None)
+    def test_same_quotients_certificates_and_errors(self, e):
+        want = _division_outcome(_reference_division, e)
+        assert _division_outcome(divide_by_p_seq_traced, e) == want
+
+    def test_negative_control_plain_step_one_divides_by_one_pi_more(self):
+        pi_divide = TowerElem.pi_divide
+
+        def one_more(self, j):
+            # only the F_p division of plain step 1; the reference divides over Z
+            return pi_divide(self, j + 1 if self.over_fp else j)
+
+        def disagrees(e):
+            want = _division_outcome(_reference_division, e)
+            with mock.patch.object(TowerElem, "pi_divide", one_more):
+                return _division_outcome(divide_by_p_seq_traced, e) != want
+
+        find(
+            st.one_of(nonkernel_elems((PLAIN,)), incompatible_elems((PLAIN,))),
+            disagrees,
+            settings=settings(derandomize=True, database=None, max_examples=40),
+        )
+
+    def test_a_non_integral_p_th_power_is_read_modulo_p_closure(self):
+        # p = 3, degree 2, u = PI^2 + X^2 + Y^2 at level 2: c = u^2 / PI
+        # divides, c / PI = (u / PI)^2 being in the closure, but c^3 is not
+        # integral.  The earlier body refused the product PI_1 * t_1 = c^3
+        # as such; the compatibility step compares c^3 with component 1
+        # modulo p * closure, as ``check_compat`` does, and that search is
+        # undetermined at the division's bound
+        ctx = context(3, 2, 2, QUOTIENT)
+        u = TowerElem(ctx, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+        zeros = [TowerElem.zero(context(3, i, 2, QUOTIENT), 3) for i in range(2)]
+        e = FontaineElem([*zeros, LocalElem(u**2, 1)], CERTIFIED)
+        with pytest.raises(CertificateSearchError, match="product not integral at component 1"):
+            _reference_division(e)
+        with pytest.raises(UndeterminedCongruenceError) as err:
+            divide_by_p_seq_traced(e)
+        assert err.value.index == 1
+        with pytest.raises(UndeterminedCongruenceError):
+            e.check_compat()
+
+
+class TestPlainDivisionStaysInRModP:
+    """Plain components are residues mod p, and so is every step."""
+
+    @staticmethod
+    def no_local_elem(*args, **kwargs):
+        raise AssertionError("a LocalElem was built")
+
+    @given(e=st.one_of(nonkernel_elems((PLAIN,)), incompatible_elems((PLAIN,))))
+    @settings(max_examples=40, deadline=None)
+    def test_sequence_division(self, e):
+        want = _division_outcome(divide_by_p_seq_traced, e)
+        with mock.patch.object(closure.LocalElem, "__init__", self.no_local_elem):
+            assert _division_outcome(divide_by_p_seq_traced, e) == want
+
+    def test_witt_division_of_plain_vectors(self):
+        _, X, Y = generators(5, 3, 4, QUOTIENT)
+        ctx = witt.WittCtx(5, 2)
+        x = witt.p_seq_minus_p(ctx, X) * witt.WittVec(ctx, [X + Y, X * Y])
+        want = witt.divide_by_p_seq_minus_p(x)
+        with mock.patch.object(closure.LocalElem, "__init__", self.no_local_elem):
+            got = witt.divide_by_p_seq_minus_p(x)
+        assert (got.steps, got.depth, got.quotient) == (want.steps, want.depth, want.quotient)
 
 
 class TestZeroModPClosure:

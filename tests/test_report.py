@@ -262,7 +262,7 @@ class TestRevalidation:
     def test_reproduces_example_suite(self, example_report):
         rv = report.revalidate_report(example_report.to_dict())
         assert rv.ok
-        assert sum(c.details["revalidated"] for c in rv.checks) >= 9
+        assert [c.details["revalidated"] for c in rv.checks] == [1, 1, 1, 2, 3, 1]
 
     def test_detects_tampered_witness(self, example_report):
         # the certificates of u_1/PI (m = 1) and u_2/PI (m = 2): a changed
@@ -280,12 +280,14 @@ class TestRevalidation:
             certs[1]["m"] = 1
 
         index = report.CHECK_NAMES.index("closure_certificates")
-        for tamper in (num_terms, denom_exp, m):
+        # an exponent other than the level is refused before it is decided again
+        level_m = "the certificates must be one per level 1..2, each with m = its level"
+        for tamper, shape in ((num_terms, []), (denom_exp, []), (m, [level_m])):
             data = copy.deepcopy(example_report.to_dict())
             tamper(data["checks"][index]["details"]["certificates"])
             rv = report.revalidate_report(data)
             assert rv.checks[index].status == "fail", tamper.__name__
-            assert rv.checks[index].details["errors"] == ["certificate failed revalidation"]
+            assert rv.checks[index].details["errors"] == shape + ["certificate failed revalidation"]
             assert not rv.ok
 
     def test_detects_tampered_division_verdict(self, example_report):
@@ -340,6 +342,63 @@ class TestRevalidation:
         assert rv.checks[0].status == "fail"
         assert rv.checks[0].details == {"revalidated": 0, "errors": ["no evidence"]}
         assert [c.status for c in rv.checks[1:]] == ["pass"] * 5
+
+    @pytest.mark.parametrize(
+        "name, forge, error",
+        [
+            (
+                "sequence_compatibility",
+                lambda d: d.update(sequence=d["sequence"][:1]),
+                "the sequence must have depth 3, with 4 components",
+            ),
+            (
+                "sequence_compatibility",
+                lambda d: d.update(depth=9),
+                "the sequence must have depth 3, with 4 components",
+            ),
+            (
+                "closure_certificates",
+                lambda d: d["certificates"].pop(0),
+                "the certificates must be one per level 1..2, each with m = its level",
+            ),
+            (
+                "certified_division",
+                lambda d: d.update(factor_exponents=[0]),
+                "factor_exponents must be 4 integers",
+            ),
+            (
+                "certified_division",
+                lambda d: d.update(quotient_depth=9),
+                "quotient_depth must be 2",
+            ),
+            (
+                "certified_division",
+                lambda d: d.update(certificates=d["certificates"][:1]),
+                "the certificates must be one per nonzero factor exponent, with that m",
+            ),
+        ],
+        ids=[
+            "sequence-cut",
+            "depth-9",
+            "closure-certificate-dropped",
+            "exponents-cut",
+            "quotient-depth-9",
+            "division-certificates-cut",
+        ],
+    )
+    def test_evidence_of_the_wrong_size_fails(self, example_report, tmp_path, name, forge, error):
+        # the config fixes how much evidence each check carries: the
+        # refusal is one more error, so a valid report's counts stay
+        data = copy.deepcopy(example_report.to_dict())
+        index = report.CHECK_NAMES.index(name)
+        forge(data["checks"][index]["details"])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path)]) == 1
+        rv = report.revalidate_report(data)
+        assert rv.checks[index].status == "fail"
+        assert rv.checks[index].details["errors"] == [error]
+        assert [c.status for c in rv.checks] == ["fail" if c == name else "pass" for c in report.CHECK_NAMES]
 
     def test_each_run_writes_exactly_its_evidence_keys(self, example_report):
         for (name, _, keys, _), check in zip(report.EXAMPLE_CHECKS, example_report.checks):
@@ -619,8 +678,11 @@ class TestCli:
             "name": "closure_certificates",
             "status": "fail",
             "details": {
-                "revalidated": 1,
-                "errors": ["certificate exponent 6 above the search bound 4"],
+                "revalidated": 2,
+                "errors": [
+                    "the certificates must be one per level 1..1, each with m = its level",
+                    "certificate exponent 6 above the search bound 4",
+                ],
             },
         }
         assert {c["status"] for c in checks.values()} == {"pass"}
