@@ -48,6 +48,15 @@ class UndeterminedCongruenceError(RuntimeError):
         super().__init__(f"congruence at component {index} undetermined up to exponent {m_max}")
 
 
+class NonIntegralComponentError(ArithmeticError):
+    """A residue was asked of a component with a PI-power denominator."""
+
+    def __init__(self, index: int, denom_exp: int):
+        self.index = index
+        self.denom_exp = denom_exp
+        super().__init__(f"component {index} is not integral (denominator PI^{denom_exp})")
+
+
 class SequenceDivisionError(ArithmeticError):
     """Division by the p-root sequence failed at a component."""
 
@@ -138,7 +147,7 @@ class FontaineElem:
         rep = as_local(self.comps[i])
         if rep.is_integral:
             return rep.num.reduce_mod_p()
-        raise UndeterminedCongruenceError(i, 0)
+        raise NonIntegralComponentError(i, rep.denom_exp)
 
     def truncate(self, depth: int) -> "FontaineElem":
         if depth < 0 or depth > self.depth:

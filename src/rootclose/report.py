@@ -253,22 +253,20 @@ def _run_checks(config: dict, steps) -> Report:
     return Report(config, checks)
 
 
-def _example_elements(cfg: Config, closure_mode: str):
-    P, X, Y = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT, closure_mode)
-    eta = P**DEGREE + X**DEGREE + Y**DEGREE
-    return P, X, Y, eta
+def _example_eta(cfg: Config) -> FontaineElem:
+    """eta = P^3 + X^3 + Y^3, the worked example's plain sequence."""
+    P, X, Y = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
+    return P**DEGREE + X**DEGREE + Y**DEGREE
 
 
-def _check_compat(cfg: Config) -> dict:
-    _, _, _, eta = _example_elements(cfg, PLAIN)
+def _check_compat(cfg: Config, eta: FontaineElem) -> dict:
     if not eta.check_compat():
         return {"_status": FAIL, "depth": cfg.depth}
     sequence = [elem_to_json(eta.residue(i)) for i in range(cfg.depth + 1)]
     return {"depth": cfg.depth, "sequence": sequence}
 
 
-def _check_base_residue(cfg: Config) -> dict:
-    _, _, _, eta = _example_elements(cfg, PLAIN)
+def _check_base_residue(cfg: Config, eta: FontaineElem) -> dict:
     r0 = fontaine.base_residue(eta)
     details = {"residues": [{"elem": elem_to_json(r0), "expect_zero": True}]}
     if not r0.is_zero:
@@ -276,8 +274,7 @@ def _check_base_residue(cfg: Config) -> dict:
     return details
 
 
-def _check_plain_division(cfg: Config) -> dict:
-    _, _, _, eta = _example_elements(cfg, PLAIN)
+def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
     try:
         fontaine.divide_by_p_seq(eta)
         return {"_status": FAIL, "error": "plain division unexpectedly succeeded"}
@@ -299,13 +296,19 @@ def _check_plain_division(cfg: Config) -> dict:
     return details
 
 
-def _check_closure_certs(cfg: Config) -> dict:
+def _closure_claim(cfg: Config, n: int) -> LocalElem:
+    """u_n / PI at level n, u_n = PI^3 + X^3 + Y^3: the element whose
+    closure certificate the example records for level n."""
+    ctx = TowerCtx(cfg.p, n, DEGREE, QUOTIENT)
+    u_n = TowerElem(ctx, {(DEGREE, 0, 0): 1, (0, DEGREE, 0): 1, (0, 0, DEGREE): 1})
+    return LocalElem(u_n, 1)
+
+
+def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
     m_max = fontaine.default_m_max(cfg.depth)
     certs = []
     for n in range(1, cfg.depth):
-        ctx = TowerCtx(cfg.p, n, DEGREE, QUOTIENT)
-        u_n = TowerElem(ctx, {(DEGREE, 0, 0): 1, (0, DEGREE, 0): 1, (0, 0, DEGREE): 1})
-        got = closure.membership(LocalElem(u_n, 1), m_max)
+        got = closure.membership(_closure_claim(cfg, n), m_max)
         if isinstance(got, NotMember):
             return {"_status": FAIL, "error": f"no certificate for level {n}"}
         if got.m != n:
@@ -314,11 +317,10 @@ def _check_closure_certs(cfg: Config) -> dict:
     return {"certificates": certs}
 
 
-def _check_certified_division(cfg: Config) -> dict:
-    _, _, _, eta = _example_elements(cfg, cfg.closure_mode)
+def _check_certified_division(cfg: Config, eta: FontaineElem) -> dict:
     # the division raises unless eta is compatible, which is what makes
     # P * quotient give eta back, one depth lower
-    quotient, factors = fontaine.divide_by_p_seq_traced(eta)
+    quotient, factors = fontaine.divide_by_p_seq_traced(FontaineElem(eta.comps, cfg.closure_mode))
     return {
         "certificates": [cert_to_json(c) for c in factors if c is not None],
         "factor_exponents": [0 if c is None else c.m for c in factors],
@@ -327,12 +329,14 @@ def _check_certified_division(cfg: Config) -> dict:
     }
 
 
-def _check_witt_roundtrip(cfg: Config) -> dict:
-    """Divide (p-root sequence - p) * [x] by (p-root sequence - p), whose
+def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict:
+    """Divide (p-root sequence - p) * [X] by (p-root sequence - p), whose
     first sequence division decides that theta kills it at precision 1
-    (it raises otherwise), and record how far it got."""
+    (it raises otherwise), and record how far it got.  It reads only X,
+    built from the generators, so neither this check nor ``revalidate``'s
+    re-run of it builds eta."""
     ctx = witt.WittCtx(cfg.p, cfg.witt_length)
-    _, X, _, _ = _example_elements(cfg, PLAIN)
+    _, X, _ = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
     w = witt.WittVec.teichmuller(ctx, X)
     x_vec = witt.p_seq_minus_p(ctx, w.comps[0]) * w
     result = witt.divide_by_p_seq_minus_p(x_vec)
@@ -392,11 +396,17 @@ def _read_certs(details: dict, cfg: Config) -> list[ClosureCert]:
 
 
 def _recheck_closure_certs(details: dict, cfg: Config) -> Iterator[str | None]:
-    """Certificate n of u_n / PI, for n = 1..depth-1, sits at level n with m = n."""
+    """Certificate n, for n = 1..depth-1, is that of u_n / PI rebuilt
+    from the config, at level n with m = n.  One whose element is not
+    u_n / PI is refused before any power is built."""
     certs = _read_certs(details, cfg)
     if [(c.elem.level, c.m) for c in certs] != [(n, n) for n in range(1, cfg.depth)]:
         yield f"the certificates must be one per level 1..{cfg.depth - 1}, each with m = its level"
-    yield from _validated(certs, cfg)
+    for n, cert in enumerate(certs, 1):
+        if n < cfg.depth and cert.elem == _closure_claim(cfg, n):
+            yield from _validated([cert], cfg)
+        else:
+            yield f"certificate {n} is not u_{n} / PI at level {n}"
 
 
 def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
@@ -421,9 +431,10 @@ def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
 
 
 #: The example suite in run order, the one place that names its checks:
-#: (name, run, keys, recheck).  ``run(cfg)`` decides a check and on a pass
-#: writes details with exactly ``keys``; ``recheck(details, cfg)`` decides
-#: it again from them, yielding one verdict per piece of evidence: None
+#: (name, run, keys, recheck).  ``run(cfg, eta)`` decides a check, with
+#: eta the plain sequence of ``_example_eta``, and on a pass writes
+#: details with exactly ``keys``; ``recheck(details, cfg)`` decides it
+#: again from them, yielding one verdict per piece of evidence: None
 #: when the piece is reproduced, else the error.
 EXAMPLE_CHECKS = (
     ("sequence_compatibility", _check_compat, ("depth", "sequence"), _recheck_sequence),
@@ -455,9 +466,11 @@ _EVIDENCE_KEYS = {key for _, _, keys, _ in EXAMPLE_CHECKS for key in keys}
 def run_example_suite(cfg: Config) -> Report:
     """The worked example at prime p: the sum of cubes is killed by the
     base residue map, fails plain division, and divides with closure
-    certificates; plus a Witt-level division roundtrip."""
+    certificates; plus a Witt-level division roundtrip.  eta is built
+    once per call and shared by the checks that read it."""
     cfg.validate_example()
-    steps = [(name, partial(run, cfg)) for name, run, _, _ in EXAMPLE_CHECKS]
+    eta = _example_eta(cfg)
+    steps = [(name, partial(run, cfg, eta)) for name, run, _, _ in EXAMPLE_CHECKS]
     return _run_checks(cfg.to_dict(), steps)
 
 

@@ -6,8 +6,12 @@ normal-form monomials and so without p-torsion; over it the ghost map
 is injective, and coordinate k of a sum, product or difference is solved
 in R_n/p^(k+1) from the ghost components (Hazewinkel, "Witt vectors.
 Part 1", arXiv:0804.3888).  Plain sequences run that recursion once per
-sequence index, integers and tower elements over Z run it exactly.
-Residues mod p^j (j >= 2) and certified sequences are refused.
+sequence index, integers and tower elements over Z run it exactly.  A
+product with a Teichmuller factor is computed in closed form instead,
+[a] * (b_0, b_1, ...) = (a b_0, a^p b_1, a^(p^2) b_2, ...), which over
+F_p is a termwise Frobenius twist; everything else goes through the
+ghost map.  Residues mod p^j (j >= 2) and certified sequences are
+refused.
 
 The universal sum/product polynomials, computed once per (p, length)
 through the same recursion with exact integer divisions, stay as the
@@ -184,14 +188,26 @@ def _modulus(zero: TowerElem, e: int) -> int | None:
     return None if zero.coeff_mod is None else zero.ctx.p**e
 
 
+def _teichmuller_product(a, bs, p: int) -> list:
+    """[a] * (b_0, b_1, ...) = (a b_0, a^p b_1, a^(p^2) b_2, ...): both
+    sides have the ghost components a^(p^k) w_k(b), and over F_p the
+    power is the termwise Frobenius, so no ghost pass is needed."""
+    return [a ** p**k * b for k, b in enumerate(bs)]
+
+
 def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
     """Coordinates of x op y (op one of + * -) in one ring of F_p
-    residues, or exactly in one tower ring over Z."""
+    residues, or exactly in one tower ring over Z; a product with a
+    Teichmuller operand in closed form."""
     n = len(xs)
     zero = xs[0].zero_like()
     ctx = zero.ctx
     if ctx.p != p or any(v.ctx != ctx for v in (*xs, *ys)):
         raise ValueError(f"Witt components must lie in one tower ring with p = {p}")
+    if op == "*":
+        for t, b in ((xs, ys), (ys, xs)):
+            if all(v.is_zero for v in t[1:]):
+                return _teichmuller_product(t[0], b, p)
 
     def chain(v, i):
         # v^(p^e) mod p^(e+1) for the e that coordinate i enters: e < n - i

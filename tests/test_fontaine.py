@@ -6,7 +6,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from rootclose import closure, fontaine, witt
+from rootclose import closure, fontaine, report, witt
 from rootclose.closure import (
     CertificateSearchError,
     LocalElem,
@@ -20,6 +20,7 @@ from rootclose.fontaine import (
     PLAIN,
     DepthExhaustedError,
     FontaineElem,
+    NonIntegralComponentError,
     PrecisionError,
     SequenceDivisionError,
     UndeterminedCongruenceError,
@@ -263,6 +264,27 @@ class TestTheta:
         P, _, _ = gens()
         with pytest.raises(ValueError):
             theta(P, 1) + theta(P, 2)
+
+
+class TestResidue:
+    def test_a_non_integral_component_has_no_residue(self):
+        # no certificate search runs, so nothing is undetermined: the
+        # component is named, with its denominator
+        quotient = divide_by_p_seq(cube_sum(closure=CERTIFIED))
+        assert quotient.residue(0).over_fp  # component 0 is integral
+        for read, index in ((lambda: quotient.residue(1), 1), (lambda: theta(quotient, 1), 2)):
+            with pytest.raises(NonIntegralComponentError) as err:
+                read()
+            assert (err.value.index, err.value.denom_exp) == (index, 5)
+            assert str(err.value) == f"component {index} is not integral (denominator PI^5)"
+
+    def test_the_report_runner_records_a_fail(self):
+        quotient = divide_by_p_seq(cube_sum(closure=CERTIFIED))
+        rep = report._run_checks({}, [("residue", lambda: {"r": quotient.residue(1)})])
+        assert (rep.checks[0].status, rep.checks[0].details) == (
+            "fail",
+            {"error": "NonIntegralComponentError: component 1 is not integral (denominator PI^5)"},
+        )
 
 
 class TestDivision:

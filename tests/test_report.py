@@ -8,7 +8,7 @@ import pytest
 
 from rootclose import cli, closure, fontaine, report, witt
 from rootclose.closure import CertificateSearchError
-from rootclose.fontaine import PLAIN, UndeterminedCongruenceError
+from rootclose.fontaine import PLAIN, FontaineElem, UndeterminedCongruenceError
 
 
 def cfg(**kw):
@@ -101,6 +101,26 @@ class TestExampleSuite:
         assert failed["witt_division_roundtrip"]["error"] == (
             "SequenceDivisionError: component 0 is not divisible (monomial (0, 1, 0))"
         )
+
+    def test_eta_is_built_once_per_run(self, monkeypatch):
+        # eta = P^3 + X^3 + Y^3 takes three cubes of sequences; the Witt
+        # check reads only X, and each run builds its own eta
+        cubes, power = [], FontaineElem.__pow__
+
+        def counted(seq, e):
+            if e == report.DEGREE:
+                cubes.append(seq)
+            return power(seq, e)
+
+        monkeypatch.setattr(FontaineElem, "__pow__", counted)
+        first = report.run_example_suite(cfg())
+        assert len(cubes) == 3
+        cubes.clear()
+        report._check_witt_roundtrip(cfg())
+        assert report.revalidate_report(first.to_dict()).ok
+        assert cubes == []
+        assert report.run_example_suite(cfg()).to_json() == first.to_json()
+        assert len(cubes) == 3
 
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -266,8 +286,9 @@ class TestRevalidation:
 
     def test_detects_tampered_witness(self, example_report):
         # the certificates of u_1/PI (m = 1) and u_2/PI (m = 2): a changed
-        # numerator, a deeper denominator and an exponent below the true
-        # one each make elem^(p^m) non-integral
+        # numerator or a deeper denominator is no longer u_1/PI, and is
+        # refused before any power is built; an exponent below the true
+        # one makes elem^(p^m) non-integral
         def num_terms(certs):
             # X^3 -> 2*X^3
             terms = certs[0]["num_terms"]
@@ -282,12 +303,14 @@ class TestRevalidation:
         index = report.CHECK_NAMES.index("closure_certificates")
         # an exponent other than the level is refused before it is decided again
         level_m = "the certificates must be one per level 1..2, each with m = its level"
-        for tamper, shape in ((num_terms, []), (denom_exp, []), (m, [level_m])):
+        not_u_1 = "certificate 1 is not u_1 / PI at level 1"
+        invalid = "certificate failed revalidation"
+        for tamper, errors in ((num_terms, [not_u_1]), (denom_exp, [not_u_1]), (m, [level_m, invalid])):
             data = copy.deepcopy(example_report.to_dict())
             tamper(data["checks"][index]["details"]["certificates"])
             rv = report.revalidate_report(data)
             assert rv.checks[index].status == "fail", tamper.__name__
-            assert rv.checks[index].details["errors"] == shape + ["certificate failed revalidation"]
+            assert rv.checks[index].details["errors"] == errors
             assert not rv.ok
 
     def test_detects_tampered_division_verdict(self, example_report):
@@ -344,37 +367,40 @@ class TestRevalidation:
         assert [c.status for c in rv.checks[1:]] == ["pass"] * 5
 
     @pytest.mark.parametrize(
-        "name, forge, error",
+        "name, forge, errors",
         [
             (
                 "sequence_compatibility",
                 lambda d: d.update(sequence=d["sequence"][:1]),
-                "the sequence must have depth 3, with 4 components",
+                ["the sequence must have depth 3, with 4 components"],
             ),
             (
                 "sequence_compatibility",
                 lambda d: d.update(depth=9),
-                "the sequence must have depth 3, with 4 components",
+                ["the sequence must have depth 3, with 4 components"],
             ),
             (
                 "closure_certificates",
                 lambda d: d["certificates"].pop(0),
-                "the certificates must be one per level 1..2, each with m = its level",
+                [
+                    "the certificates must be one per level 1..2, each with m = its level",
+                    "certificate 1 is not u_1 / PI at level 1",
+                ],
             ),
             (
                 "certified_division",
                 lambda d: d.update(factor_exponents=[0]),
-                "factor_exponents must be 4 integers",
+                ["factor_exponents must be 4 integers"],
             ),
             (
                 "certified_division",
                 lambda d: d.update(quotient_depth=9),
-                "quotient_depth must be 2",
+                ["quotient_depth must be 2"],
             ),
             (
                 "certified_division",
                 lambda d: d.update(certificates=d["certificates"][:1]),
-                "the certificates must be one per nonzero factor exponent, with that m",
+                ["the certificates must be one per nonzero factor exponent, with that m"],
             ),
         ],
         ids=[
@@ -386,9 +412,10 @@ class TestRevalidation:
             "division-certificates-cut",
         ],
     )
-    def test_evidence_of_the_wrong_size_fails(self, example_report, tmp_path, name, forge, error):
+    def test_evidence_of_the_wrong_size_fails(self, example_report, tmp_path, name, forge, errors):
         # the config fixes how much evidence each check carries: the
-        # refusal is one more error, so a valid report's counts stay
+        # refusal is one more error, so a valid report's counts stay; with
+        # the first certificate dropped, the one left is not u_1 / PI
         data = copy.deepcopy(example_report.to_dict())
         index = report.CHECK_NAMES.index(name)
         forge(data["checks"][index]["details"])
@@ -397,7 +424,7 @@ class TestRevalidation:
         assert cli.main(["revalidate", str(path)]) == 1
         rv = report.revalidate_report(data)
         assert rv.checks[index].status == "fail"
-        assert rv.checks[index].details["errors"] == [error]
+        assert rv.checks[index].details["errors"] == errors
         assert [c.status for c in rv.checks] == ["fail" if c == name else "pass" for c in report.CHECK_NAMES]
 
     def test_each_run_writes_exactly_its_evidence_keys(self, example_report):
@@ -686,6 +713,47 @@ class TestCli:
             },
         }
         assert {c["status"] for c in checks.values()} == {"pass"}
+
+    @pytest.mark.parametrize(
+        "forge, errors",
+        [
+            (
+                # (X^3 + Y^3)^5 = 0 mod 5 passes the mod-p pre-test, and
+                # deciding m = 1 would work modulo 5^(10^7)
+                lambda certs: certs[0].update(
+                    denom_exp=10**7, num_terms=[[0, 3, 0, "1"], [0, 0, 3, "1"]]
+                ),
+                ["certificate 1 is not u_1 / PI at level 1"],
+            ),
+            (
+                lambda certs: (certs[0].update(level=2), certs[1].update(level=1)),
+                [
+                    "the certificates must be one per level 1..2, each with m = its level",
+                    "certificate 1 is not u_1 / PI at level 1",
+                    "certificate 2 is not u_2 / PI at level 2",
+                ],
+            ),
+        ],
+        ids=["denominator-10**7", "swapped-levels"],
+    )
+    def test_revalidate_binds_closure_certificates_to_their_claim(
+        self, tmp_path, capsys, example_report, forge, errors
+    ):
+        # certificate n must be u_n / PI = (PI^3 + X^3 + Y^3) / PI at level
+        # n, rebuilt from the config: a mismatch is refused before any power
+        data = copy.deepcopy(example_report.to_dict())
+        index = report.CHECK_NAMES.index("closure_certificates")
+        forge(data["checks"][index]["details"]["certificates"])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        assert time.perf_counter() - started < 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[index]["details"]["errors"] == errors
+        assert [c["status"] for c in checks] == [
+            "fail" if i == index else "pass" for i in range(len(checks))
+        ]
 
     @pytest.mark.parametrize(
         "edit, key",

@@ -549,6 +549,90 @@ class TestGhostArithmetic:
             assert shapes(witt_ops(*pair)) == shapes(table_ops(*pair))
 
 
+@st.composite
+def teichmuller_products(draw):
+    """[a] and an arbitrary vector over one component kind (integers,
+    tower elements over Z, F_p residues or plain sequences), in either
+    order, of length 1..4 with many zero coordinates.  A sequence [a]
+    sometimes has shallower zero coordinates than a, so that its deep
+    indices read coordinate 0 alone."""
+    p, n = draw(st.sampled_from(SHAPES))
+    degree = 2 if p == 3 else 3
+    kind = draw(st.sampled_from(["integer", "Z-tower", "residue", "sequence"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = TowerCtx(p, rng.randint(0, 1), degree, rng.choice([FREE, QUOTIENT]))
+    coord = {
+        "integer": lambda: rng.choice([0, rng.randint(-9, 9)]),
+        "Z-tower": lambda: random_tower(rng, base, terms=2, span=3) * rng.randint(0, 1),
+        "residue": lambda: _residue_coord(rng, base),
+        "sequence": lambda: _sequence_coord(rng, p, degree),
+    }[kind]
+    ctx = WittCtx(p, n)
+    a, b = coord(), WittVec(ctx, [coord() for _ in range(n)])
+    zero = witt._zero_like(a)
+    if kind == "sequence" and draw(st.booleans()):
+        zero = a.truncate(rng.randint(0, a.depth)).zero_like()
+    t = WittVec(ctx, [a] + [zero] * (n - 1))
+    return (t, b) if draw(st.booleans()) else (b, t)
+
+
+def product_agrees(pair) -> bool:
+    """x * y against the exact oracle: the ghost map over integers, the
+    universal product polynomials over every other kind."""
+    x, y = pair
+    got = x * y
+    if isinstance(x.comps[0], int):
+        return ghost(got) == [a * b for a, b in zip(ghost(x), ghost(y))]
+    _, prods = witt_polynomials(x.ctx.p, x.ctx.length)
+    want = WittVec(x.ctx, [evaluate(poly, x.comps + y.comps) for poly in prods])
+    return shape(got) == shape(want)
+
+
+def untwisted_disagrees(pair) -> bool:
+    """Does the closed form without its Frobenius twist, [a] * b =
+    (a b_0, a b_1, ...), disagree with the oracle on this pair?"""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witt, "_teichmuller_product", lambda a, bs, p: [a * b for b in bs])
+        return not product_agrees(pair)
+
+
+class TestTeichmullerProduct:
+    """[a] * b = (a b_0, a^p b_1, a^(p^2) b_2, ...) against the exact path."""
+
+    @given(pair=teichmuller_products())
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_the_exact_oracle(self, pair):
+        assert product_agrees(pair)
+
+    def test_negative_control_without_the_frobenius_twist(self):
+        find(
+            teichmuller_products(),
+            untwisted_disagrees,
+            settings=settings(database=None, derandomize=True, max_examples=200),
+        )
+
+    def test_runs_no_ghost_recursion(self, monkeypatch):
+        rng = random.Random(3)
+        base = TowerCtx(3, 1, 2, QUOTIENT)
+        ctx = WittCtx(3, 3)
+        kinds = [
+            [rng.randint(-9, 9) for _ in range(4)],
+            [random_tower(rng, base, terms=2, span=3) for _ in range(4)],
+            [_residue_coord(rng, base) for _ in range(4)],
+            [_sequence_coord(rng, 3, 2) for _ in range(4)],
+        ]
+        pairs = [(WittVec.teichmuller(ctx, c[0]), WittVec(ctx, c[1:])) for c in kinds]
+        want = [(shape(t * b), shape(b * t)) for t, b in pairs]
+
+        def no_recursion(*args):
+            raise AssertionError("a Teichmuller product ran the ghost recursion")
+
+        monkeypatch.setattr(witt, "_poly_div_exact", no_recursion)
+        assert [(shape(t * b), shape(b * t)) for t, b in pairs] == want
+        with pytest.raises(AssertionError, match="ghost recursion"):
+            WittVec(ctx, (2, 1, 0)) * WittVec(ctx, (1, 1, 0))  # no Teichmuller operand
+
+
 class TestSharedPSeqMinusP:
     def test_cached_constant_equals_a_fresh_build(self):
         ctx = WittCtx(5, 2)
