@@ -107,9 +107,11 @@ def _comp_equal(a: Component, b: Component, index: int, m_max: int) -> bool:
 
 
 class FontaineElem:
-    """Finite-depth compatible sequence of residues."""
+    """Finite-depth compatible sequence of residues.  ``check_compat()``
+    is decided once; the sequences built here from valid components skip
+    ``__init__`` (``_trusted``) and carry a known compatibility forward."""
 
-    __slots__ = ("comps", "mode")
+    __slots__ = ("comps", "mode", "_compat")
 
     def __init__(self, comps, mode: str = PLAIN):
         comps = tuple(comps)
@@ -128,6 +130,18 @@ class FontaineElem:
                 raise ValueError(f"component {i} sits at level {comp.level} < {i}")
         self.comps = comps
         self.mode = mode
+        self._compat = None
+
+    @classmethod
+    def _trusted(cls, comps, mode: str, compat: bool | None) -> "FontaineElem":
+        """Components already valid in ``mode``, unchecked; a plain
+        sequence records ``compat`` when it is True (a certified one
+        decides its compatibility by a search)."""
+        e = object.__new__(cls)
+        e.comps = tuple(comps)
+        e.mode = mode
+        e._compat = True if compat is True and mode == PLAIN else None
+        return e
 
     # ------------------------------------------------------------------
     @property
@@ -152,7 +166,7 @@ class FontaineElem:
     def truncate(self, depth: int) -> "FontaineElem":
         if depth < 0 or depth > self.depth:
             raise ValueError("bad truncation depth")
-        return FontaineElem(self.comps[: depth + 1], self.mode)
+        return FontaineElem._trusted(self.comps[: depth + 1], self.mode, self._compat)
 
     def zero_like(self) -> "FontaineElem":
         return self.from_int(0)
@@ -163,13 +177,14 @@ class FontaineElem:
     def from_int(self, k: int) -> "FontaineElem":
         # constant sequences are compatible: k^p = k mod p
         comps = [TowerElem.integer(c.ctx, k, c.ctx.p) for c in self.comps]
-        return FontaineElem(comps, self.mode)
+        return FontaineElem._trusted(comps, self.mode, True)
 
     # ------------------------------------------------------------------
     def _binary(self, other, op):
         """Componentwise ``op`` at the lesser depth.  The result is not
         checked for compatibility: + - * keep it because Frobenius is a
-        ring map in characteristic p, a property the tests cover."""
+        ring map in characteristic p, a property the tests cover, so it is
+        known compatible when both operands are."""
         if isinstance(other, int):
             other = self.from_int(other)
         if not isinstance(other, FontaineElem):
@@ -177,7 +192,8 @@ class FontaineElem:
         if not other.family.same_family(self.family):
             raise ValueError("sequence family mismatch")
         comps = [op(*aligned(a, b)) for a, b in zip(self.comps, other.comps)]
-        return FontaineElem(comps, CERTIFIED if CERTIFIED in (self.mode, other.mode) else PLAIN)
+        mode = CERTIFIED if CERTIFIED in (self.mode, other.mode) else PLAIN
+        return FontaineElem._trusted(comps, mode, self._compat and other._compat)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -196,12 +212,12 @@ class FontaineElem:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FontaineElem([-c for c in self.comps], self.mode)
+        return FontaineElem._trusted([-c for c in self.comps], self.mode, self._compat)
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        return FontaineElem([c**e for c in self.comps], self.mode)
+        return FontaineElem._trusted([c**e for c in self.comps], self.mode, self._compat)
 
     def frobenius(self) -> "FontaineElem":
         """Componentwise p-th power: the depth-preserving right shift."""
@@ -211,7 +227,7 @@ class FontaineElem:
         """Left shift: the p-th root, at the cost of one unit of depth."""
         if self.depth < 1:
             raise DepthExhaustedError("no depth left for a p-th root")
-        return FontaineElem(self.comps[1:], self.mode)
+        return FontaineElem._trusted(self.comps[1:], self.mode, self._compat)
 
     # ------------------------------------------------------------------
     def equals(self, other, m_max: int = CONGRUENCE_M_MAX) -> bool:
@@ -228,13 +244,16 @@ class FontaineElem:
     __hash__ = None
 
     def check_compat(self) -> bool:
-        """Do consecutive components satisfy r_{i+1}^p = r_i?  An
-        undetermined congruence is reported at index i + 1."""
-        p = self.family.p
-        return all(
-            _comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX)
-            for i in range(self.depth)
-        )
+        """Do consecutive components satisfy r_{i+1}^p = r_i?  Decided
+        once per instance; an undetermined congruence is reported at
+        index i + 1 and leaves the answer undecided."""
+        if self._compat is None:
+            p = self.family.p
+            self._compat = all(
+                _comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX)
+                for i in range(self.depth)
+            )
+        return self._compat
 
     def __repr__(self):
         kinds = ", ".join(repr(c) for c in self.comps[:3])
@@ -354,4 +373,4 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureC
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
 
     # step 3: shift the factors down by raising them to the p-th power
-    return FontaineElem([sn**p for sn in s[1:]], e.mode), factors
+    return FontaineElem._trusted([sn**p for sn in s[1:]], e.mode, True), factors

@@ -299,7 +299,7 @@ def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
 def _closure_claim(cfg: Config, n: int) -> LocalElem:
     """u_n / PI at level n, u_n = PI^3 + X^3 + Y^3: the element whose
     closure certificate the example records for level n."""
-    ctx = TowerCtx(cfg.p, n, DEGREE, QUOTIENT)
+    ctx = tower.context(cfg.p, n, DEGREE, QUOTIENT)
     u_n = TowerElem(ctx, {(DEGREE, 0, 0): 1, (0, DEGREE, 0): 1, (0, 0, DEGREE): 1})
     return LocalElem(u_n, 1)
 
@@ -411,15 +411,29 @@ def _recheck_closure_certs(details: dict, cfg: Config) -> Iterator[str | None]:
 
 def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
     """One factor exponent per component and one certificate per nonzero
-    exponent, with that m; the quotient is one unit of depth shorter."""
+    exponent, with that m; the quotient is one unit of depth shorter.
+    Certificate i is that of r_n / PI_n for eta's component n, the i-th
+    with a nonzero exponent; with p > 3 that factor is u_n / PI at level
+    n, rebuilt from the config.  One whose element is not is refused
+    before any power is built."""
     certs, exponents = _read_certs(details, cfg), details["factor_exponents"]
+    nonzero = []
     if type(exponents) is not list or [type(e) for e in exponents] != [int] * (cfg.depth + 1):
         yield f"factor_exponents must be {cfg.depth + 1} integers"
-    elif [c.m for c in certs] != [e for e in exponents if e]:
-        yield "the certificates must be one per nonzero factor exponent, with that m"
+    else:
+        nonzero = [n for n, e in enumerate(exponents) if e]
+        if [c.m for c in certs] != [exponents[n] for n in nonzero]:
+            yield "the certificates must be one per nonzero factor exponent, with that m"
     if not _same(details["quotient_depth"], cfg.depth - 1):
         yield f"quotient_depth must be {cfg.depth - 1}"
-    yield from _validated(certs, cfg)
+    for i, cert in enumerate(certs):
+        n = nonzero[i] if i < len(nonzero) else None
+        if n is None:
+            yield f"certificate {i} has no nonzero factor exponent"
+        elif cert.elem == _closure_claim(cfg, n):
+            yield from _validated([cert], cfg)
+        else:
+            yield f"certificate {i} is not r_{n} / PI_{n} of eta"
 
 
 def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:

@@ -5,13 +5,16 @@ residues at one tower level) has the lift R_n, free over Z on the
 normal-form monomials and so without p-torsion; over it the ghost map
 is injective, and coordinate k of a sum, product or difference is solved
 in R_n/p^(k+1) from the ghost components (Hazewinkel, "Witt vectors.
-Part 1", arXiv:0804.3888).  Plain sequences run that recursion once per
-sequence index, integers and tower elements over Z run it exactly.  A
-product with a Teichmuller factor is computed in closed form instead,
-[a] * (b_0, b_1, ...) = (a b_0, a^p b_1, a^(p^2) b_2, ...), which over
-F_p is a termwise Frobenius twist; everything else goes through the
-ghost map.  Residues mod p^j (j >= 2) and certified sequences are
-refused.
+Part 1", arXiv:0804.3888).  Integers and tower elements over Z run it
+exactly.  Plain sequences run it once per coordinate depth, at the
+index where that depth starts: a compatible sequence is determined by
+its deepest component and W(Frobenius) is a ring map, so every lower
+index is the Frobenius image of the one above it, and an incompatible
+sequence coordinate is refused.  A product with a Teichmuller factor is
+computed in closed form instead, [a] * (b_0, b_1, ...) = (a b_0,
+a^p b_1, a^(p^2) b_2, ...), which over F_p is a termwise Frobenius
+twist; everything else goes through the ghost map.  Residues mod p^j
+(j >= 2) and certified sequences are refused.
 
 The universal sum/product polynomials, computed once per (p, length)
 through the same recursion with exact integer divisions, stay as the
@@ -246,22 +249,52 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
     return out
 
 
+def _frobenius_at(c: TowerElem, level: int) -> TowerElem:
+    """c^p written at ``level``: ``embed`` when that is deeper, else its
+    exact inverse, every exponent divided by p^delta."""
+    c = c ** c.ctx.p
+    delta = c.level - level
+    if delta <= 0:
+        return c.embed(level)
+    f = c.ctx.p**delta
+    if any(e % f for mono in c.terms for e in mono):
+        raise ArithmeticError(f"a Frobenius image does not lie at level {level} (bug)")
+    terms = {(a // f, b // f, e // f): v for (a, b, e), v in c.terms.items()}
+    return TowerElem(c.ctx.at_level(level), terms, c.coeff_mod, _normal=True)
+
+
 def _sequence_op(op: str, xs, ys, p: int) -> list:
-    """Coordinates of x op y over plain sequences.  Their arithmetic is
-    componentwise, so index j runs the residue recursion on the index-j
-    components, at the deepest level among those it reads, and every
-    result component at index j stays at that level.  Coordinate k
-    reads coordinates 0..k of the operands, zero ones included, so it
-    takes their least depth."""
+    """Coordinates of x op y over compatible plain sequences, whose
+    arithmetic is componentwise.  Coordinate k reads coordinates 0..k of
+    the operands, zero ones included, so it takes their least depth.
+    Index j is written at the deepest level among the index-j components
+    it reads.  The residue recursion runs only at the indices where some
+    coordinate's depth starts (once, at the top index, when the depths
+    are equal); every lower index j is the Frobenius image of index
+    j + 1, c_k^(j) = (c_k^(j+1))^p, because the operands are compatible
+    and W(Frobenius) is a ring map.  An incompatible coordinate is
+    refused."""
+    n = len(xs)
+    for i, c in enumerate(xs + ys):
+        if not c.check_compat():
+            raise ValueError(
+                f"coordinate {i % n} is an incompatible sequence: "
+                "Witt + * - run over compatible plain sequences"
+            )
     depths = list(accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min))
+    starts = set(depths)
     comps: list[list] = [[] for _ in xs]
-    for j in range(depths[0] + 1):
+    for j in range(depths[0], -1, -1):
         m = sum(d >= j for d in depths)
         level = max(c.comps[j].level for c in (*xs[:m], *ys[:m]))
-        index_j = ([c.comps[j].embed(level) for c in v[:m]] for v in (xs, ys))
-        for k, c in enumerate(_lifted_op(op, *index_j, p)):
+        if j in starts:
+            index_j = ([c.comps[j].embed(level) for c in v[:m]] for v in (xs, ys))
+            at_j = _lifted_op(op, *index_j, p)
+        else:
+            at_j = [_frobenius_at(comp[-1], level) for comp in comps[:m]]
+        for k, c in enumerate(at_j):
             comps[k].append(c)
-    return [FontaineElem(c, PLAIN) for c in comps]
+    return [FontaineElem._trusted(c[::-1], PLAIN, True) for c in comps]
 
 
 def _ghost_op(op: str, xs, ys, p: int) -> list:

@@ -390,7 +390,8 @@ class TestRevalidation:
             (
                 "certified_division",
                 lambda d: d.update(factor_exponents=[0]),
-                ["factor_exponents must be 4 integers"],
+                ["factor_exponents must be 4 integers"]
+                + [f"certificate {i} has no nonzero factor exponent" for i in range(3)],
             ),
             (
                 "certified_division",
@@ -415,7 +416,8 @@ class TestRevalidation:
     def test_evidence_of_the_wrong_size_fails(self, example_report, tmp_path, name, forge, errors):
         # the config fixes how much evidence each check carries: the
         # refusal is one more error, so a valid report's counts stay; with
-        # the first certificate dropped, the one left is not u_1 / PI
+        # the first certificate dropped, the one left is not u_1 / PI, and
+        # with the exponents cut, no division certificate has one to bind it
         data = copy.deepcopy(example_report.to_dict())
         index = report.CHECK_NAMES.index(name)
         forge(data["checks"][index]["details"])
@@ -754,6 +756,57 @@ class TestCli:
         assert [c["status"] for c in checks] == [
             "fail" if i == index else "pass" for i in range(len(checks))
         ]
+
+    @pytest.mark.parametrize(
+        "forge, errors",
+        [
+            (
+                # the same forgery as on the closure certificates: deciding
+                # it would build (X^3 + Y^3)^5 modulo 5^(10^7)
+                lambda certs: certs[0].update(
+                    denom_exp=10**7, num_terms=[[0, 3, 0, "1"], [0, 0, 3, "1"]]
+                ),
+                ["certificate 0 is not r_1 / PI_1 of eta"],
+            ),
+            (
+                lambda certs: (certs[0].update(level=2), certs[1].update(level=1)),
+                [
+                    "certificate 0 is not r_1 / PI_1 of eta",
+                    "certificate 1 is not r_2 / PI_2 of eta",
+                ],
+            ),
+        ],
+        ids=["denominator-10**7", "swapped-levels"],
+    )
+    def test_revalidate_binds_division_certificates_to_eta(
+        self, tmp_path, capsys, example_report, forge, errors
+    ):
+        # certificate i must be that of r_n / PI_n for eta's component n,
+        # the i-th with a nonzero factor exponent: a mismatch is refused
+        # before any power is built
+        data = copy.deepcopy(example_report.to_dict())
+        index = report.CHECK_NAMES.index("certified_division")
+        forge(data["checks"][index]["details"]["certificates"])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        assert time.perf_counter() - started < 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[index]["details"] == {"revalidated": 3, "errors": errors}
+        assert [c["status"] for c in checks] == [
+            "fail" if i == index else "pass" for i in range(len(checks))
+        ]
+
+    @pytest.mark.parametrize("p, depth", [(5, 2), (5, 3), (7, 2), (11, 3)])
+    def test_division_factors_are_the_closure_claims(self, p, depth):
+        # the element the re-check binds division certificate n to, u_n /
+        # PI, is the factor r_n / PI_n that the division certifies (p > 3)
+        config = cfg(p=p, depth=depth)
+        eta = report._example_eta(config)
+        _, factors = fontaine.divide_by_p_seq_traced(FontaineElem(eta.comps, fontaine.CERTIFIED))
+        certified = [(n, c.elem) for n, c in enumerate(factors) if c is not None]
+        assert certified == [(n, report._closure_claim(config, n)) for n in range(1, depth + 1)]
 
     @pytest.mark.parametrize(
         "edit, key",

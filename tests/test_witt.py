@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import find, given, settings
@@ -547,6 +548,130 @@ class TestGhostArithmetic:
         for comps in kinds:
             pair = WittVec(ctx, comps[:3]), WittVec(ctx, comps[3:])
             assert shapes(witt_ops(*pair)) == shapes(table_ops(*pair))
+
+
+def _per_index_op(op, xs, ys, p):
+    """The per-index loop that ``_sequence_op`` replaced, kept as its
+    oracle: the residue recursion at every sequence index j, on the
+    index-j components at the deepest level among those it reads."""
+    depths = list(accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min))
+    comps: list[list] = [[] for _ in xs]
+    for j in range(depths[0] + 1):
+        m = sum(d >= j for d in depths)
+        level = max(c.comps[j].level for c in (*xs[:m], *ys[:m]))
+        index_j = ([c.comps[j].embed(level) for c in v[:m]] for v in (xs, ys))
+        for k, c in enumerate(witt._lifted_op(op, *index_j, p)):
+            comps[k].append(c)
+    return [FontaineElem(c, PLAIN) for c in comps]
+
+
+@st.composite
+def sequence_operands(draw):
+    """The coordinates of two Witt vectors over compatible plain
+    sequences of mixed depth and level, many of them zero, and p."""
+    p, n = draw(st.sampled_from(SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    comps = [_sequence_coord(rng, p, 2 if p == 3 else 3) for _ in range(2 * n)]
+    return comps[:n], comps[n:], p
+
+
+def as_written(coords):
+    """Depth and, per component, level, modulus and terms as written."""
+    return [(s.depth, [(c.level, c.coeff_mod, sorted(c.terms.items())) for c in s.comps]) for s in coords]
+
+
+def as_valued(coords):
+    """Depth and, per component, the value in ``lowest_level`` form."""
+    return [(s.depth, [lowest_level(c) for c in s.comps]) for s in coords]
+
+
+def agrees_with_per_index(case, form=as_written) -> bool:
+    xs, ys, p = case
+    return all(
+        form(witt._sequence_op(op, xs, ys, p)) == form(_per_index_op(op, xs, ys, p)) for op in "+*-"
+    )
+
+
+def copied_disagrees(case) -> bool:
+    """Does index j copied from index j + 1 without the p-th power (only
+    embedded, where index j sits deeper) give another value?"""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witt, "_frobenius_at", lambda c, level: c.embed(max(level, c.level)))
+        return not agrees_with_per_index(case, as_valued)
+
+
+class TestSequenceFrobenius:
+    """Plain sequences: one ghost pass per coordinate depth, every lower
+    index the Frobenius image of the one above, against the per-index
+    loop."""
+
+    @given(case=sequence_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_per_index_loop(self, case):
+        assert agrees_with_per_index(case)
+
+    def test_negative_control_index_copied_without_the_p_th_power(self):
+        find(
+            sequence_operands(),
+            copied_disagrees,
+            settings=settings(database=None, derandomize=True, max_examples=200),
+        )
+
+    def test_one_pass_per_coordinate_depth(self, monkeypatch):
+        lifted_op, calls = witt._lifted_op, []
+
+        def counted(*args):
+            calls.append(args)
+            return lifted_op(*args)
+
+        monkeypatch.setattr(witt, "_lifted_op", counted)
+        for seed, (p, n) in enumerate(SHAPES):
+            rng = random.Random(seed)
+            xs, ys = ([_sequence_coord(rng, p, 2 if p == 3 else 3) for _ in range(n)] for _ in "xy")
+            depths = accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min)
+            calls.clear()
+            for op in "+*-":
+                witt._sequence_op(op, xs, ys, p)
+            assert len(calls) == 3 * len(set(depths))
+        # (p-root sequence - p) * w at p = 2, depth 7: the equal depths
+        # take one pass, where the per-index loop took eight
+        _, X, Y = generators(2, 3, 7, QUOTIENT)
+        ctx = WittCtx(2, 4)
+        pmp, w = p_seq_minus_p(ctx, X), WittVec(ctx, [X + Y, X * Y, X, Y])
+        calls.clear()
+        pmp * w
+        assert len(calls) == 1
+
+    def test_division_builds_no_sequence_through_init(self, monkeypatch):
+        # every sequence the division makes comes from components that are
+        # already valid, so only the caller's sequences are validated
+        _, X, Y = generators(2, 3, 7, QUOTIENT)
+        ctx = WittCtx(2, 4)
+        x_vec = p_seq_minus_p(ctx, X) * WittVec(ctx, [X + Y, X * Y, X, Y])
+        init, inits = FontaineElem.__init__, []
+
+        def counted(self, *args):
+            inits.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FontaineElem, "__init__", counted)
+        assert divide_by_p_seq_minus_p(x_vec).steps == 4
+        assert inits == []
+        generators(2, 3, 7, QUOTIENT)
+        assert len(inits) == 3
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_refuses_an_incompatible_coordinate(self, index):
+        # one component moved by 1: (r + 1)^p = r^p + 1 breaks its relation
+        # with the component below, so no index can be derived from it
+        ctx = WittCtx(5, 2)
+        _, X, Y = generators(5, 3, 2, QUOTIENT)
+        bumped = FontaineElem(X.comps[:-1] + (X.comps[-1] + 1,), PLAIN)
+        ok = WittVec(ctx, (X, Y))
+        bad = WittVec(ctx, (X, bumped) if index else (bumped, Y))
+        for op in (lambda: ok + bad, lambda: bad * ok, lambda: -bad, lambda: ok - bad):
+            with pytest.raises(ValueError, match=f"coordinate {index} is an incompatible sequence"):
+                op()
 
 
 @st.composite
