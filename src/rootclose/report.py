@@ -1,10 +1,12 @@
 """Check suites and machine-readable reports.
 
-Every passing record embeds enough data (closure certificates
-``(elem, m)``, offending monomials, residues) for the ``revalidate``
-pass to reproduce it by independent recomputation.  Reports are
-deterministic: one config and seed give byte-identical JSON, modulo the
-optional timestamp.
+A passing record holds only the objects its claim is about (residues,
+divisor and dividend) and what the run found (closure certificates
+``(elem, m)``, the monomial a division refused), never its own verdict
+or a copy of the config: ``revalidate`` rebuilds the objects from the
+config, requires the recorded ones to equal them, and decides each
+claim again.  Reports are deterministic: one config and seed give
+byte-identical JSON, modulo the optional timestamp.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ class Config:
         valuation.check_prime(self.p)
         if self.p <= 3:
             raise ValueError("the example suite requires a prime p > 3")
-        if self.depth < 2:
-            raise ValueError("the example suite requires depth >= 2")
+        # the upper end is a work bound: depth 1,000 runs for about a minute
+        if not 2 <= self.depth <= 100:
+            raise ValueError("the example suite requires 2 <= depth <= 100")
         if self.witt_length < 1:
             raise ValueError("witt_length must be >= 1")
         # a work bound: at most (depth + 1) // 2 coordinates are determined,
@@ -198,9 +201,9 @@ def _context_from_json(d: dict, p: int, degree: int, what: str, depth: float) ->
     return tower.context(p, level, degree, d["ring"])
 
 
-def residue_from_json(d: dict, p: int, degree: int, depth: float = inf) -> TowerElem:
-    ctx = _context_from_json(d, p, degree, "residue", depth)
-    return TowerElem(ctx, terms_from_json(d["terms"], ctx, "residue terms"), p)
+def residue_from_json(d: dict, cfg: Config) -> TowerElem:
+    ctx = _context_from_json(d, cfg.p, DEGREE, "residue", cfg.depth)
+    return TowerElem(ctx, terms_from_json(d["terms"], ctx, "residue terms"), cfg.p)
 
 
 #: A certificate in a report: the element num / PI^denom_exp at ``level``
@@ -259,19 +262,36 @@ def _example_eta(cfg: Config) -> FontaineElem:
     return P**DEGREE + X**DEGREE + Y**DEGREE
 
 
+def _u(cfg: Config, n: int, coeff_mod: int | None = None) -> TowerElem:
+    """u_n = PI^3 + X^3 + Y^3 at level n of the quotient ring, over Z or mod ``coeff_mod``."""
+    ctx = tower.context(cfg.p, n, DEGREE, QUOTIENT)
+    return TowerElem(ctx, {(DEGREE, 0, 0): 1, (0, DEGREE, 0): 1, (0, 0, DEGREE): 1}, coeff_mod)
+
+
+def _closure_claim(cfg: Config, n: int) -> LocalElem:
+    """u_n / PI at level n, whose closure certificate the example records."""
+    return LocalElem(_u(cfg, n), 1)
+
+
+def _division_operands(cfg: Config, r1: TowerElem) -> tuple[TowerElem, TowerElem]:
+    """The independent negative certificate of plain division: the
+    relation and r1 with PI -> 0, at level 1 of the free ring mod p, as
+    divisor X^(3p) + Y^(3p) and dividend, for polynomial divisibility."""
+    free1 = tower.context(cfg.p, 1, DEGREE, FREE)
+    divisor = TowerElem(free1, {(0, DEGREE * cfg.p, 0): 1, (0, 0, DEGREE * cfg.p): 1}, cfg.p)
+    return divisor, TowerElem(free1, r1.xy_part().terms, cfg.p)
+
+
 def _check_compat(cfg: Config, eta: FontaineElem) -> dict:
-    if not eta.check_compat():
-        return {"_status": FAIL, "depth": cfg.depth}
-    sequence = [elem_to_json(eta.residue(i)) for i in range(cfg.depth + 1)]
-    return {"depth": cfg.depth, "sequence": sequence}
+    # decided afresh, not read from the answer eta's construction carries
+    if not FontaineElem(eta.comps, PLAIN).check_compat():
+        return {"_status": FAIL}
+    return {"sequence": [elem_to_json(eta.residue(i)) for i in range(cfg.depth + 1)]}
 
 
 def _check_base_residue(cfg: Config, eta: FontaineElem) -> dict:
     r0 = fontaine.base_residue(eta)
-    details = {"residues": [{"elem": elem_to_json(r0), "expect_zero": True}]}
-    if not r0.is_zero:
-        details["_status"] = FAIL
-    return details
+    return {"residue": elem_to_json(r0)} | ({} if r0.is_zero else {"_status": FAIL})
 
 
 def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
@@ -280,28 +300,11 @@ def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
         return {"_status": FAIL, "error": "plain division unexpectedly succeeded"}
     except fontaine.SequenceDivisionError as exc:
         details = {"component": exc.index, "monomial": list(exc.monomial) if exc.monomial else None}
-    # independent negative certificate: project the first component and
-    # the defining relation to the free presentation modulo PI and ask
-    # for single-divisor polynomial divisibility
-    free1 = TowerCtx(cfg.p, 1, DEGREE, FREE)
-    r1 = eta.residue(1).xy_part()
-    dividend = TowerElem(free1, r1.terms, cfg.p)
-    divisor = TowerElem(free1, {(0, DEGREE * cfg.p, 0): 1, (0, 0, DEGREE * cfg.p): 1}, cfg.p)
-    divides, _ = tower.poly_divides(divisor, dividend)
-    details["divisions"] = [
-        {"divisor": elem_to_json(divisor), "dividend": elem_to_json(dividend), "divides": divides}
-    ]
-    if divides or details["component"] != 1:
+    divisor, dividend = _division_operands(cfg, eta.residue(1))
+    details.update(divisor=elem_to_json(divisor), dividend=elem_to_json(dividend))
+    if tower.poly_divides(divisor, dividend)[0] or details["component"] != 1:
         details["_status"] = FAIL
     return details
-
-
-def _closure_claim(cfg: Config, n: int) -> LocalElem:
-    """u_n / PI at level n, u_n = PI^3 + X^3 + Y^3: the element whose
-    closure certificate the example records for level n."""
-    ctx = tower.context(cfg.p, n, DEGREE, QUOTIENT)
-    u_n = TowerElem(ctx, {(DEGREE, 0, 0): 1, (0, DEGREE, 0): 1, (0, 0, DEGREE): 1})
-    return LocalElem(u_n, 1)
 
 
 def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
@@ -320,13 +323,9 @@ def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
 def _check_certified_division(cfg: Config, eta: FontaineElem) -> dict:
     # the division raises unless eta is compatible, which is what makes
     # P * quotient give eta back, one depth lower
-    quotient, factors = fontaine.divide_by_p_seq_traced(FontaineElem(eta.comps, cfg.closure_mode))
-    return {
-        "certificates": [cert_to_json(c) for c in factors if c is not None],
-        "factor_exponents": [0 if c is None else c.m for c in factors],
-        "roundtrip": True,
-        "quotient_depth": quotient.depth,
-    }
+    _, factors = fontaine.divide_by_p_seq_traced(FontaineElem(eta.comps, cfg.closure_mode))
+    certs = [cert_to_json(c) for c in factors if c is not None]
+    return {"certificates": certs, "factor_exponents": [0 if c is None else c.m for c in factors]}
 
 
 def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict:
@@ -339,101 +338,95 @@ def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict
     _, X, _ = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
     w = witt.WittVec.teichmuller(ctx, X)
     x_vec = witt.p_seq_minus_p(ctx, w.comps[0]) * w
-    result = witt.divide_by_p_seq_minus_p(x_vec)
-    details = {
-        "kernel_at_precision_1": True,
-        "steps": result.steps,
-        "component_depth": result.depth,
-        "exhausted": result.exhausted,
-    }
+    got = witt.divide_by_p_seq_minus_p(x_vec)
+    details = {"steps": got.steps, "component_depth": got.depth, "exhausted": got.exhausted}
     # each approximation step costs one root shift in the sequence
     # division and one in the Witt division by p
-    achievable = min(cfg.witt_length, (cfg.depth + 1) // 2)
-    if details["steps"] < achievable:
+    if got.steps < min(cfg.witt_length, (cfg.depth + 1) // 2):
         details["_status"] = FAIL
     return details
 
 
-def _recheck_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
-    comps = [residue_from_json(d, cfg.p, DEGREE, cfg.depth) for d in details["sequence"]]
-    if not _same(details["depth"], cfg.depth) or len(comps) != cfg.depth + 1:
-        yield f"the sequence must have depth {cfg.depth}, with {cfg.depth + 1} components"
-    yield None if FontaineElem(comps, PLAIN).check_compat() else "sequence compatibility changed"
-
-
 def _same(recorded, again) -> bool:
-    """A recorded value equals the one decided again, type included, so
-    that 1 or 0 does not stand in for a boolean."""
-    return type(recorded) is type(again) and recorded == again
+    """Equal as JSON: 1 does not stand in for true, nor 1.0 for 1."""
+    return json.dumps(recorded) == json.dumps(again)
 
 
-def _recheck_residues(details: dict, cfg: Config) -> Iterator[str | None]:
-    for d in details["residues"]:
-        is_zero = residue_from_json(d["elem"], cfg.p, DEGREE, cfg.depth).is_zero
-        yield None if _same(d["expect_zero"], is_zero) else "residue zero-check changed"
+def _recheck_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
+    """The sequence is u_n mod p for n = 0..depth, and it is compatible."""
+    comps = [residue_from_json(d, cfg) for d in details["sequence"]]
+    if comps != [_u(cfg, n, cfg.p) for n in range(cfg.depth + 1)]:
+        yield f"the sequence is not u_n mod p for n = 0..{cfg.depth}"
+    else:
+        yield None if FontaineElem(comps, PLAIN).check_compat() else "the sequence is incompatible"
 
 
-def _recheck_divisions(details: dict, cfg: Config) -> Iterator[str | None]:
-    for d in details["divisions"]:
-        divisor = residue_from_json(d["divisor"], cfg.p, DEGREE, cfg.depth)
-        dividend = residue_from_json(d["dividend"], cfg.p, DEGREE, cfg.depth)
-        divides, _ = tower.poly_divides(divisor, dividend)
-        yield None if _same(d["divides"], divides) else "division outcome changed"
+def _recheck_residue(details: dict, cfg: Config) -> Iterator[str | None]:
+    """The residue is u_0 mod p, and it is zero."""
+    r0 = residue_from_json(details["residue"], cfg)
+    if r0 != _u(cfg, 0, cfg.p):
+        yield "the residue is not u_0 mod p"
+    else:
+        yield None if r0.is_zero else "the base residue is not zero"
 
 
-def _validated(certs: list[ClosureCert], cfg: Config) -> Iterator[str | None]:
-    """Every certificate decided again; one above the search bound builds no power."""
+def _recheck_plain_division(details: dict, cfg: Config) -> Iterator[str | None]:
+    """Plain division stops at component 1, on the monomial that
+    ``pi_divide(1)`` names on u_1 mod p; the operands are those of u_1
+    mod p, and the divisor does not divide the dividend."""
+    u_1 = _u(cfg, 1, cfg.p)
+    try:
+        u_1.pi_divide(1)
+        named = None
+    except tower.NotDivisibleError as exc:
+        named = list(exc.monomial)
+    if not (_same(details["component"], 1) and _same(details["monomial"], named)):
+        yield f"plain division must stop at component 1, monomial {named}"
+    operands = tuple(residue_from_json(details[k], cfg) for k in ("divisor", "dividend"))
+    if operands != _division_operands(cfg, u_1):
+        yield "the divisor and dividend are not X^(3p) + Y^(3p) and X^3 + Y^3 at level 1"
+    else:
+        yield "the divisor divides the dividend" if tower.poly_divides(*operands)[0] else None
+
+
+def _recheck_claims(records: list, claims: list, cfg: Config) -> Iterator[str | None]:
+    """Certificate i is that of claim i, (n, m): its element is u_n / PI
+    at level n, compared before any power is built, and its exponent is
+    m, at most the search bound; then it is decided again."""
+    certs = [cert_from_json(d, cfg.p, DEGREE, cfg.depth) for d in records]
+    if [c.m for c in certs] != [m for _, m in claims]:
+        yield f"the certificate exponents must be {[m for _, m in claims]}"
     m_max = fontaine.default_m_max(cfg.depth)
-    for cert in certs:
-        if cert.m > m_max:
+    for i, cert in enumerate(certs):
+        n = claims[i][0] if i < len(claims) else None
+        if n is None:
+            yield f"certificate {i} has no claim"
+        elif cert.elem != _closure_claim(cfg, n):
+            yield f"certificate {i} is not u_{n} / PI at level {n}"
+        elif cert.m > m_max:
             yield f"certificate exponent {cert.m} above the search bound {m_max}"
         else:
             yield None if closure.validate_cert(cert) else "certificate failed revalidation"
 
 
-def _read_certs(details: dict, cfg: Config) -> list[ClosureCert]:
-    return [cert_from_json(d, cfg.p, DEGREE, cfg.depth) for d in details["certificates"]]
-
-
 def _recheck_closure_certs(details: dict, cfg: Config) -> Iterator[str | None]:
-    """Certificate n, for n = 1..depth-1, is that of u_n / PI rebuilt
-    from the config, at level n with m = n.  One whose element is not
-    u_n / PI is refused before any power is built."""
-    certs = _read_certs(details, cfg)
-    if [(c.elem.level, c.m) for c in certs] != [(n, n) for n in range(1, cfg.depth)]:
-        yield f"the certificates must be one per level 1..{cfg.depth - 1}, each with m = its level"
-    for n, cert in enumerate(certs, 1):
-        if n < cfg.depth and cert.elem == _closure_claim(cfg, n):
-            yield from _validated([cert], cfg)
-        else:
-            yield f"certificate {n} is not u_{n} / PI at level {n}"
+    """Claims (n, n): u_n / PI is in the closure with m = n, for n = 1..depth-1."""
+    return _recheck_claims(details["certificates"], [(n, n) for n in range(1, cfg.depth)], cfg)
 
 
 def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
-    """One factor exponent per component and one certificate per nonzero
-    exponent, with that m; the quotient is one unit of depth shorter.
-    Certificate i is that of r_n / PI_n for eta's component n, the i-th
-    with a nonzero exponent; with p > 3 that factor is u_n / PI at level
-    n, rebuilt from the config.  One whose element is not is refused
-    before any power is built."""
-    certs, exponents = _read_certs(details, cfg), details["factor_exponents"]
-    nonzero = []
+    """One factor exponent e_n per component of eta.  e_n = 0 claims that
+    r_n / PI_n is integral; a nonzero e_n claims (n, e_n), since with
+    p > 3 the factor r_n / PI_n of eta's component n is u_n / PI."""
+    exponents, claims = details["factor_exponents"], []
     if type(exponents) is not list or [type(e) for e in exponents] != [int] * (cfg.depth + 1):
         yield f"factor_exponents must be {cfg.depth + 1} integers"
     else:
-        nonzero = [n for n, e in enumerate(exponents) if e]
-        if [c.m for c in certs] != [exponents[n] for n in nonzero]:
-            yield "the certificates must be one per nonzero factor exponent, with that m"
-    if not _same(details["quotient_depth"], cfg.depth - 1):
-        yield f"quotient_depth must be {cfg.depth - 1}"
-    for i, cert in enumerate(certs):
-        n = nonzero[i] if i < len(nonzero) else None
-        if n is None:
-            yield f"certificate {i} has no nonzero factor exponent"
-        elif cert.elem == _closure_claim(cfg, n):
-            yield from _validated([cert], cfg)
-        else:
-            yield f"certificate {i} is not r_{n} / PI_{n} of eta"
+        claims = [(n, e) for n, e in enumerate(exponents) if e]
+        for n, e in enumerate(exponents):
+            if not e and not _closure_claim(cfg, n).is_integral:
+                yield f"factor exponent {n} is 0, but r_{n} / PI_{n} is not integral"
+    yield from _recheck_claims(details["certificates"], claims, cfg)
 
 
 def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
@@ -449,32 +442,34 @@ def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
 #: eta the plain sequence of ``_example_eta``, and on a pass writes
 #: details with exactly ``keys``; ``recheck(details, cfg)`` decides it
 #: again from them, yielding one verdict per piece of evidence: None
-#: when the piece is reproduced, else the error.
+#: when the piece is reproduced, else the error.  A re-check first
+#: requires the recorded objects to equal those rebuilt from the config
+#: with ``tower`` alone; an object that is not the claim's is one error
+#: in place of its decision, so a valid report's counts stay.
 EXAMPLE_CHECKS = (
-    ("sequence_compatibility", _check_compat, ("depth", "sequence"), _recheck_sequence),
-    ("base_residue_vanishes", _check_base_residue, ("residues",), _recheck_residues),
+    ("sequence_compatibility", _check_compat, ("sequence",), _recheck_sequence),
+    ("base_residue_vanishes", _check_base_residue, ("residue",), _recheck_residue),
     (
         "plain_division_fails",
         _check_plain_division,
-        ("component", "monomial", "divisions"),
-        _recheck_divisions,
+        ("component", "monomial", "divisor", "dividend"),
+        _recheck_plain_division,
     ),
     ("closure_certificates", _check_closure_certs, ("certificates",), _recheck_closure_certs),
     (
         "certified_division",
         _check_certified_division,
-        ("certificates", "factor_exponents", "roundtrip", "quotient_depth"),
+        ("certificates", "factor_exponents"),
         _recheck_division,
     ),
     (
         "witt_division_roundtrip",
         _check_witt_roundtrip,
-        ("kernel_at_precision_1", "steps", "component_depth", "exhausted"),
+        ("steps", "component_depth", "exhausted"),
         _recheck_witt,
     ),
 )
 CHECK_NAMES = tuple(name for name, _, _, _ in EXAMPLE_CHECKS)
-_EVIDENCE_KEYS = {key for _, _, keys, _ in EXAMPLE_CHECKS for key in keys}
 
 
 def run_example_suite(cfg: Config) -> Report:
@@ -499,14 +494,14 @@ def run_property_suites(seed: int, timestamp: bool = True) -> Report:
 
 # ----------------------------------------------------------------------
 def _revalidate(check: tuple, record: dict, cfg: Config) -> CheckRecord:
-    """Decide ``record`` again through its own re-check, when the evidence
-    keys of its details are exactly its own.  A pass with nothing
+    """Decide ``record`` again through its own re-check, when the keys of
+    its details are exactly its evidence keys.  A pass with nothing
     re-checked fails as ``no evidence``."""
     name, _, keys, recheck = check
     status, details = record["status"], record.get("details", {})
     if status not in (PASS, FAIL, UNDETERMINED) or not isinstance(details, dict):
         raise ValueError(f"{name} needs a known status and details that are an object")
-    verdicts = list(recheck(details, cfg)) if details.keys() & _EVIDENCE_KEYS == set(keys) else []
+    verdicts = list(recheck(details, cfg)) if set(details) == set(keys) else []
     errors = [v for v in verdicts if v]
     if status == PASS and not verdicts:
         status, errors = FAIL, ["no evidence"]

@@ -26,7 +26,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: Primes are refused from here up, before any trial division: every
+#: prime the package uses is tiny, and a huge one only stalls the search.
+PRIME_BOUND = 2**16
+
+
 def check_prime(p: int) -> int:
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primes must be below 2^16 = {PRIME_BOUND}")
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
     return p

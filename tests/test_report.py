@@ -43,6 +43,66 @@ CERT_KEYS = {"m", "denom_exp", "level", "ring", "num_terms"}
 FAR_ELEM = {"level": 10**7, "ring": "quotient", "terms": [[0, 0, 0, "1"]]}
 
 
+def _details(data: dict, name: str) -> dict:
+    return data["checks"][report.CHECK_NAMES.index(name)]["details"]
+
+
+def _constant_one_sequence(data):
+    for comp in _details(data, "sequence_compatibility")["sequence"]:
+        comp["terms"] = [[0, 0, 0, "1"]]
+
+
+def _zeroed_exponent(data):
+    # a factor exponent of 0 claims that r_1 / PI_1 is integral
+    details = _details(data, "certified_division")
+    details["factor_exponents"][1] = 0
+    details["certificates"].pop(0)
+
+
+NOT_THE_OPERANDS = "the divisor and dividend are not X^(3p) + Y^(3p) and X^3 + Y^3 at level 1"
+
+#: Forged default reports, each of which revalidated all-pass while a
+#: record was checked against its own recorded verdict rather than
+#: against the claim: (forge, failing check, its errors).
+FORGERIES = {
+    "nonzero-residue": (
+        lambda data: _details(data, "base_residue_vanishes").update(
+            residue={"level": 0, "ring": "quotient", "terms": [[0, 1, 0, "1"]]}
+        ),
+        "base_residue_vanishes",
+        ["the residue is not u_0 mod p"],
+    ),
+    "dividend-is-the-divisor": (
+        lambda data: (d := _details(data, "plain_division_fails")).update(dividend=d["divisor"]),
+        "plain_division_fails",
+        [NOT_THE_OPERANDS],
+    ),
+    "dividend-is-x": (
+        lambda data: _details(data, "plain_division_fails").update(
+            dividend={"level": 1, "ring": "free", "terms": [[0, 1, 0, "1"]]}
+        ),
+        "plain_division_fails",
+        [NOT_THE_OPERANDS],
+    ),
+    "constant-one-sequence": (
+        _constant_one_sequence,
+        "sequence_compatibility",
+        ["the sequence is not u_n mod p for n = 0..3"],
+    ),
+    "zeroed-exponent": (
+        _zeroed_exponent,
+        "certified_division",
+        ["factor exponent 1 is 0, but r_1 / PI_1 is not integral"],
+    ),
+    # only the divisor depends on p
+    "config-p-1009": (
+        lambda data: data["config"].update(p=1009),
+        "plain_division_fails",
+        [NOT_THE_OPERANDS],
+    ),
+}
+
+
 class TestExampleSuite:
     def test_default_config_passes(self, example_report):
         assert [c.status for c in example_report.checks] == ["pass"] * 6
@@ -150,26 +210,26 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "cd51055957b910470b69ffcea17c94f60d939b4a4d2b278ca1c718c815710f51"),
+    "p5-d3": ({}, "6be86598f267b087a1545303c1d7214b6fb16b75d1755bcfbd8b74a4c532e6d9"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "899d2ddde1a86776651c2c3125e7db76ac1d94b346b2421e3273c0731b64dd9a",
+        "463f475977b7f13ad8573b5f690607d2fb1f1d1ea8f3ae46c86da2af6a4c4022",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "7d8f0233da7c68fbb98b0414cb72db21decfa1f9c70beaf9929b21315c6d8628",
+        "a796abb8b3589eba97940c867c2c762f14c491c08dea1d81b900712e9c974523",
     ),
-    "p5-d2": ({"depth": 2}, "aefe6743a62da8b5128ffa32e3bfefc7a34a109278247ebd52b41ac4720a31d6"),
+    "p5-d2": ({"depth": 2}, "db10fb6f8796f72bb94479932d5ea7f5afcc5ab16b0a2247d3120607ca811346"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
-        "7edf7d63674f15fa42f4cb34b44800901a8ff7838cd79dfb801f7f9965968f18",
+        "cf8bb8b69a1814a289c22cd198d8fffb3457f4ebff11f446e5548dbf2db5b606",
     ),
 }
 
 #: sha256 of the --witt-len 4 report (depth 3, no timestamp), whose Witt
 #: check the universal-polynomial path first recorded in about 24 s; kept
 #: apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
-W4_DIGEST = "01d3e44b63de820b694cd7dc1bb1a63e11d26437f924606a072933c14e6ef122"
+W4_DIGEST = "d008fa65c89d1d57946ee4d37d51ffd9a7422dd5abc5862dcd6f88deb183bc86"
 
 
 class TestDeterminism:
@@ -195,7 +255,7 @@ class TestDeterminism:
 
     def test_first_w4_report_matches_the_recorded_digest(self):
         text = report.run_example_suite(cfg(depth=3, witt_length=4)).to_json()
-        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1715, W4_DIGEST)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1577, W4_DIGEST)
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(5, timestamp=False).to_json()
@@ -301,9 +361,9 @@ class TestRevalidation:
             certs[1]["m"] = 1
 
         index = report.CHECK_NAMES.index("closure_certificates")
-        # an exponent other than the level is refused before it is decided again
-        level_m = "the certificates must be one per level 1..2, each with m = its level"
-        not_u_1 = "certificate 1 is not u_1 / PI at level 1"
+        # an exponent other than the level is one error more
+        level_m = "the certificate exponents must be [1, 2]"
+        not_u_1 = "certificate 0 is not u_1 / PI at level 1"
         invalid = "certificate failed revalidation"
         for tamper, errors in ((num_terms, [not_u_1]), (denom_exp, [not_u_1]), (m, [level_m, invalid])):
             data = copy.deepcopy(example_report.to_dict())
@@ -313,35 +373,23 @@ class TestRevalidation:
             assert rv.checks[index].details["errors"] == errors
             assert not rv.ok
 
-    def test_detects_tampered_division_verdict(self, example_report):
-        data = copy.deepcopy(example_report.to_dict())
-        for check in data["checks"]:
-            if check["name"] == "plain_division_fails":
-                check["details"]["divisions"][0]["divides"] = True
-        rv = report.revalidate_report(data)
-        assert not rv.ok
-
     @pytest.mark.parametrize(
-        "name, key, field, value",
-        [
-            ("base_residue_vanishes", "residues", "expect_zero", 1),
-            ("plain_division_fails", "divisions", "divides", 0),
-        ],
-        ids=["expect_zero", "divides"],
+        "edit",
+        [{"component": 2}, {"component": True}, {"monomial": [0, 3, 0]}, {"monomial": None}],
+        ids=["component-2", "bool-component", "other-monomial", "no-monomial"],
     )
-    def test_a_number_does_not_stand_in_for_a_boolean(
-        self, example_report, tmp_path, name, key, field, value
-    ):
+    def test_detects_tampered_division_verdict(self, example_report, edit):
+        # plain division stops at component 1 on the monomial that
+        # pi_divide(1) names on u_1 mod p, both found again from the config
         data = copy.deepcopy(example_report.to_dict())
-        index = report.CHECK_NAMES.index(name)
-        record = data["checks"][index]["details"][key][0]
-        assert record[field] == value and type(record[field]) is bool
-        record[field] = value
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
-        assert cli.main(["revalidate", str(path)]) == 1
+        index = report.CHECK_NAMES.index("plain_division_fails")
+        data["checks"][index]["details"].update(edit)
         rv = report.revalidate_report(data)
-        assert [c.status for c in rv.checks] == ["fail" if c == name else "pass" for c in report.CHECK_NAMES]
+        assert rv.checks[index].details == {
+            "revalidated": 2,
+            "errors": ["plain division must stop at component 1, monomial [0, 0, 3]"],
+        }
+        assert [c.status for c in rv.checks] == ["fail" if c == index else "pass" for c in range(6)]
 
     def test_recorded_failure_keeps_its_status(self, example_report, tmp_path, capsys):
         data = copy.deepcopy(example_report.to_dict())
@@ -372,44 +420,32 @@ class TestRevalidation:
             (
                 "sequence_compatibility",
                 lambda d: d.update(sequence=d["sequence"][:1]),
-                ["the sequence must have depth 3, with 4 components"],
-            ),
-            (
-                "sequence_compatibility",
-                lambda d: d.update(depth=9),
-                ["the sequence must have depth 3, with 4 components"],
+                ["the sequence is not u_n mod p for n = 0..3"],
             ),
             (
                 "closure_certificates",
                 lambda d: d["certificates"].pop(0),
                 [
-                    "the certificates must be one per level 1..2, each with m = its level",
-                    "certificate 1 is not u_1 / PI at level 1",
+                    "the certificate exponents must be [1, 2]",
+                    "certificate 0 is not u_1 / PI at level 1",
                 ],
             ),
             (
                 "certified_division",
                 lambda d: d.update(factor_exponents=[0]),
-                ["factor_exponents must be 4 integers"]
-                + [f"certificate {i} has no nonzero factor exponent" for i in range(3)],
-            ),
-            (
-                "certified_division",
-                lambda d: d.update(quotient_depth=9),
-                ["quotient_depth must be 2"],
+                ["factor_exponents must be 4 integers", "the certificate exponents must be []"]
+                + [f"certificate {i} has no claim" for i in range(3)],
             ),
             (
                 "certified_division",
                 lambda d: d.update(certificates=d["certificates"][:1]),
-                ["the certificates must be one per nonzero factor exponent, with that m"],
+                ["the certificate exponents must be [1, 2, 3]"],
             ),
         ],
         ids=[
             "sequence-cut",
-            "depth-9",
             "closure-certificate-dropped",
             "exponents-cut",
-            "quotient-depth-9",
             "division-certificates-cut",
         ],
     )
@@ -417,7 +453,7 @@ class TestRevalidation:
         # the config fixes how much evidence each check carries: the
         # refusal is one more error, so a valid report's counts stay; with
         # the first certificate dropped, the one left is not u_1 / PI, and
-        # with the exponents cut, no division certificate has one to bind it
+        # with the exponents cut, no division certificate has a claim
         data = copy.deepcopy(example_report.to_dict())
         index = report.CHECK_NAMES.index(name)
         forge(data["checks"][index]["details"])
@@ -428,6 +464,82 @@ class TestRevalidation:
         assert rv.checks[index].status == "fail"
         assert rv.checks[index].details["errors"] == errors
         assert [c.status for c in rv.checks] == ["fail" if c == name else "pass" for c in report.CHECK_NAMES]
+
+    @pytest.mark.parametrize("name", FORGERIES)
+    def test_revalidate_refuses_a_forged_object(self, tmp_path, capsys, example_report, name):
+        # each recorded object must equal the one rebuilt from the config
+        forge, check, errors = FORGERIES[name]
+        data = copy.deepcopy(example_report.to_dict())
+        forge(data)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        assert time.perf_counter() - started < 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"]: c["details"]["errors"] for c in checks if c["status"] != "pass"} == {
+            check: errors
+        }
+
+    @pytest.mark.parametrize(
+        "name, old",
+        [
+            ("sequence_compatibility", lambda d: {**d, "depth": 3}),
+            (
+                "base_residue_vanishes",
+                lambda d: {"residues": [{"elem": d["residue"], "expect_zero": True}]},
+            ),
+            (
+                "plain_division_fails",
+                lambda d: {
+                    "component": d["component"],
+                    "monomial": d["monomial"],
+                    "divisions": [
+                        {"divisor": d["divisor"], "dividend": d["dividend"], "divides": False}
+                    ],
+                },
+            ),
+            ("certified_division", lambda d: {**d, "roundtrip": True, "quotient_depth": 2}),
+            ("witt_division_roundtrip", lambda d: {**d, "kernel_at_precision_1": True}),
+        ],
+        ids=["depth", "residues", "divisions", "roundtrip", "kernel"],
+    )
+    def test_a_record_in_the_old_shape_has_no_evidence(self, example_report, name, old):
+        # records that also carried their verdict or a copy of the config
+        data = copy.deepcopy(example_report.to_dict())
+        index = report.CHECK_NAMES.index(name)
+        data["checks"][index]["details"] = old(data["checks"][index]["details"])
+        rv = report.revalidate_report(data)
+        assert rv.checks[index].details == {"revalidated": 0, "errors": ["no evidence"]}
+        assert [c.status for c in rv.checks] == ["fail" if i == index else "pass" for i in range(6)]
+
+    def test_the_run_decides_the_compatibility(self, monkeypatch):
+        # eta carries the answer of its construction; the check decides it
+        # again, one component pair at a time
+        calls, comp_equal = [], fontaine._comp_equal
+        monkeypatch.setattr(fontaine, "_comp_equal", lambda *a: calls.append(a) or comp_equal(*a))
+        details = report._check_compat(cfg(), report._example_eta(cfg()))
+        assert set(details) == {"sequence"} and len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"p": 7, "depth": 2},
+            {"p": 7, "depth": 3},
+            {"p": 11, "depth": 3},
+            {"depth": 20, "witt_length": 21},
+        ],
+        ids=["p5-d3", "p7-d2", "p7-d3", "p11-d3", "p5-d20-w21"],
+    )
+    def test_the_recorded_objects_are_the_rebuilt_ones(self, overrides):
+        # every re-check finds its objects equal to the claim's and decides
+        # each once, or each certificate once
+        config = cfg(**overrides)
+        rv = report.revalidate_report(report.run_example_suite(config).to_dict())
+        assert [c.details for c in rv.checks] == [
+            {"revalidated": n, "errors": []} for n in (1, 1, 1, config.depth - 1, config.depth, 1)
+        ]
 
     def test_each_run_writes_exactly_its_evidence_keys(self, example_report):
         for (name, _, keys, _), check in zip(report.EXAMPLE_CHECKS, example_report.checks):
@@ -452,25 +564,19 @@ class TestRevalidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("kernel_at_precision_1", False),
             ("steps", 2),
             ("steps", True),
             ("component_depth", 9),
             ("component_depth", 1.0),
             ("exhausted", False),
         ],
-        ids=["kernel", "steps", "bool-steps", "component-depth", "float-depth", "exhausted"],
+        ids=["steps", "bool-steps", "component-depth", "float-depth", "exhausted"],
     )
     def test_witt_rerun_compares_every_field(self, depth2_report, field, value):
         data = copy.deepcopy(depth2_report.to_dict())
         index = report.CHECK_NAMES.index("witt_division_roundtrip")
         details = data["checks"][index]["details"]
-        assert details == {
-            "kernel_at_precision_1": True,
-            "steps": 1,
-            "component_depth": 1,
-            "exhausted": True,
-        }
+        assert details == {"steps": 1, "component_depth": 1, "exhausted": True}
         details[field] = value
         rv = report.revalidate_report(data)
         assert rv.checks[index].status == "fail"
@@ -519,6 +625,23 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["example", "--depth", "101"], "depth <= 100"),
+            (["example", "--p", "65537"], "below 2^16"),
+            (["eval", "x", "--p", "1000000000000000003"], "below 2^16"),
+        ],
+        ids=["example-depth-101", "example-p-65537", "eval-huge-prime"],
+    )
+    def test_work_is_bounded_up_front(self, capsys, argv, bound):
+        started = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - started < 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1 and bound in out.err
 
     def test_props_text(self, capsys):
         assert cli.main(["props", "--seed", "3"]) == 0
@@ -600,16 +723,11 @@ class TestCli:
             _report_text([{"name": 1, "status": "pass"}]),
             _report_text(_example_checks("sequence_compatibility", status="ok")),
             _report_text(_example_checks("closure_certificates", details={"certificates": 3})),
-            _report_text(_example_checks("base_residue_vanishes", details={"residues": [{}]})),
+            _report_text(_example_checks("base_residue_vanishes", details={"residue": {}})),
             _report_text(_example_checks("plain_division_fails", details=[])),
             '{"config": [], "checks": []}',
             "[" * 100_000 + "]" * 100_000,
-            _report_text(
-                _example_checks(
-                    "base_residue_vanishes",
-                    details={"residues": [{"elem": FAR_ELEM, "expect_zero": False}]},
-                )
-            ),
+            _report_text(_example_checks("base_residue_vanishes", details={"residue": FAR_ELEM})),
         ],
         ids=[
             "missing-file",
@@ -668,10 +786,12 @@ class TestCli:
             {"depth": 2.0},
             {"timestamp": 5},
             {"witt_length": 4},
+            {"depth": 30_000},
+            {"p": 1_000_000_000_000_000_003},
         ],
         ids=[f"drop-{key}" for key in sorted(EXAMPLE_KEYS)]
         + ["seed", "m_max", "mode-banana", "bool-witt-length", "float-depth", "int-timestamp"]
-        + ["witt-length-depth-plus-2"],
+        + ["witt-length-depth-plus-2", "depth-30000", "huge-prime"],
     )
     def test_revalidate_refuses_an_edited_config(self, tmp_path, capsys, depth2_report, edit):
         # None drops the key; every edit is refused before any check runs,
@@ -709,7 +829,7 @@ class TestCli:
             "details": {
                 "revalidated": 2,
                 "errors": [
-                    "the certificates must be one per level 1..1, each with m = its level",
+                    "the certificate exponents must be [1]",
                     "certificate exponent 6 above the search bound 4",
                 ],
             },
@@ -725,14 +845,13 @@ class TestCli:
                 lambda certs: certs[0].update(
                     denom_exp=10**7, num_terms=[[0, 3, 0, "1"], [0, 0, 3, "1"]]
                 ),
-                ["certificate 1 is not u_1 / PI at level 1"],
+                ["certificate 0 is not u_1 / PI at level 1"],
             ),
             (
                 lambda certs: (certs[0].update(level=2), certs[1].update(level=1)),
                 [
-                    "the certificates must be one per level 1..2, each with m = its level",
-                    "certificate 1 is not u_1 / PI at level 1",
-                    "certificate 2 is not u_2 / PI at level 2",
+                    "certificate 0 is not u_1 / PI at level 1",
+                    "certificate 1 is not u_2 / PI at level 2",
                 ],
             ),
         ],
@@ -766,13 +885,13 @@ class TestCli:
                 lambda certs: certs[0].update(
                     denom_exp=10**7, num_terms=[[0, 3, 0, "1"], [0, 0, 3, "1"]]
                 ),
-                ["certificate 0 is not r_1 / PI_1 of eta"],
+                ["certificate 0 is not u_1 / PI at level 1"],
             ),
             (
                 lambda certs: (certs[0].update(level=2), certs[1].update(level=1)),
                 [
-                    "certificate 0 is not r_1 / PI_1 of eta",
-                    "certificate 1 is not r_2 / PI_2 of eta",
+                    "certificate 0 is not u_1 / PI at level 1",
+                    "certificate 1 is not u_2 / PI at level 2",
                 ],
             ),
         ],
@@ -880,8 +999,8 @@ class TestCli:
     #: Where each check's first element sits in its details.
     RESIDUE_AT = {
         "sequence_compatibility": lambda d: d["sequence"][0],
-        "base_residue_vanishes": lambda d: d["residues"][0]["elem"],
-        "plain_division_fails": lambda d: d["divisions"][0]["divisor"],
+        "base_residue_vanishes": lambda d: d["residue"],
+        "plain_division_fails": lambda d: d["divisor"],
     }
 
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rootclose.valuation import INFINITY, binom, binom_valuation, vp
+from rootclose.valuation import INFINITY, binom, binom_valuation, check_prime, vp
 
 
 def test_vp_examples():
@@ -12,6 +12,15 @@ def test_vp_examples():
     assert vp(2, 8) == 3
     assert vp(5, 0) == INFINITY
     assert vp(7, -49) == 2
+
+
+def test_check_prime_refuses_large_primes_before_trial_division():
+    # 65521 is the largest prime below 2^16; trial division of
+    # 10^18 + 3, a prime, would take about 5 * 10^8 steps
+    assert check_prime(65521) == 65521
+    for p in (65537, 10**18 + 3):
+        with pytest.raises(ValueError, match="below 2\\^16"):
+            check_prime(p)
 
 
 def test_vp_zero_is_infinite():
