@@ -306,38 +306,38 @@ def divide_by_p_seq(e: FontaineElem) -> FontaineElem:
     return quotient
 
 
-def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureCert | None]]:
-    """Divide by the sequence of p-power roots of p, constructively.
+def _pth_power_mod_p(c: Component) -> Component:
+    """c^p modulo p * R.  A residue's is its termwise Frobenius.  For
+    c = num / PI^j at level n, num^p is needed only modulo p^k with
+    k = 1 + ceil(j p / p^n): p^k / PI^(j p) = p * PI^((k - 1) p^n - j p)
+    lies in p * R.  For integral c that is the Frobenius of its residue,
+    lifted."""
+    p = c.ctx.p
+    if isinstance(c, TowerElem):
+        return c**p
+    k = 1 + -(-c.denom_exp * p // c.ctx.pi_order)
+    return LocalElem(c.num.pow_mod(p, p**k).lift(), c.denom_exp * p)
 
-    Three steps: (1) factor each component, s_n = r_n / PI_n, exactly
-    over F_p in plain mode (p = PI_n^(p^n) lies in (PI_n), so R/p
-    decides divisibility by PI_n) or, in certified mode, with a closure
-    certificate; (2) compatibility: r_(n+1)^p = r_n for n = 1..N-1,
-    modulo p * R in plain mode and modulo p * closure in certified mode;
-    (3) shift the factors down one slot, t_n = s_(n+1)^p.  Step 2 is the
-    roundtrip PI_n * t_n = r_n, because PI_n * t_n = (PI_(n+1) *
-    s_(n+1))^p = r_(n+1)^p.  Returns the quotient t_0..t_(N-1) and the
-    factor certificates, ``factors[n]`` for s_n and None where the
-    factor is exact.  Quotient component n is certified by
-    ``factors[n + 1]`` with exponent max(m - 1, 0), because
-    (s^p)^(p^(m-1)) = s^(p^m); when that factor is exact or has m = 0,
-    t_n is integral.
 
-    Nothing else needs deciding, because the root closure is a ring (in
-    plain mode read R for the closure throughout):
+def factor_by_p_seq(e: FontaineElem) -> tuple[list[Component], list[ClosureCert | None]]:
+    """The first two steps of the division by the sequence of p-power
+    roots of p, which decide whether it succeeds: (1) factor each
+    component, s_n = r_n / PI_n, exactly over F_p in plain mode (p =
+    PI_n^(p^n) lies in (PI_n), so R/p decides divisibility by PI_n) or,
+    in certified mode, with a closure certificate; (2) compatibility:
+    r_(n+1)^p = r_n for n = 1..N-1, modulo p * R in plain mode and
+    modulo p * closure in certified mode.  Step 2 is the roundtrip
+    PI_n * t_n = r_n of the quotient t_n = s_(n+1)^p, because PI_n * t_n
+    = (PI_(n+1) * s_(n+1))^p = r_(n+1)^p; since it is read modulo p *
+    closure, r_(n+1)^p is built modulo p * R (``_pth_power_mod_p``).
+    Returns the factors s_n and their certificates, ``certs[n]`` for s_n
+    and None where the factor is exact; a failed step raises.
 
-    - the base residue: PI_0 = p, so step 1 at n = 0 asks whether r_0
-      lies in p * closure;
-    - the roundtrip at n = 0: PI_0 * t_0 - r_0 = p * (t_0 - s_0), and
-      t_0, s_0 lie in the closure;
-    - the quotient's compatibility: with delta = t_n - s_n, step 2 puts
-      PI_n * delta in p * closure, so delta lies in
-      PI_n^(p^n - 1) * closure; as t_(n-1) = s_n^p, t_n^p - t_(n-1) is
-      the sum of C(p, i) s_n^(p-i) delta^i over 0 < i < p, which lies in
-      p * closure, plus delta^p, which lies in
-      PI_n^(p (p^n - 1)) * closure, inside p * closure for n >= 1.
-
-    Searches stop at ``default_m_max(depth)``.
+    Nothing else needs deciding at slot 0, because the root closure is a
+    ring (in plain mode read R for the closure throughout): PI_0 = p, so
+    step 1 at n = 0 asks whether r_0 lies in p * closure, and the
+    roundtrip there is PI_0 * t_0 - r_0 = p * (t_0 - s_0), with t_0 and
+    s_0 in the closure.  Searches stop at ``default_m_max(depth)``.
     """
     N = e.depth
     if N < 1:
@@ -349,7 +349,7 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureC
 
     # step 1: r_n = PI_n * s_n, with PI_n = PI^jn at the component's level
     s: list[Component] = []
-    factors: list[ClosureCert | None] = []
+    certs: list[ClosureCert | None] = []
     for n, rn in enumerate(r):
         jn = p ** (rn.level - n)
         cert = None
@@ -365,12 +365,31 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureC
             except NotDivisibleError as exc:  # refused at the least failing monomial
                 raise SequenceDivisionError(n, exc.monomial) from exc
         s.append(sn)
-        factors.append(cert)
+        certs.append(cert)
 
     # step 2: the input's compatibility, which is the roundtrip PI_n * t_n = r_n
     for n in range(1, N):
-        if not _comp_equal(r[n + 1] ** p, r[n], n, m_max):
+        if not _comp_equal(_pth_power_mod_p(r[n + 1]), r[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
+    return s, certs
 
-    # step 3: shift the factors down by raising them to the p-th power
-    return FontaineElem._trusted([sn**p for sn in s[1:]], e.mode, True), factors
+
+def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureCert | None]]:
+    """Divide by the sequence of p-power roots of p, constructively:
+    ``factor_by_p_seq``, then (3) shift the factors down one slot,
+    t_n = s_(n+1)^p, exactly.  Returns the quotient t_0..t_(N-1) and the
+    factor certificates.  Quotient component n is certified by
+    ``certs[n + 1]`` with exponent max(m - 1, 0), because
+    (s^p)^(p^(m-1)) = s^(p^m); when that factor is exact or has m = 0,
+    t_n is integral.
+
+    The quotient is compatible with no further decision: with delta =
+    t_n - s_n, step 2 puts PI_n * delta in p * closure, so delta lies in
+    PI_n^(p^n - 1) * closure; as t_(n-1) = s_n^p, t_n^p - t_(n-1) is the
+    sum of C(p, i) s_n^(p-i) delta^i over 0 < i < p, which lies in p *
+    closure, plus delta^p, which lies in PI_n^(p (p^n - 1)) * closure,
+    inside p * closure for n >= 1.
+    """
+    s, certs = factor_by_p_seq(e)
+    p = e.family.p
+    return FontaineElem._trusted([sn**p for sn in s[1:]], e.mode, True), certs

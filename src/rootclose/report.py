@@ -2,11 +2,12 @@
 
 A passing record holds only the objects its claim is about (residues,
 divisor and dividend) and what the run found (closure certificates
-``(elem, m)``, the monomial a division refused), never its own verdict
-or a copy of the config: ``revalidate`` rebuilds the objects from the
-config, requires the recorded ones to equal them, and decides each
-claim again.  Reports are deterministic: one config and seed give
-byte-identical JSON, modulo the optional timestamp.
+``(elem, m)``, the monomial a division refused, the Witt quotient),
+never its own verdict or a copy of the config: ``revalidate`` rebuilds
+the objects from the config, requires the recorded ones to equal them,
+and decides each claim again; the Witt quotient is multiplied back.
+Reports are deterministic: one config and seed give byte-identical
+JSON, modulo the optional timestamp.
 """
 
 from __future__ import annotations
@@ -321,28 +322,45 @@ def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
 
 
 def _check_certified_division(cfg: Config, eta: FontaineElem) -> dict:
-    # the division raises unless eta is compatible, which is what makes
-    # P * quotient give eta back, one depth lower
-    _, factors = fontaine.divide_by_p_seq_traced(FontaineElem(eta.comps, cfg.closure_mode))
+    # the factoring raises unless eta is compatible, which is what makes
+    # P * quotient give eta back, one depth lower; no quotient is built
+    _, factors = fontaine.factor_by_p_seq(FontaineElem(eta.comps, cfg.closure_mode))
     certs = [cert_to_json(c) for c in factors if c is not None]
     return {"certificates": certs, "factor_exponents": [0 if c is None else c.m for c in factors]}
 
 
-def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict:
-    """Divide (p-root sequence - p) * [X] by (p-root sequence - p), whose
-    first sequence division decides that theta kills it at precision 1
-    (it raises otherwise), and record how far it got.  It reads only X,
-    built from the generators, so neither this check nor ``revalidate``'s
-    re-run of it builds eta."""
-    ctx = witt.WittCtx(cfg.p, cfg.witt_length)
-    _, X, _ = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
-    w = witt.WittVec.teichmuller(ctx, X)
-    x_vec = witt.p_seq_minus_p(ctx, w.comps[0]) * w
-    got = witt.divide_by_p_seq_minus_p(x_vec)
-    details = {"steps": got.steps, "component_depth": got.depth, "exhausted": got.exhausted}
+def _witt_operands(p: int, length: int, depth: int) -> tuple[witt.WittVec, witt.WittVec]:
+    """pmp = (p-root sequence - p) and x = pmp * [X], of Witt length
+    ``length`` over sequences of ``depth``: built from the generators,
+    not from eta."""
+    ctx = witt.WittCtx(p, length)
+    _, X, _ = fontaine.generators(p, DEGREE, depth, QUOTIENT)
+    pmp = witt.p_seq_minus_p(ctx, X)
+    return pmp, pmp * witt.WittVec.teichmuller(ctx, X)
+
+
+def _witt_steps_needed(cfg: Config) -> int:
     # each approximation step costs one root shift in the sequence
     # division and one in the Witt division by p
-    if got.steps < min(cfg.witt_length, (cfg.depth + 1) // 2):
+    return min(cfg.witt_length, (cfg.depth + 1) // 2)
+
+
+def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict:
+    """Divide x = (p-root sequence - p) * [X] by (p-root sequence - p),
+    whose first sequence division decides that theta kills x at
+    precision 1 (it raises otherwise), and record how far it got and
+    the quotient's first ``steps`` coordinates, plain sequences at the
+    depth reached, for ``revalidate`` to multiply back."""
+    _, x = _witt_operands(cfg.p, cfg.witt_length, cfg.depth)
+    got = witt.divide_by_p_seq_minus_p(x)
+    quotient = [[elem_to_json(c) for c in q.comps] for q in got.quotient.comps[: got.steps]]
+    details = {
+        "steps": got.steps,
+        "component_depth": got.depth,
+        "exhausted": got.exhausted,
+        "quotient": quotient,
+    }
+    if got.steps < _witt_steps_needed(cfg):
         details["_status"] = FAIL
     return details
 
@@ -430,11 +448,51 @@ def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
 
 
 def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
-    """A re-run, not a check: each field must equal the recorded one, type included."""
-    again = _check_witt_roundtrip(cfg)
-    again.pop("_status", None)
-    changed = [k for k, v in again.items() if not _same(details[k], v)]
-    yield f"witt roundtrip changed: {', '.join(changed)}" if changed else None
+    """No division runs: the recorded quotient w is multiplied back.
+    Enough steps were taken, min(witt_length, (depth + 1) // 2) <= steps
+    <= witt_length; each step costs two units of depth, so
+    ``component_depth`` is depth + 1 - 2 * steps; and ``exhausted`` is
+    steps < witt_length.  w holds ``steps`` plain sequences of
+    ``component_depth`` + 1 residues, read by ``residue_from_json``.  Its
+    coordinates after the first must be zero, as in the quotient [X]:
+    that keeps pmp * w a Teichmuller product, in closed form, whose cost
+    no report can raise (a ghost pass over a forged coordinate can run
+    for minutes).  Then pmp * w must equal x = pmp * [X], rebuilt from
+    the config, in Witt length ``steps`` over sequences of that depth."""
+    steps = _natural(details, "steps", "witt")
+    comp_depth = _natural(details, "component_depth", "witt")
+    exhausted = details["exhausted"]
+    if type(exhausted) is not bool:
+        raise MalformedReportError(f"witt exhausted must be a boolean, not {exhausted!r}")
+    coords = details["quotient"]
+    if type(coords) is not list or any(type(c) is not list for c in coords):
+        raise MalformedReportError("the witt quotient must be a list of sequences")
+    coords = [[residue_from_json(d, cfg) for d in comps] for comps in coords]
+    need, length = _witt_steps_needed(cfg), cfg.witt_length
+    errors = []
+    if not need <= steps <= length:
+        errors.append(f"steps must lie between {need} and the Witt length {length}")
+    elif comp_depth != cfg.depth + 1 - 2 * steps:
+        errors.append(f"{steps} steps leave component depth {cfg.depth + 1 - 2 * steps}")
+    if exhausted != (steps < length):
+        errors.append(f"exhausted must be {steps < length} after {steps} of {length} steps")
+    if len(coords) != steps or any(len(c) != comp_depth + 1 for c in coords):
+        errors.append(f"the quotient must hold {steps} sequences of {comp_depth + 1} residues")
+    elif any(not r.is_zero for c in coords[1:] for r in c):
+        errors.append("the quotient's coordinates after the first must be zero")
+    if errors:
+        yield from errors
+        return
+    # the first ``steps`` coordinates of a product read only the first
+    # ``steps`` of its factors, and sequence arithmetic is componentwise
+    pmp, x = _witt_operands(cfg.p, steps, comp_depth)
+    seqs = [FontaineElem(c, PLAIN) for c in coords]
+    if not all(q.family.same_family(pmp.comps[0].family) and q.check_compat() for q in seqs):
+        yield "the quotient's coordinates are not compatible sequences of the example's ring"
+    elif pmp * witt.WittVec(pmp.ctx, seqs) != x:
+        yield f"pmp * quotient is not pmp * [X] on the first {steps} coordinates"
+    else:
+        yield None
 
 
 #: The example suite in run order, the one place that names its checks:
@@ -444,8 +502,9 @@ def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
 #: again from them, yielding one verdict per piece of evidence: None
 #: when the piece is reproduced, else the error.  A re-check first
 #: requires the recorded objects to equal those rebuilt from the config
-#: with ``tower`` alone; an object that is not the claim's is one error
-#: in place of its decision, so a valid report's counts stay.
+#: with ``tower`` alone (the Witt quotient: to have the shape its step
+#: count implies); an object that is not the claim's is one error in
+#: place of its decision, so a valid report's counts stay.
 EXAMPLE_CHECKS = (
     ("sequence_compatibility", _check_compat, ("sequence",), _recheck_sequence),
     ("base_residue_vanishes", _check_base_residue, ("residue",), _recheck_residue),
@@ -465,7 +524,7 @@ EXAMPLE_CHECKS = (
     (
         "witt_division_roundtrip",
         _check_witt_roundtrip,
-        ("steps", "component_depth", "exhausted"),
+        ("steps", "component_depth", "exhausted", "quotient"),
         _recheck_witt,
     ),
 )

@@ -3,7 +3,7 @@ import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from rootclose import closure, fontaine, report, witt
@@ -12,6 +12,7 @@ from rootclose.closure import (
     LocalElem,
     NotMember,
     as_local,
+    definite_nonmember,
     membership,
     validate_cert,
 )
@@ -30,6 +31,7 @@ from rootclose.fontaine import (
     default_m_max,
     divide_by_p_seq,
     divide_by_p_seq_traced,
+    factor_by_p_seq,
     generators,
     theta,
 )
@@ -534,6 +536,60 @@ def test_plain_division_runs_no_certificate_search(e):
             assert divide_by_p_seq(e).depth == e.depth - 1
 
 
+@st.composite
+def fractions(draw):
+    """num / PI^j at p in {5, 7}, level 1-2, free or quotient mode: 1-3
+    terms with coefficients up to p^3 in size, and j up to 2 p^level, so
+    that the modulus p^k of the reduced p-th power reaches k = 2p + 1."""
+    p = draw(st.sampled_from((5, 7)))
+    level = draw(st.integers(1, 2))
+    ctx = context(p, level, 3, draw(st.sampled_from((FREE, QUOTIENT))))
+    monomial = st.tuples(st.integers(0, p**level - 1), st.integers(0, 3), st.integers(0, 3))
+    coeff = st.integers(-(p**3), p**3).filter(bool)
+    num = TowerElem(ctx, draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3)))
+    return LocalElem(num, draw(st.integers(0, 2 * p**level)))
+
+
+def _reduced_power_agrees(c) -> bool:
+    """Is ``_pth_power_mod_p(c)`` equal to c^p modulo p * R?"""
+    delta = c**c.ctx.p - fontaine._pth_power_mod_p(c)
+    return LocalElem(delta.num, delta.denom_exp + delta.ctx.pi_order).is_integral
+
+
+@given(c=fractions())
+@settings(max_examples=60, deadline=None)
+def test_the_reduced_p_th_power_agrees_with_the_exact_one_modulo_p_r(c):
+    assert _reduced_power_agrees(c)
+
+
+def test_the_agreement_test_catches_a_modulus_one_power_of_p_short():
+    # negative control: num^p modulo p^(k - 1) differs from the exact
+    # power by more than p * R on some draw with k >= 2
+    pow_mod = TowerElem.pow_mod
+
+    def one_short(self, e, coeff_mod):
+        return pow_mod(self, e, coeff_mod // self.ctx.p if coeff_mod > self.ctx.p else coeff_mod)
+
+    with mock.patch.object(TowerElem, "pow_mod", one_short):
+        find(
+            fractions(),
+            lambda c: not _reduced_power_agrees(c),
+            settings=settings(derandomize=True, database=None, max_examples=60),
+        )
+
+
+def test_factoring_builds_no_exact_p_th_power(monkeypatch):
+    # the worked example at p = 1009, whose exact p-th powers have about
+    # p^2 / 2 terms: step 2 takes r_2^p modulo p * R, and no quotient is
+    # built, so no LocalElem is raised to a power
+    def no_exact_power(self, e):
+        raise AssertionError("an exact p-th power of a LocalElem was built")
+
+    monkeypatch.setattr(LocalElem, "__pow__", no_exact_power)
+    _, certs = factor_by_p_seq(cube_sum(depth=2, closure=CERTIFIED, p=1009))
+    assert _exponents(certs) == [0, 1, 2]
+
+
 def _reference_division(e):
     """The division's earlier body, kept as the oracle of the one that
     computes in each mode's own ring: every component lifted to a
@@ -648,18 +704,55 @@ def incompatible_elems(draw, modes=(PLAIN, CERTIFIED)):
     return FontaineElem(e.comps[:n] + (moved,) + e.comps[n + 1 :], e.mode)
 
 
+def _undetermined_by_the_exact_power():
+    """[0, X^3 + Y^3 + PI + PI^3 at level 1, X^3 + Y^3 + PI^3 at level 2]
+    at p = 5, certified: incompatible, since r_2^5 - r_1 = -PI^5 modulo
+    p * R.  With r_2^5 built exactly, delta / p has 19 terms and its
+    search is undetermined at m = 4; built modulo p * R it is -1 / PI^20,
+    which ``definite_nonmember`` refutes."""
+    ctx0, ctx1, ctx2 = (context(5, n, 3, QUOTIENT) for n in range(3))
+    r1 = TowerElem(ctx1, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 0): 1, (3, 0, 0): 1}, 5)
+    r2 = TowerElem(ctx2, {(0, 3, 0): 1, (0, 0, 3): 1, (3, 0, 0): 1}, 5)
+    return FontaineElem([TowerElem.zero(ctx0, 5), r1, r2], CERTIFIED)
+
+
 class TestAgreementWithTheReference:
-    """Plain mode divides in R/p and both modes read the roundtrip as the
-    input's compatibility; the earlier body lifted, multiplied and
-    reduced.  All drawn components are integral, so the one case where
-    the two differ (``test_a_non_integral_p_th_power_is_read_modulo_p_closure``)
-    does not arise."""
+    """Plain mode divides in R/p, both modes read the roundtrip as the
+    input's compatibility, and certified mode builds r_(n+1)^p modulo
+    p * R; the earlier body lifted, multiplied exactly and reduced.  All
+    drawn components are integral, so the case where a non-integral p-th
+    power is read differently
+    (``test_a_non_integral_p_th_power_is_read_modulo_p_closure``) does
+    not arise."""
 
     @given(e=st.one_of(division_cases(), nonkernel_elems(), incompatible_elems()))
+    @example(e=_undetermined_by_the_exact_power())
     @settings(max_examples=150, deadline=None)
     def test_same_quotients_certificates_and_errors(self, e):
+        # one difference is allowed: the exact and the reduced delta differ
+        # by an element of p * R, so delta / p lies in the closure for both
+        # or for neither, and where the exact search is undetermined the
+        # reduced one may refute; every other outcome is the same
         want = _division_outcome(_reference_division, e)
-        assert _division_outcome(divide_by_p_seq_traced, e) == want
+        got = _division_outcome(divide_by_p_seq_traced, e)
+        if want[0] == "UndeterminedCongruenceError" and got[0] == "CertificateSearchError":
+            mismatch = f"roundtrip mismatch at component {want[2]}"
+            want = ("CertificateSearchError", mismatch, None, None)
+        assert got == want
+
+    def test_the_reduced_power_refutes_what_the_exact_one_left_open(self):
+        e = _undetermined_by_the_exact_power()
+        with pytest.raises(UndeterminedCongruenceError, match="component 1"):
+            _reference_division(e)
+        with pytest.raises(CertificateSearchError, match="roundtrip mismatch at component 1"):
+            divide_by_p_seq_traced(e)
+        r1, r2 = (as_local(c).embed(2) for c in e.comps[1:])
+        deltas = (r2**5 - r1, fontaine._pth_power_mod_p(r2) - r1)
+        exact, reduced = (LocalElem(d.num, d.denom_exp + 25) for d in deltas)
+        minus_one = TowerElem.integer(r2.ctx, -1)
+        assert reduced == LocalElem(minus_one, 20) and definite_nonmember(reduced)
+        assert not definite_nonmember(exact) and len(exact.num.terms) == 19
+        assert (exact - reduced).is_integral
 
     def test_negative_control_plain_step_one_divides_by_one_pi_more(self):
         pi_divide = TowerElem.pi_divide

@@ -1,12 +1,18 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootclose import cli, closure, fontaine, report, witt
+from rootclose import cli, closure, fontaine, report, valuation, witt
 from rootclose.closure import CertificateSearchError
 from rootclose.fontaine import PLAIN, FontaineElem, UndeterminedCongruenceError
 
@@ -60,45 +66,46 @@ def _zeroed_exponent(data):
 
 
 NOT_THE_OPERANDS = "the divisor and dividend are not X^(3p) + Y^(3p) and X^3 + Y^3 at level 1"
+NOT_COMPATIBLE = "the quotient's coordinates are not compatible sequences of the example's ring"
 
 #: Forged default reports, each of which revalidated all-pass while a
 #: record was checked against its own recorded verdict rather than
-#: against the claim: (forge, failing check, its errors).
+#: against the claim: (forge, {failing check: its errors}).
 FORGERIES = {
     "nonzero-residue": (
         lambda data: _details(data, "base_residue_vanishes").update(
             residue={"level": 0, "ring": "quotient", "terms": [[0, 1, 0, "1"]]}
         ),
-        "base_residue_vanishes",
-        ["the residue is not u_0 mod p"],
+        {"base_residue_vanishes": ["the residue is not u_0 mod p"]},
     ),
     "dividend-is-the-divisor": (
         lambda data: (d := _details(data, "plain_division_fails")).update(dividend=d["divisor"]),
-        "plain_division_fails",
-        [NOT_THE_OPERANDS],
+        {"plain_division_fails": [NOT_THE_OPERANDS]},
     ),
     "dividend-is-x": (
         lambda data: _details(data, "plain_division_fails").update(
             dividend={"level": 1, "ring": "free", "terms": [[0, 1, 0, "1"]]}
         ),
-        "plain_division_fails",
-        [NOT_THE_OPERANDS],
+        {"plain_division_fails": [NOT_THE_OPERANDS]},
     ),
     "constant-one-sequence": (
         _constant_one_sequence,
-        "sequence_compatibility",
-        ["the sequence is not u_n mod p for n = 0..3"],
+        {"sequence_compatibility": ["the sequence is not u_n mod p for n = 0..3"]},
     ),
     "zeroed-exponent": (
         _zeroed_exponent,
-        "certified_division",
-        ["factor exponent 1 is 0, but r_1 / PI_1 is not integral"],
+        {"certified_division": ["factor exponent 1 is 0, but r_1 / PI_1 is not integral"]},
     ),
-    # only the divisor depends on p
+    # the divisor depends on p, and so does the Witt quotient: X^5 is not
+    # the X^1009 that the multiply-back at p = 1009 needs
     "config-p-1009": (
         lambda data: data["config"].update(p=1009),
-        "plain_division_fails",
-        [NOT_THE_OPERANDS],
+        {
+            "plain_division_fails": [NOT_THE_OPERANDS],
+            "witt_division_roundtrip": [
+                "pmp * quotient is not pmp * [X] on the first 2 coordinates"
+            ],
+        },
     ),
 }
 
@@ -127,16 +134,16 @@ class TestExampleSuite:
         assert not rep.ok
 
     def test_a_failed_division_fails_its_check_and_the_example(self, monkeypatch, capsys):
-        # the check records what the division decided: it raises unless
-        # P * quotient gives eta back, so no product is taken again
-        divide = fontaine.divide_by_p_seq_traced
+        # the check records what the factoring decided: it raises unless
+        # P * quotient gives eta back, so no quotient or product is built
+        factor = fontaine.factor_by_p_seq
 
         def mismatch(e):
             if e.mode == PLAIN:
-                return divide(e)
+                return factor(e)
             raise CertificateSearchError("roundtrip mismatch at component 1")
 
-        monkeypatch.setattr(fontaine, "divide_by_p_seq_traced", mismatch)
+        monkeypatch.setattr(fontaine, "factor_by_p_seq", mismatch)
         rep = report.run_example_suite(cfg(depth=2))
         failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
         assert failed == {
@@ -210,26 +217,26 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "6be86598f267b087a1545303c1d7214b6fb16b75d1755bcfbd8b74a4c532e6d9"),
+    "p5-d3": ({}, "b537530bc7e9b161d2d86882eafe41531153b1a491a48b79e41bfd1b0b12b5d4"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "463f475977b7f13ad8573b5f690607d2fb1f1d1ea8f3ae46c86da2af6a4c4022",
+        "1481ae4b697dae309569f64ebc33c6887be54d1ad108119c21a126c5bb45e6eb",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "a796abb8b3589eba97940c867c2c762f14c491c08dea1d81b900712e9c974523",
+        "9493d31172e66896abf501a7c26c651ec7504da7e10fef305c70342af4687e2f",
     ),
-    "p5-d2": ({"depth": 2}, "db10fb6f8796f72bb94479932d5ea7f5afcc5ab16b0a2247d3120607ca811346"),
+    "p5-d2": ({"depth": 2}, "f7dfd5ceaa075cbf703d0453c50aca51929e512aca811ba433bf5fc2a37eeaf9"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
-        "cf8bb8b69a1814a289c22cd198d8fffb3457f4ebff11f446e5548dbf2db5b606",
+        "58755dd88f76b90495154fc3d7c5969ac4fd617c8e480d62509e2021e3783439",
     ),
 }
 
 #: sha256 of the --witt-len 4 report (depth 3, no timestamp), whose Witt
 #: check the universal-polynomial path first recorded in about 24 s; kept
 #: apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
-W4_DIGEST = "d008fa65c89d1d57946ee4d37d51ffd9a7422dd5abc5862dcd6f88deb183bc86"
+W4_DIGEST = "130cbf766646a6b46dac790438beef9018509c2ec4e6318eba41dc448dcdd5cd"
 
 
 class TestDeterminism:
@@ -255,7 +262,7 @@ class TestDeterminism:
 
     def test_first_w4_report_matches_the_recorded_digest(self):
         text = report.run_example_suite(cfg(depth=3, witt_length=4)).to_json()
-        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1577, W4_DIGEST)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1687, W4_DIGEST)
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(5, timestamp=False).to_json()
@@ -468,7 +475,7 @@ class TestRevalidation:
     @pytest.mark.parametrize("name", FORGERIES)
     def test_revalidate_refuses_a_forged_object(self, tmp_path, capsys, example_report, name):
         # each recorded object must equal the one rebuilt from the config
-        forge, check, errors = FORGERIES[name]
+        forge, errors = FORGERIES[name]
         data = copy.deepcopy(example_report.to_dict())
         forge(data)
         path = tmp_path / "report.json"
@@ -477,9 +484,7 @@ class TestRevalidation:
         assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
         assert time.perf_counter() - started < 1
         checks = json.loads(capsys.readouterr().out)["checks"]
-        assert {c["name"]: c["details"]["errors"] for c in checks if c["status"] != "pass"} == {
-            check: errors
-        }
+        assert {c["name"]: c["details"]["errors"] for c in checks if c["status"] != "pass"} == errors
 
     @pytest.mark.parametrize(
         "name, old",
@@ -562,28 +567,170 @@ class TestRevalidation:
         assert {c.status for c in rv.values()} == {"pass"}
 
     @pytest.mark.parametrize(
-        "field, value",
+        "forge, errors",
         [
-            ("steps", 2),
-            ("steps", True),
-            ("component_depth", 9),
-            ("component_depth", 1.0),
-            ("exhausted", False),
+            (
+                # X^5 at level 2 -> Y^5: no longer the 5th root of X^5 at level 1
+                lambda d: d["quotient"][0][1].update(terms=[[0, 0, 5, "1"]]),
+                [NOT_COMPATIBLE],
+            ),
+            (
+                # X -> Y at every level: compatible, but pmp * [Y] is not pmp * [X]
+                lambda d: [c.update(terms=[[0, 0, 5, "1"]]) for c in d["quotient"][0]],
+                ["pmp * quotient is not pmp * [X] on the first 2 coordinates"],
+            ),
+            (
+                lambda d: d["quotient"][1][0].update(terms=[[0, 1, 0, "1"]]),
+                ["the quotient's coordinates after the first must be zero"],
+            ),
+            (
+                lambda d: d.update(steps=3),
+                [
+                    "steps must lie between 2 and the Witt length 2",
+                    "the quotient must hold 3 sequences of 2 residues",
+                ],
+            ),
+            (
+                lambda d: d.update(component_depth=0),
+                [
+                    "2 steps leave component depth 1",
+                    "the quotient must hold 2 sequences of 1 residues",
+                ],
+            ),
+            (
+                lambda d: d.update(exhausted=True),
+                ["exhausted must be False after 2 of 2 steps"],
+            ),
         ],
-        ids=["steps", "bool-steps", "component-depth", "float-depth", "exhausted"],
+        ids=[
+            "component",
+            "coordinate",
+            "zero-coordinate",
+            "steps-plus-one",
+            "component-depth",
+            "exhausted",
+        ],
     )
-    def test_witt_rerun_compares_every_field(self, depth2_report, field, value):
-        data = copy.deepcopy(depth2_report.to_dict())
+    def test_revalidate_refuses_a_forged_witt_quotient(self, tmp_path, capsys, forge, errors):
+        # depth 4, Witt length 2: two steps, component depth 1 and the
+        # quotient [X], whose coordinate 0 is X^5 at levels 1 and 2; the
+        # re-check multiplies back and runs no division
+        data = copy.deepcopy(report.run_example_suite(cfg(depth=4)).to_dict())
         index = report.CHECK_NAMES.index("witt_division_roundtrip")
-        details = data["checks"][index]["details"]
-        assert details == {"steps": 1, "component_depth": 1, "exhausted": True}
-        details[field] = value
-        rv = report.revalidate_report(data)
-        assert rv.checks[index].status == "fail"
-        assert rv.checks[index].details == {
-            "revalidated": 1,
-            "errors": [f"witt roundtrip changed: {field}"],
+        forge(data["checks"][index]["details"])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        assert time.perf_counter() - started < 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"]: c["details"]["errors"] for c in checks if c["status"] != "pass"} == {
+            "witt_division_roundtrip": errors
         }
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            ({"steps": True}, "steps"),
+            ({"component_depth": 1.0}, "component_depth"),
+            ({"exhausted": 0}, "exhausted"),
+            ({"quotient": {}}, "quotient"),
+            (
+                {"quotient": [[{"level": 1, "ring": "quotient", "terms": [[0, 5, 0, 1]]}]]},
+                "residue terms",
+            ),
+            ({"quotient": [[FAR_ELEM]]}, "residue level"),
+        ],
+        ids=[
+            "bool-steps",
+            "float-depth",
+            "int-exhausted",
+            "quotient-object",
+            "int-coefficient",
+            "far-level",
+        ],
+    )
+    def test_revalidate_refuses_a_malformed_witt_record(
+        self, tmp_path, capsys, depth2_report, edit, key
+    ):
+        data = copy.deepcopy(depth2_report.to_dict())
+        data["checks"][report.CHECK_NAMES.index("witt_division_roundtrip")]["details"].update(edit)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path)]) == 2
+        assert time.perf_counter() - started < 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1 and key in out.err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"depth": 2}, {"depth": 6, "witt_length": 4}, {"p": 7, "depth": 3, "witt_length": 4}],
+    )
+    def test_revalidate_runs_no_division(self, monkeypatch, overrides):
+        # the Witt check is one multiply-back: neither the Witt division
+        # nor the sequence division it calls runs again
+        rep = report.run_example_suite(cfg(**overrides))
+
+        def no_division(*args):
+            raise AssertionError("revalidate ran a division")
+
+        monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", no_division)
+        monkeypatch.setattr(witt, "divide_by_p_seq", no_division)
+        rv = report.revalidate_report(rep.to_dict())
+        assert rv.ok and rv.checks[-1].details == {"revalidated": 1, "errors": []}
+
+
+def _next_prime(n: int) -> int:
+    while not valuation.is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def example_configs(draw):
+    """A prime 5 <= p < 2^16, 2 <= depth <= 20 and 1 <= witt_length <= depth + 1."""
+    p = _next_prime(draw(st.integers(5, 65521)))
+    depth = draw(st.integers(2, 20))
+    return p, depth, draw(st.integers(1, depth + 1))
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+class TestConfigSpace:
+    """The worked example as a property of its config space: every config
+    inside the bounds passes, revalidates with the counts it implies, and
+    does both within a time ceiling."""
+
+    @given(config=example_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_every_config_passes_and_revalidates(self, config):
+        p, depth, length = config
+        args = ["--p", str(p), "--depth", str(depth), "--witt-len", str(length)]
+        started = time.perf_counter()
+        code, text = _main(["example", *args, "--format", "json", "--no-timestamp"])
+        assert code == 0
+        assert {c["status"] for c in json.loads(text)["checks"]} == {"pass"}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            path.write_text(text)
+            code, text = _main(["revalidate", str(path), "--format", "json"])
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        assert [(c["status"], c["details"]) for c in json.loads(text)["checks"]] == [
+            ("pass", {"revalidated": n, "errors": []}) for n in (1, 1, 1, depth - 1, depth, 1)
+        ]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_p_2_and_3_are_refused(self, p):
+        code, text = _main(["example", "--p", str(p)])
+        assert code == 2 and text == ""
 
 
 class TestRunnerStatusMapping:
