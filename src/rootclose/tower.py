@@ -39,12 +39,6 @@ class NotDivisibleError(ArithmeticError):
         super().__init__(f"not divisible at monomial {monomial}")
 
 
-class PthRootError(ArithmeticError):
-    def __init__(self, monomial: Monomial):
-        self.monomial = monomial
-        super().__init__(f"no p-th root: exponents not divisible at {monomial}")
-
-
 @dataclass(frozen=True)
 class TowerCtx:
     """Presentation parameters of one level of the tower.
@@ -406,24 +400,6 @@ class TowerElem:
         """The p-power map; over F_p ``__pow__`` takes it termwise (see
         ``_frobenius_power``), over Z or Z/p^k it multiplies out."""
         return self**self.ctx.p
-
-    def proot(self) -> "TowerElem":
-        """Inverse of frobenius over F_p when it exists at this level.
-
-        Frobenius sends each basis monomial to a single monomial with
-        p-fold exponents (coefficients are fixed points mod p), so an
-        element is a p-th power exactly when every exponent triple is
-        divisible by p.
-        """
-        p = self.ctx.p
-        if not self.over_fp:
-            raise ValueError("p-th roots are taken over F_p")
-        out: TermMap = {}
-        for (a, b, c), v in self.terms.items():
-            if a % p or b % p or c % p:
-                raise PthRootError((a, b, c))
-            out[(a // p, b // p, c // p)] = v
-        return TowerElem(self.ctx, out, p, _normal=True)
 
     def xy_part(self) -> "TowerElem":
         """Image under PI -> 0 (the monomials without a PI factor)."""

@@ -136,12 +136,6 @@ def _is_zero(a) -> bool:
     return a == 0 if isinstance(a, int) else a.is_zero
 
 
-def _proot(a):
-    if isinstance(a, int):
-        raise ValueError("integers are not a perfect characteristic-p ring")
-    return a.proot()
-
-
 # ----------------------------------------------------------------------
 # + * - through the ghost map on a p-torsion-free lift
 #
@@ -323,15 +317,11 @@ class WittCtx:
             raise ValueError("length must be >= 1")
 
 
-class NotDivisibleWittError(ArithmeticError):
-    """Division by p in the Witt ring needs a zero leading component."""
-
-
 class WittVec:
     """Length-N vector over integers, tower elements over Z, F_p residues
     or plain sequences (``+ * -`` refuse any other component, naming its
-    coordinate); p-th roots are needed only by the perfect-ring
-    operations (frobenius, division by p)."""
+    coordinate); no operation needs a p-th root of a Witt vector: the
+    division by (p-root sequence - p) shifts the sequences' roots."""
 
     __slots__ = ("ctx", "comps")
 
@@ -416,17 +406,6 @@ def mul_by_p(x: WittVec) -> WittVec:
     return verschiebung(witt_frobenius(x))
 
 
-def p_divide_witt(x: WittVec) -> WittVec:
-    """Invert mul_by_p: requires a zero leading component and perfect
-    components; the final slot is padded with zero (precision loss is
-    the caller's to track)."""
-    if not _is_zero(x.comps[0]):
-        raise NotDivisibleWittError("leading component is nonzero")
-    roots = [_proot(c) for c in x.comps[1:]]
-    pad = _zero_like(roots[-1]) if roots else _zero_like(x.comps[0])
-    return WittVec(x.ctx, (*roots, pad))
-
-
 def ghost(x: WittVec) -> list[int]:
     """Ghost components of an integer vector: the test oracle that turns
     Witt arithmetic into plain componentwise arithmetic."""
@@ -448,7 +427,9 @@ def witt_theta(x: WittVec, precision: int) -> TowerElem:
 
     The precision is capped by the vector length (truncating the
     coordinates at N discards exactly a p^N-multiple) and by each read
-    coordinate's depth after its root shifts.
+    coordinate's depth after its root shifts.  No arithmetic path calls
+    it: it is theta itself, kept as the oracle of the kernel tests (the
+    division reads its own kernel test off the first sequence division).
     """
     if not 1 <= precision <= x.ctx.length:
         n = x.ctx.length
@@ -503,9 +484,12 @@ def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
     kernel test: theta(x) mod p is the base residue of x_0, which it
     refuses at component 0, where PI_0 = p.  As rem = [r] + (0, rem_1,
     ...) and [PI][y_k] = [r], rem - (p-root sequence - p)[y_k] is
-    (0, rem_1, ...) + p[y_k], exactly divisible by p.  The quotient,
-    the sum of p^k [y_k], is (y_0, y_1^p, y_2^(p^2), ...), since p = VF
-    and (a_0, a_1, ...) is the sum of V^k [a_k].
+    (0, rem_1, ...) + p[y_k], one Witt addition with p[y_k] = VF[y_k]
+    = (0, y_k^p, 0, ...).  The sum is V(c), so its quotient by p is
+    F^-1(c), the root shift; no pad: coordinate k of a sum reads only
+    coordinates <= k, so no later head reads the one a pad would fill.
+    The quotient, the sum of p^k [y_k], is (y_0, y_1^p, y_2^(p^2),
+    ...), since p = VF and (a_0, a_1, ...) is the sum of V^k [a_k].
     """
     ctx = x.ctx
     length = ctx.length
@@ -513,20 +497,21 @@ def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
         if not isinstance(c, FontaineElem):
             raise ValueError("division needs compatible-sequence components")
 
-    ys, rem = [], x
+    ys, rem = [], x.comps
     while len(ys) < length:
-        head = rem.comps[0]
+        head = rem[0]
         if head.depth < 1:
             break  # out of component depth
         ys.append(divide_by_p_seq(head))
         if len(ys) < length:
             # not F^-1(rem_1, ...) + [y_k] after the root shift: that keeps one
             # more unit of depth per step, so (steps, depth, exhausted) change
-            tail = WittVec(ctx, (head.zero_like(), *rem.comps[1:]))
-            folded = tail + mul_by_p(WittVec.teichmuller(ctx, ys[-1]))
+            y_p, sub = ys[-1] ** ctx.p, WittCtx(ctx.p, len(rem))
+            p_y = (y_p.zero_like(), y_p, *[y_p.zero_like()] * (len(rem) - 2))
+            folded = WittVec(sub, (head.zero_like(), *rem[1:])) + WittVec(sub, p_y)
             if min(c.depth for c in folded.comps) < 1:
                 break  # the root shift of the next division has no depth left
-            rem = p_divide_witt(folded)
+            rem = [c.proot() for c in folded.comps[1:]]
 
     p, done = ctx.p, len(ys)
     final_depth = min(y.depth for y in ys) if ys else min(c.depth for c in x.comps)

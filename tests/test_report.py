@@ -708,10 +708,10 @@ class TestConfigSpace:
     inside the bounds passes, revalidates with the counts it implies, and
     does both within a time ceiling."""
 
-    @given(config=example_configs())
-    @settings(max_examples=25, deadline=None)
-    def test_every_config_passes_and_revalidates(self, config):
-        p, depth, length = config
+    @staticmethod
+    def passes_and_revalidates(p, depth, length):
+        """Run the example and revalidate its report; return the seconds
+        both took."""
         args = ["--p", str(p), "--depth", str(depth), "--witt-len", str(length)]
         started = time.perf_counter()
         code, text = _main(["example", *args, "--format", "json", "--no-timestamp"])
@@ -721,11 +721,21 @@ class TestConfigSpace:
             path = Path(tmp) / "report.json"
             path.write_text(text)
             code, text = _main(["revalidate", str(path), "--format", "json"])
-        assert time.perf_counter() - started < 2
+        elapsed = time.perf_counter() - started
         assert code == 0
         assert [(c["status"], c["details"]) for c in json.loads(text)["checks"]] == [
             ("pass", {"revalidated": n, "errors": []}) for n in (1, 1, 1, depth - 1, depth, 1)
         ]
+        return elapsed
+
+    @given(config=example_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_every_config_passes_and_revalidates(self, config):
+        assert self.passes_and_revalidates(*config) < 2
+
+    def test_the_deepest_config_passes_and_revalidates(self):
+        # the largest depth and Witt length the example accepts: 50 division steps
+        self.passes_and_revalidates(5, 100, 101)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_p_2_and_3_are_refused(self, p):

@@ -10,7 +10,6 @@ from rootclose.tower import (
     FREE,
     QUOTIENT,
     NotDivisibleError,
-    PthRootError,
     ResidueElem,
     TowerCtx,
     TowerElem,
@@ -192,18 +191,10 @@ class TestResidue:
             )
             assert e.reduce_mod_p().is_zero
 
-    def test_proot_inverts_frobenius(self):
-        e = ResidueElem(CTX52, {(1, 2, 0): 3, (0, 0, 1): 4})
-        assert e.frobenius().proot() == e
-
     def test_frobenius_kernel_contains_pi(self):
         # at level 1 the p-th power of PI is the integer p, which dies mod p
         e = ResidueElem.monomial(CTX51, 1, 0, 0)
         assert e.frobenius().is_zero
-
-    def test_proot_rejects_non_power(self):
-        with pytest.raises(PthRootError):
-            ResidueElem.monomial(CTX51, 0, 1, 0).proot()
 
     @given(a=elems(CTX51), b=elems(CTX51))
     @settings(max_examples=40, deadline=None)
@@ -236,10 +227,6 @@ class TestCoefficientRing:
         assert x_var(CTX51).reduce_coeffs(25).reduce_mod_p() == x_var(CTX51).reduce_mod_p()
         with pytest.raises(ValueError):
             ResidueElem.monomial(CTX51, 0, 1, 0).reduce_coeffs(25)
-
-    def test_proot_needs_fp(self):
-        with pytest.raises(ValueError):
-            TowerElem.monomial(CTX51, 0, 5, 0).proot()
 
 
 @st.composite

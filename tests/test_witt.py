@@ -21,13 +21,11 @@ from rootclose.invariants import random_seq, random_tower
 from rootclose.report import elem_to_json
 from rootclose.tower import FREE, QUOTIENT, ResidueElem, TowerCtx, TowerElem
 from rootclose.witt import (
-    NotDivisibleWittError,
     WittCtx,
     WittVec,
     divide_by_p_seq_minus_p,
     ghost,
     mul_by_p,
-    p_divide_witt,
     p_seq_minus_p,
     verschiebung,
     witt_frobenius,
@@ -170,22 +168,6 @@ class TestStandardMaps:
             for _ in range(3):
                 slow = slow + v
             assert mul_by_p(v) == slow
-
-    def test_p_divide_inverts(self):
-        ctx = WittCtx(5, 3)
-        base = TowerCtx(5, 2, 3, QUOTIENT)
-        a0 = ResidueElem.monomial(base, 0, 1, 0, 3)
-        a1 = ResidueElem.monomial(base, 1, 0, 1, 2)
-        vec = WittVec(ctx, (ResidueElem.zero(base), a0**5, a1**5))
-        got = p_divide_witt(vec)
-        assert got.comps[0] == a0 and got.comps[1] == a1 and got.comps[2].is_zero
-
-    def test_p_divide_requires_zero_head(self):
-        ctx = WittCtx(5, 2)
-        base = TowerCtx(5, 1, 3, QUOTIENT)
-        vec = WittVec.teichmuller(ctx, ResidueElem.monomial(base, 0, 1, 0))
-        with pytest.raises(NotDivisibleWittError):
-            p_divide_witt(vec)
 
     @pytest.mark.parametrize(
         "comps, index, what",
@@ -780,8 +762,9 @@ class TestSharedPSeqMinusP:
 def _reference_division(x):
     """The division's earlier loop, kept as the oracle of its closed
     forms: the theta test at precision 1 first, then per step the fold
-    rem - (p-root sequence - p) * [y_k] and the quotient as a running
-    Witt sum of the increments p^k [y_k]."""
+    rem - (p-root sequence - p) * [y_k], its division by p at full
+    length (a root shift padded with zero), and the quotient as a
+    running Witt sum of the increments p^k [y_k]."""
     ctx = x.ctx
     pmp = p_seq_minus_p(ctx, x.comps[0])
     if not witt_theta(x, 1).is_zero:
@@ -802,7 +785,8 @@ def _reference_division(x):
             folded = rem - pmp * y
             if min(c.depth for c in folded.comps) < 1:
                 break
-            rem = p_divide_witt(folded)
+            roots = [c.proot() for c in folded.comps[1:]]
+            rem = WittVec(ctx, (*roots, roots[-1].zero_like()))
     depth = min(c.depth for c in w.comps) if done else min(c.depth for c in x.comps)
     return witt.SeqDivisionResult(w, done, depth, done < ctx.length)
 
@@ -847,7 +831,8 @@ class TestClosedFormDivision:
             assert division_outcome(divide_by_p_seq_minus_p, x) == want
 
     def test_negative_control_fold_without_p_times_y(self):
-        # without p [y_k] the fold is rem - [r], off by exactly p [y_k]
+        # with every Witt addition's second operand zeroed, the fold drops
+        # p [y_k] and is rem - [r], off by exactly p [y_k]
         rng = random.Random(11)
         cases = []
         for p, degree in ((2, 3), (3, 2)):
@@ -857,10 +842,16 @@ class TestClosedFormDivision:
                 coords = [X ** rng.randint(1, 3) + Y ** rng.randint(0, 2) for _ in range(n)]
                 cases.append(p_seq_minus_p(ctx, X) * WittVec(ctx, coords))
         want = [division_outcome(divide_by_p_seq_minus_p, x) for x in cases]
+        ghost_op = witt._ghost_op
+
+        def without_p_times_y(op, xs, ys, p):
+            if op == "+":
+                ys = tuple(c.zero_like() for c in ys)
+            return ghost_op(op, xs, ys, p)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(witt, "mul_by_p", lambda v: WittVec.zero(v.ctx, v.comps[0]))
+            mp.setattr(witt, "_ghost_op", without_p_times_y)
             got = [division_outcome(divide_by_p_seq_minus_p, x) for x in cases]
-        witt._p_seq_minus_p.cache_clear()  # built under the patch, if at all
         assert all(len(w) == 4 and w[0] >= 2 for w in want)
         assert all(g != w for g, w in zip(got, want))
 
@@ -871,7 +862,7 @@ class TestClosedFormDivision:
         ghost_op, ops = witt._ghost_op, []
 
         def counted(op, xs, ys, p):
-            ops.append(op)
+            ops.append((op, len(xs), len(ys)))
             return ghost_op(op, xs, ys, p)
 
         def no_theta(*args):
@@ -880,8 +871,9 @@ class TestClosedFormDivision:
         monkeypatch.setattr(witt, "_ghost_op", counted)
         monkeypatch.setattr(witt, "witt_theta", no_theta)
         assert divide_by_p_seq_minus_p(x_vec).steps == 4
-        # three folds, then the closing roundtrip
-        assert ops == ["+", "+", "+", "*"]
+        # three folds, one coordinate shorter each, then the closing
+        # roundtrip at full length
+        assert ops == [("+", 4, 4), ("+", 3, 3), ("+", 2, 2), ("*", 4, 4)]
 
 
 #: sha256 of report.elem_to_json over the quotient components of
