@@ -875,6 +875,62 @@ class TestClosedFormDivision:
         # roundtrip at full length
         assert ops == [("+", 4, 4), ("+", 3, 3), ("+", 2, 2), ("*", 4, 4)]
 
+    def test_runs_no_frobenius_and_no_verschiebung(self, monkeypatch):
+        _, X, Y = generators(3, 2, 6, QUOTIENT)
+        ctx = WittCtx(3, 3)
+        x_vec = p_seq_minus_p(ctx, X) * WittVec(ctx, [X * Y, X, Y])
+        want = division_outcome(divide_by_p_seq_minus_p, x_vec)
+
+        def refuse(*args):
+            raise AssertionError("the division ran a Witt Frobenius or Verschiebung")
+
+        for name in ("mul_by_p", "verschiebung", "witt_frobenius"):
+            monkeypatch.setattr(witt, name, refuse)
+        assert division_outcome(divide_by_p_seq_minus_p, x_vec) == want
+        assert want[0] == 3
+
+
+class TestFoldClosedForms:
+    """The closed forms the division's fold rests on, over plain
+    sequences: p [y] = VF [y] = (0, y^p, 0, ...), the root shift
+    inverts p, and a sum's first k coordinates read only the first k
+    coordinates of its operands."""
+
+    def test_p_times_teichmuller_is_y_p_at_coordinate_1(self):
+        rng = random.Random(5)
+        for p, n in ((2, 2), (2, 4), (3, 3), (5, 2)):
+            ctx = WittCtx(p, n)
+            y = _sequence_coord(rng, p, 2 if p == 3 else 3)
+            tau = WittVec.teichmuller(ctx, y)
+            summed = WittVec.zero(ctx, y)
+            for _ in range(p):
+                summed = summed + tau
+            zero = y.zero_like()
+            closed = WittVec(ctx, (zero, y**p, *[zero] * (n - 2)))
+            assert shape(summed) == shape(closed) == shape(mul_by_p(tau))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_root_shift_inverts_p(self, p):
+        rng = random.Random(p)
+        n = 4 if p < 5 else 3
+        degree = 2 if p == 3 else 3
+        v = WittVec(WittCtx(p, n), [_sequence_coord(rng, p, degree, 4) for _ in range(n)])
+        times_p = mul_by_p(v)
+        assert times_p.comps[0].is_zero
+        roots = [c.proot() for c in times_p.comps[1:]]
+        for root, c in zip(roots, v.comps):
+            assert root.equals(c.truncate(c.depth - 1))
+
+    @given(pair=witt_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_operands_give_the_truncated_result(self, pair):
+        x, y = pair
+        full = shapes(witt_ops(x, y))
+        for k in range(1, x.ctx.length + 1):
+            sub = WittCtx(x.ctx.p, k)
+            cut = shapes(witt_ops(WittVec(sub, x.comps[:k]), WittVec(sub, y.comps[:k])))
+            assert cut == [s[:k] for s in full]
+
 
 #: sha256 of report.elem_to_json over the quotient components of
 #: divide_by_p_seq_minus_p((p-root sequence - p) * w), with w made of
