@@ -219,10 +219,6 @@ class FontaineElem:
             raise ValueError("exponent must be non-negative")
         return FontaineElem._trusted([c**e for c in self.comps], self.mode, self._compat)
 
-    def frobenius(self) -> "FontaineElem":
-        """Componentwise p-th power: the depth-preserving right shift."""
-        return self**self.family.p
-
     def proot(self) -> "FontaineElem":
         """Left shift: the p-th root, at the cost of one unit of depth."""
         if self.depth < 1:

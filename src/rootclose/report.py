@@ -1,11 +1,12 @@
 """Check suites and machine-readable reports.
 
 A passing record holds only the objects its claim is about (residues,
-divisor and dividend) and what the run found (closure certificates
-``(elem, m)``, the monomial a division refused, the Witt quotient),
+divisor and dividend) and what the run found (closure exponents, the
+monomial a division refused, the Witt quotient's first coordinate),
 never its own verdict or a copy of the config: ``revalidate`` rebuilds
 the objects from the config, requires the recorded ones to equal them,
-and decides each claim again; the Witt quotient is multiplied back.
+and decides each claim again.  A closure certificate is its exponent m,
+since the config fixes its element; the Witt quotient is multiplied back.
 Reports are deterministic: one config and seed give byte-identical
 JSON, modulo the optional timestamp.
 """
@@ -207,8 +208,8 @@ def residue_from_json(d: dict, cfg: Config) -> TowerElem:
     return TowerElem(ctx, terms_from_json(d["terms"], ctx, "residue terms"), cfg.p)
 
 
-#: A certificate in a report: the element num / PI^denom_exp at ``level``
-#: of ``ring``, and the exponent m with elem^(p^m) integral.
+#: A certificate as ``eval`` prints it: the element num / PI^denom_exp at
+#: ``level`` of ``ring``, and the exponent m with elem^(p^m) integral.
 CERT_KEYS = ("m", "denom_exp", "level", "ring", "num_terms")
 
 
@@ -222,12 +223,11 @@ def cert_to_json(cert: ClosureCert) -> dict:
     }
 
 
-def cert_from_json(d: dict, p: int, degree: int, depth: float = inf) -> ClosureCert:
+def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
     """The inverse of ``cert_to_json``: exactly ``CERT_KEYS``, with m,
-    denom_exp and level non-negative integers (not booleans), level at
-    most ``depth``, a known ring and strict ``num_terms``
-    (``terms_from_json``).  Raises MalformedReportError naming the
-    offending key."""
+    denom_exp and level non-negative integers (not booleans), a known
+    ring and strict ``num_terms`` (``terms_from_json``).  Raises
+    MalformedReportError naming the offending key."""
     if not isinstance(d, dict):
         raise MalformedReportError("a certificate must be an object")
     missing, extra = set(CERT_KEYS) - set(d), set(d) - set(CERT_KEYS)
@@ -237,7 +237,7 @@ def cert_from_json(d: dict, p: int, degree: int, depth: float = inf) -> ClosureC
             f" (missing: {sorted(missing)}, unexpected: {sorted(extra)})"
         )
     m, denom_exp = _natural(d, "m", "certificate"), _natural(d, "denom_exp", "certificate")
-    ctx = _context_from_json(d, p, degree, "certificate", depth)
+    ctx = _context_from_json(d, p, degree, "certificate", inf)
     num = TowerElem(ctx, terms_from_json(d["num_terms"], ctx, "certificate num_terms"))
     return ClosureCert(LocalElem(num, denom_exp), m)
 
@@ -310,23 +310,22 @@ def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
 
 def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
     m_max = fontaine.default_m_max(cfg.depth)
-    certs = []
+    exponents = []
     for n in range(1, cfg.depth):
         got = closure.membership(_closure_claim(cfg, n), m_max)
         if isinstance(got, NotMember):
             return {"_status": FAIL, "error": f"no certificate for level {n}"}
         if got.m != n:
             return {"_status": FAIL, "error": f"bad certificate at level {n} (m={got.m})"}
-        certs.append(cert_to_json(got))
-    return {"certificates": certs}
+        exponents.append(got.m)
+    return {"exponents": exponents}
 
 
 def _check_certified_division(cfg: Config, eta: FontaineElem) -> dict:
     # the factoring raises unless eta is compatible, which is what makes
     # P * quotient give eta back, one depth lower; no quotient is built
     _, factors = fontaine.factor_by_p_seq(FontaineElem(eta.comps, cfg.closure_mode))
-    certs = [cert_to_json(c) for c in factors if c is not None]
-    return {"certificates": certs, "factor_exponents": [0 if c is None else c.m for c in factors]}
+    return {"factor_exponents": [0 if c is None else c.m for c in factors]}
 
 
 def _witt_operands(p: int, length: int, depth: int) -> tuple[witt.WittVec, witt.WittVec]:
@@ -349,17 +348,12 @@ def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict
     """Divide x = (p-root sequence - p) * [X] by (p-root sequence - p),
     whose first sequence division decides that theta kills x at
     precision 1 (it raises otherwise), and record how far it got and
-    the quotient's first ``steps`` coordinates, plain sequences at the
-    depth reached, for ``revalidate`` to multiply back."""
+    the quotient's coordinate 0, a plain sequence at the depth reached,
+    for ``revalidate`` to multiply back as a Teichmuller vector."""
     _, x = _witt_operands(cfg.p, cfg.witt_length, cfg.depth)
     got = witt.divide_by_p_seq_minus_p(x)
-    quotient = [[elem_to_json(c) for c in q.comps] for q in got.quotient.comps[: got.steps]]
-    details = {
-        "steps": got.steps,
-        "component_depth": got.depth,
-        "exhausted": got.exhausted,
-        "quotient": quotient,
-    }
+    q0 = got.quotient.comps[0]
+    details = {"steps": got.steps, "quotient": [elem_to_json(c) for c in q0.comps]}
     if got.steps < _witt_steps_needed(cfg):
         details["_status"] = FAIL
     return details
@@ -407,90 +401,78 @@ def _recheck_plain_division(details: dict, cfg: Config) -> Iterator[str | None]:
         yield "the divisor divides the dividend" if tower.poly_divides(*operands)[0] else None
 
 
-def _recheck_claims(records: list, claims: list, cfg: Config) -> Iterator[str | None]:
-    """Certificate i is that of claim i, (n, m): its element is u_n / PI
-    at level n, compared before any power is built, and its exponent is
-    m, at most the search bound; then it is decided again."""
-    certs = [cert_from_json(d, cfg.p, DEGREE, cfg.depth) for d in records]
-    if [c.m for c in certs] != [m for _, m in claims]:
-        yield f"the certificate exponents must be {[m for _, m in claims]}"
-    m_max = fontaine.default_m_max(cfg.depth)
-    for i, cert in enumerate(certs):
-        n = claims[i][0] if i < len(claims) else None
-        if n is None:
-            yield f"certificate {i} has no claim"
-        elif cert.elem != _closure_claim(cfg, n):
-            yield f"certificate {i} is not u_{n} / PI at level {n}"
-        elif cert.m > m_max:
-            yield f"certificate exponent {cert.m} above the search bound {m_max}"
-        else:
-            yield None if closure.validate_cert(cert) else "certificate failed revalidation"
+def _decide(cfg: Config, n: int, m: int) -> str | None:
+    """The claim (n, m): u_n / PI, rebuilt from the config, is in the
+    closure with exponent m.  An integral c^(p^k) stays integral under
+    p-th powers, so the example's exponent n settles every m >= n: the
+    exponent decided is min(m, n), whose work the config fixes.  Deciding
+    a larger m itself works modulo p^(p^(m - n)), which ran past 20 s at
+    the default config's m = 5, n = 1."""
+    k = min(m, n)
+    cert = ClosureCert(_closure_claim(cfg, n), k)
+    return None if closure.validate_cert(cert) else f"u_{n} / PI fails with exponent {k}"
 
 
 def _recheck_closure_certs(details: dict, cfg: Config) -> Iterator[str | None]:
-    """Claims (n, n): u_n / PI is in the closure with m = n, for n = 1..depth-1."""
-    return _recheck_claims(details["certificates"], [(n, n) for n in range(1, cfg.depth)], cfg)
+    """Claims (n, n) for n = 1..depth-1: the exponents are exactly
+    1..depth-1, compared before any power is built; then each claim is
+    decided again."""
+    levels = list(range(1, cfg.depth))
+    if not _same(details["exponents"], levels):
+        yield f"the exponents must be {levels}"
+    else:
+        yield from (_decide(cfg, n, n) for n in levels)
 
 
 def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
-    """One factor exponent e_n per component of eta.  e_n = 0 claims that
-    r_n / PI_n is integral; a nonzero e_n claims (n, e_n), since with
-    p > 3 the factor r_n / PI_n of eta's component n is u_n / PI."""
-    exponents, claims = details["factor_exponents"], []
-    if type(exponents) is not list or [type(e) for e in exponents] != [int] * (cfg.depth + 1):
-        yield f"factor_exponents must be {cfg.depth + 1} integers"
-    else:
-        claims = [(n, e) for n, e in enumerate(exponents) if e]
-        for n, e in enumerate(exponents):
-            if not e and not _closure_claim(cfg, n).is_integral:
-                yield f"factor exponent {n} is 0, but r_{n} / PI_{n} is not integral"
-    yield from _recheck_claims(details["certificates"], claims, cfg)
+    """One factor exponent e_n per component of eta, each an integer
+    (not a boolean) in 0..default_m_max(depth), read before any power is
+    built.  e_n = 0 claims that r_n / PI_n is integral; a nonzero e_n
+    claims (n, e_n), since with p > 3 the factor r_n / PI_n of eta's
+    component n is u_n / PI."""
+    exponents, m_max = details["factor_exponents"], fontaine.default_m_max(cfg.depth)
+    if not (
+        type(exponents) is list
+        and len(exponents) == cfg.depth + 1
+        and all(type(e) is int and 0 <= e <= m_max for e in exponents)
+    ):
+        yield f"factor_exponents must be {cfg.depth + 1} integers between 0 and {m_max}"
+        return
+    for n, e in enumerate(exponents):
+        if e:
+            yield _decide(cfg, n, e)
+        elif not _closure_claim(cfg, n).is_integral:
+            yield f"factor exponent {n} is 0, but r_{n} / PI_{n} is not integral"
 
 
 def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
-    """No division runs: the recorded quotient w is multiplied back.
-    Enough steps were taken, min(witt_length, (depth + 1) // 2) <= steps
-    <= witt_length; each step costs two units of depth, so
-    ``component_depth`` is depth + 1 - 2 * steps; and ``exhausted`` is
-    steps < witt_length.  w holds ``steps`` plain sequences of
-    ``component_depth`` + 1 residues, read by ``residue_from_json``.  Its
-    coordinates after the first must be zero, as in the quotient [X]:
-    that keeps pmp * w a Teichmuller product, in closed form, whose cost
-    no report can raise (a ghost pass over a forged coordinate can run
-    for minutes).  Then pmp * w must equal x = pmp * [X], rebuilt from
-    the config, in Witt length ``steps`` over sequences of that depth."""
+    """No division runs: the recorded quotient's coordinate 0, q, is
+    multiplied back as the Teichmuller vector [q], as in the quotient
+    [X], in closed form, whose cost no report can raise.  Enough steps
+    were taken, min(witt_length, (depth + 1) // 2) <= steps <=
+    witt_length; each step costs two units of depth, so q holds depth +
+    2 - 2 * steps residues, read by ``residue_from_json``.  Then pmp *
+    [q] must equal x = pmp * [X], rebuilt from the config, in Witt
+    length ``steps`` over sequences of that depth."""
     steps = _natural(details, "steps", "witt")
-    comp_depth = _natural(details, "component_depth", "witt")
-    exhausted = details["exhausted"]
-    if type(exhausted) is not bool:
-        raise MalformedReportError(f"witt exhausted must be a boolean, not {exhausted!r}")
-    coords = details["quotient"]
-    if type(coords) is not list or any(type(c) is not list for c in coords):
-        raise MalformedReportError("the witt quotient must be a list of sequences")
-    coords = [[residue_from_json(d, cfg) for d in comps] for comps in coords]
-    need, length = _witt_steps_needed(cfg), cfg.witt_length
-    errors = []
+    if type(details["quotient"]) is not list:
+        raise MalformedReportError("the witt quotient must be a list of residues")
+    comps = [residue_from_json(d, cfg) for d in details["quotient"]]
+    need, length, comp_depth = _witt_steps_needed(cfg), cfg.witt_length, cfg.depth + 1 - 2 * steps
     if not need <= steps <= length:
-        errors.append(f"steps must lie between {need} and the Witt length {length}")
-    elif comp_depth != cfg.depth + 1 - 2 * steps:
-        errors.append(f"{steps} steps leave component depth {cfg.depth + 1 - 2 * steps}")
-    if exhausted != (steps < length):
-        errors.append(f"exhausted must be {steps < length} after {steps} of {length} steps")
-    if len(coords) != steps or any(len(c) != comp_depth + 1 for c in coords):
-        errors.append(f"the quotient must hold {steps} sequences of {comp_depth + 1} residues")
-    elif any(not r.is_zero for c in coords[1:] for r in c):
-        errors.append("the quotient's coordinates after the first must be zero")
-    if errors:
-        yield from errors
+        yield f"steps must lie between {need} and the Witt length {length}"
+        return
+    if len(comps) != comp_depth + 1:
+        yield f"the quotient must be a sequence of depth {comp_depth} after {steps} steps"
         return
     # the first ``steps`` coordinates of a product read only the first
     # ``steps`` of its factors, and sequence arithmetic is componentwise
     pmp, x = _witt_operands(cfg.p, steps, comp_depth)
-    seqs = [FontaineElem(c, PLAIN) for c in coords]
-    if not all(q.family.same_family(pmp.comps[0].family) and q.check_compat() for q in seqs):
-        yield "the quotient's coordinates are not compatible sequences of the example's ring"
-    elif pmp * witt.WittVec(pmp.ctx, seqs) != x:
-        yield f"pmp * quotient is not pmp * [X] on the first {steps} coordinates"
+    q = FontaineElem(comps, PLAIN)
+    if not (q.family.same_family(pmp.comps[0].family) and q.check_compat()):
+        yield "the quotient is not a compatible sequence of the example's ring"
+    elif pmp * witt.WittVec.teichmuller(pmp.ctx, q) != x:
+        yield f"pmp * [quotient] is not pmp * [X] on the first {steps} coordinates"
     else:
         yield None
 
@@ -502,9 +484,10 @@ def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
 #: again from them, yielding one verdict per piece of evidence: None
 #: when the piece is reproduced, else the error.  A re-check first
 #: requires the recorded objects to equal those rebuilt from the config
-#: with ``tower`` alone (the Witt quotient: to have the shape its step
-#: count implies); an object that is not the claim's is one error in
-#: place of its decision, so a valid report's counts stay.
+#: with ``tower`` alone (the exponents: to be in range; the Witt
+#: quotient: to have the length its step count implies); an object that
+#: is not the claim's is one error in place of its decisions, so a
+#: valid report's counts stay.
 EXAMPLE_CHECKS = (
     ("sequence_compatibility", _check_compat, ("sequence",), _recheck_sequence),
     ("base_residue_vanishes", _check_base_residue, ("residue",), _recheck_residue),
@@ -514,19 +497,9 @@ EXAMPLE_CHECKS = (
         ("component", "monomial", "divisor", "dividend"),
         _recheck_plain_division,
     ),
-    ("closure_certificates", _check_closure_certs, ("certificates",), _recheck_closure_certs),
-    (
-        "certified_division",
-        _check_certified_division,
-        ("certificates", "factor_exponents"),
-        _recheck_division,
-    ),
-    (
-        "witt_division_roundtrip",
-        _check_witt_roundtrip,
-        ("steps", "component_depth", "exhausted", "quotient"),
-        _recheck_witt,
-    ),
+    ("closure_certificates", _check_closure_certs, ("exponents",), _recheck_closure_certs),
+    ("certified_division", _check_certified_division, ("factor_exponents",), _recheck_division),
+    ("witt_division_roundtrip", _check_witt_roundtrip, ("steps", "quotient"), _recheck_witt),
 )
 CHECK_NAMES = tuple(name for name, _, _, _ in EXAMPLE_CHECKS)
 

@@ -27,6 +27,15 @@ def depth2_report():
     return report.run_example_suite(cfg(depth=2))
 
 
+@pytest.fixture(scope="module")
+def eval_certificate() -> dict:
+    """The certificate ``eval --format json`` prints for u_1 / PI at p = 5: m = 1."""
+    argv = ["eval", "(p^(3/5)+x^(3/5)+y^(3/5))/p^(1/5)", "--check-closure", "--mmax", "2"]
+    code, text = _main([*argv, "--format", "json"])
+    assert code == 0
+    return json.loads(text)["closure"]["certificate"]
+
+
 def _report_text(checks, **config) -> str:
     """A report whose config ``Config.from_dict`` accepts, with ``config``
     overriding its values."""
@@ -60,13 +69,32 @@ def _constant_one_sequence(data):
 
 def _zeroed_exponent(data):
     # a factor exponent of 0 claims that r_1 / PI_1 is integral
-    details = _details(data, "certified_division")
-    details["factor_exponents"][1] = 0
-    details["certificates"].pop(0)
+    _details(data, "certified_division")["factor_exponents"][1] = 0
+
+
+def _old_certificates(*levels) -> list:
+    """Closure certificates as reports recorded them before a
+    certificate was its exponent: u_n / PI and m = n, in full."""
+    return [
+        report.cert_to_json(closure.ClosureCert(report._closure_claim(cfg(), n), n))
+        for n in levels
+    ]
+
+
+def _old_witt_record(details: dict) -> dict:
+    """The Witt record as it was before it held coordinate 0 alone: every
+    coordinate of the quotient, its depth and whether the steps ran out."""
+    zero = [{**r, "terms": []} for r in details["quotient"]]
+    return {
+        "steps": 2,
+        "component_depth": 0,
+        "exhausted": False,
+        "quotient": [details["quotient"], zero],
+    }
 
 
 NOT_THE_OPERANDS = "the divisor and dividend are not X^(3p) + Y^(3p) and X^3 + Y^3 at level 1"
-NOT_COMPATIBLE = "the quotient's coordinates are not compatible sequences of the example's ring"
+NOT_COMPATIBLE = "the quotient is not a compatible sequence of the example's ring"
 
 #: Forged default reports, each of which revalidated all-pass while a
 #: record was checked against its own recorded verdict rather than
@@ -103,10 +131,37 @@ FORGERIES = {
         {
             "plain_division_fails": [NOT_THE_OPERANDS],
             "witt_division_roundtrip": [
-                "pmp * quotient is not pmp * [X] on the first 2 coordinates"
+                "pmp * [quotient] is not pmp * [X] on the first 2 coordinates"
             ],
         },
     ),
+}
+
+CLOSURE_EXPONENTS = ["the exponents must be [1, 2]"]
+FACTOR_EXPONENTS = ["factor_exponents must be 4 integers between 0 and 5"]
+
+#: Forged exponents in the default report, whose closure exponents are
+#: [1, 2], whose factor exponents are [0, 1, 2, 3] and whose search
+#: bound is 5: (check, exponents, its errors).  Shorter lists are
+#: ``test_evidence_of_the_wrong_size_fails``' cases.
+EXPONENT_FORGERIES = {
+    "closure-edited": ("closure_certificates", [1, 1], CLOSURE_EXPONENTS),
+    "closure-raised": ("closure_certificates", [1, 3], CLOSURE_EXPONENTS),
+    "closure-negative": ("closure_certificates", [-1, 2], CLOSURE_EXPONENTS),
+    "closure-bool": ("closure_certificates", [True, 2], CLOSURE_EXPONENTS),
+    "closure-float": ("closure_certificates", [1.0, 2], CLOSURE_EXPONENTS),
+    "closure-above-bound": ("closure_certificates", [1, 6], CLOSURE_EXPONENTS),
+    "closure-10**7": ("closure_certificates", [10**7, 2], CLOSURE_EXPONENTS),
+    "closure-long": ("closure_certificates", [1, 2, 3], CLOSURE_EXPONENTS),
+    "closure-not-a-list": ("closure_certificates", {"1": 1, "2": 2}, CLOSURE_EXPONENTS),
+    "division-lowered": ("certified_division", [0, 1, 1, 3], ["u_2 / PI fails with exponent 1"]),
+    "division-negative": ("certified_division", [0, -1, 2, 3], FACTOR_EXPONENTS),
+    "division-bool": ("certified_division", [0, True, 2, 3], FACTOR_EXPONENTS),
+    "division-float": ("certified_division", [0, 1.0, 2, 3], FACTOR_EXPONENTS),
+    "division-above-bound": ("certified_division", [0, 6, 2, 3], FACTOR_EXPONENTS),
+    "division-10**7": ("certified_division", [0, 10**7, 2, 3], FACTOR_EXPONENTS),
+    "division-long": ("certified_division", [0, 1, 2, 3, 4], FACTOR_EXPONENTS),
+    "division-not-a-list": ("certified_division", "0123", FACTOR_EXPONENTS),
 }
 
 
@@ -195,16 +250,12 @@ class TestExampleSuite:
         with pytest.raises(ValueError):
             report.run_example_suite(cfg(p=3))
 
-    def test_certificate_details_embed_witnesses(self, example_report):
-        # a certificate is (elem, m): revalidation decides elem^(p^m)
-        # again, so no witness is written
-        by_name = {c.name: c for c in example_report.checks}
-        certs = by_name["closure_certificates"].details["certificates"]
-        assert [c["m"] for c in certs] == [1, 2]
-        for c in certs + by_name["certified_division"].details["certificates"]:
-            assert set(c) == set(report.CERT_KEYS) == CERT_KEYS
-            assert all(isinstance(t[3], str) for t in c["num_terms"])
-        assert all(c["denom_exp"] == 1 for c in certs)
+    def test_a_certificate_is_its_exponent(self, example_report):
+        # the config fixes each certificate's element, u_n / PI, so a
+        # report records only the exponents: no element and no witness
+        by_name = {c.name: c.details for c in example_report.checks}
+        assert by_name["closure_certificates"] == {"exponents": [1, 2]}
+        assert by_name["certified_division"] == {"factor_exponents": [0, 1, 2, 3]}
 
     def test_json_schema_shape(self, example_report):
         data = json.loads(example_report.to_json())
@@ -217,26 +268,26 @@ class TestExampleSuite:
 #: (config overrides, sha256 of the example report without timestamp)
 #: for the five configs the certify benchmark runs; {} is the default
 EXAMPLE_DIGESTS = {
-    "p5-d3": ({}, "b537530bc7e9b161d2d86882eafe41531153b1a491a48b79e41bfd1b0b12b5d4"),
+    "p5-d3": ({}, "2281cd14820f963ff3d6a60a051c8b06f490d8746a9a5c6143358cc6e0b1056b"),
     "p7-d2": (
         {"p": 7, "depth": 2},
-        "1481ae4b697dae309569f64ebc33c6887be54d1ad108119c21a126c5bb45e6eb",
+        "5351f9bb9cd151d7da7c316de822cf9ab8816415d465401b8a0c0df219c2f9d9",
     ),
     "p5-d2-w3": (
         {"depth": 2, "witt_length": 3},
-        "9493d31172e66896abf501a7c26c651ec7504da7e10fef305c70342af4687e2f",
+        "e4db41ce6fd07fda399c0357540fe33c10698655580291d209d81f4678635e33",
     ),
-    "p5-d2": ({"depth": 2}, "f7dfd5ceaa075cbf703d0453c50aca51929e512aca811ba433bf5fc2a37eeaf9"),
+    "p5-d2": ({"depth": 2}, "86f5e15d5c7ee6c245b5755a415edb4a3e336a775eb2486f856be6d1a223a85b"),
     "p5-d3-plain": (
         {"closure_mode": PLAIN},
-        "58755dd88f76b90495154fc3d7c5969ac4fd617c8e480d62509e2021e3783439",
+        "abfb4084b750ee7e17b692dae418b311822a08cee9e985a437d1130847dba13f",
     ),
 }
 
 #: sha256 of the --witt-len 4 report (depth 3, no timestamp), whose Witt
 #: check the universal-polynomial path first recorded in about 24 s; kept
 #: apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
-W4_DIGEST = "130cbf766646a6b46dac790438beef9018509c2ec4e6318eba41dc448dcdd5cd"
+W4_DIGEST = "76677e035ff2d19da4a3ffd6c7755f0c10d17e40ca7868b02bee13ad4a4ad67f"
 
 
 class TestDeterminism:
@@ -262,7 +313,7 @@ class TestDeterminism:
 
     def test_first_w4_report_matches_the_recorded_digest(self):
         text = report.run_example_suite(cfg(depth=3, witt_length=4)).to_json()
-        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1687, W4_DIGEST)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1089, W4_DIGEST)
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(5, timestamp=False).to_json()
@@ -351,34 +402,57 @@ class TestRevalidation:
         assert rv.ok
         assert [c.details["revalidated"] for c in rv.checks] == [1, 1, 1, 2, 3, 1]
 
-    def test_detects_tampered_witness(self, example_report):
-        # the certificates of u_1/PI (m = 1) and u_2/PI (m = 2): a changed
-        # numerator or a deeper denominator is no longer u_1/PI, and is
-        # refused before any power is built; an exponent below the true
-        # one makes elem^(p^m) non-integral
-        def num_terms(certs):
-            # X^3 -> 2*X^3
-            terms = certs[0]["num_terms"]
-            certs[0]["num_terms"] = [[a, b, c, "2" if b else v] for a, b, c, v in terms]
+    @pytest.mark.parametrize("name", EXPONENT_FORGERIES)
+    def test_revalidate_fails_a_forged_exponent(self, tmp_path, capsys, example_report, name):
+        # the exponents are read before any power is built: the closure
+        # exponents must be exactly 1..depth-1, the factor exponents in
+        # 0..5, and an exponent below the least one fails its decision
+        check, exponents, errors = EXPONENT_FORGERIES[name]
+        data = copy.deepcopy(example_report.to_dict())
+        details = _details(data, check)
+        (key,) = details
+        details[key] = exponents
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        started = time.perf_counter()
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        assert time.perf_counter() - started < 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["name"]: c["details"]["errors"] for c in checks if c["status"] != "pass"} == {
+            check: errors
+        }
 
-        def denom_exp(certs):
-            certs[0]["denom_exp"] = 2
+    @pytest.mark.parametrize("overrides", [{}, {"depth": 20}], ids=["p5-d3", "p5-d20"])
+    def test_a_raised_factor_exponent_is_decided_at_the_least_one(self, monkeypatch, overrides):
+        # u_n / PI has the least exponent n, so e_n >= n is a true claim,
+        # settled by deciding n: exponents raised to the bound build no
+        # larger power (m = 5 at level 1 alone works modulo 5^625 and ran
+        # past 20 s)
+        config = cfg(**overrides)
+        data = report.run_example_suite(config).to_dict()
+        m_max = fontaine.default_m_max(config.depth)
+        _details(data, "certified_division")["factor_exponents"] = [m_max] * (config.depth + 1)
+        tried, quotient = [], closure._truncated_quotient
 
-        def m(certs):
-            certs[1]["m"] = 1
+        def counted(c, m):
+            tried.append((c.level, m))
+            return quotient(c, m)
 
-        index = report.CHECK_NAMES.index("closure_certificates")
-        # an exponent other than the level is one error more
-        level_m = "the certificate exponents must be [1, 2]"
-        not_u_1 = "certificate 0 is not u_1 / PI at level 1"
-        invalid = "certificate failed revalidation"
-        for tamper, errors in ((num_terms, [not_u_1]), (denom_exp, [not_u_1]), (m, [level_m, invalid])):
-            data = copy.deepcopy(example_report.to_dict())
-            tamper(data["checks"][index]["details"]["certificates"])
-            rv = report.revalidate_report(data)
-            assert rv.checks[index].status == "fail", tamper.__name__
-            assert rv.checks[index].details["errors"] == errors
-            assert not rv.ok
+        monkeypatch.setattr(closure, "_truncated_quotient", counted)
+        started = time.perf_counter()
+        rv = report.revalidate_report(data)
+        assert time.perf_counter() - started < 1
+        assert rv.ok and tried and all(m <= level for level, m in tried)
+
+    def test_revalidate_reads_no_certificate(self, monkeypatch, example_report):
+        # a certificate is its exponent: its element is rebuilt from the
+        # config, never read from the report
+        def refuse(*args):
+            raise AssertionError("revalidate read a certificate")
+
+        monkeypatch.setattr(report, "cert_from_json", refuse)
+        rv = report.revalidate_report(example_report.to_dict())
+        assert rv.ok and [c.details["revalidated"] for c in rv.checks] == [1, 1, 1, 2, 3, 1]
 
     @pytest.mark.parametrize(
         "edit",
@@ -429,38 +503,19 @@ class TestRevalidation:
                 lambda d: d.update(sequence=d["sequence"][:1]),
                 ["the sequence is not u_n mod p for n = 0..3"],
             ),
+            ("closure_certificates", lambda d: d["exponents"].pop(0), CLOSURE_EXPONENTS),
+            ("certified_division", lambda d: d.update(factor_exponents=[0]), FACTOR_EXPONENTS),
             (
-                "closure_certificates",
-                lambda d: d["certificates"].pop(0),
-                [
-                    "the certificate exponents must be [1, 2]",
-                    "certificate 0 is not u_1 / PI at level 1",
-                ],
-            ),
-            (
-                "certified_division",
-                lambda d: d.update(factor_exponents=[0]),
-                ["factor_exponents must be 4 integers", "the certificate exponents must be []"]
-                + [f"certificate {i} has no claim" for i in range(3)],
-            ),
-            (
-                "certified_division",
-                lambda d: d.update(certificates=d["certificates"][:1]),
-                ["the certificate exponents must be [1, 2, 3]"],
+                "witt_division_roundtrip",
+                lambda d: d["quotient"].pop(),
+                ["the quotient must be a sequence of depth 0 after 2 steps"],
             ),
         ],
-        ids=[
-            "sequence-cut",
-            "closure-certificate-dropped",
-            "exponents-cut",
-            "division-certificates-cut",
-        ],
+        ids=["sequence-cut", "closure-certificate-dropped", "exponents-cut", "quotient-cut"],
     )
     def test_evidence_of_the_wrong_size_fails(self, example_report, tmp_path, name, forge, errors):
         # the config fixes how much evidence each check carries: the
-        # refusal is one more error, so a valid report's counts stay; with
-        # the first certificate dropped, the one left is not u_1 / PI, and
-        # with the exponents cut, no division certificate has a claim
+        # refusal is one error in place of the check's decisions
         data = copy.deepcopy(example_report.to_dict())
         index = report.CHECK_NAMES.index(name)
         forge(data["checks"][index]["details"])
@@ -506,11 +561,29 @@ class TestRevalidation:
             ),
             ("certified_division", lambda d: {**d, "roundtrip": True, "quotient_depth": 2}),
             ("witt_division_roundtrip", lambda d: {**d, "kernel_at_precision_1": True}),
+            ("closure_certificates", lambda d: {"certificates": _old_certificates(1, 2)}),
+            (
+                "certified_division",
+                lambda d: {**d, "certificates": _old_certificates(1, 2, 3)},
+            ),
+            ("witt_division_roundtrip", _old_witt_record),
+            ("witt_division_roundtrip", lambda d: {**d, "component_depth": 0, "exhausted": False}),
         ],
-        ids=["depth", "residues", "divisions", "roundtrip", "kernel"],
+        ids=[
+            "depth",
+            "residues",
+            "divisions",
+            "roundtrip",
+            "kernel",
+            "closure-certificates",
+            "division-certificates",
+            "witt-coordinates",
+            "witt-depth-and-exhausted",
+        ],
     )
     def test_a_record_in_the_old_shape_has_no_evidence(self, example_report, name, old):
-        # records that also carried their verdict or a copy of the config
+        # records that also carried their verdict, a copy of the config,
+        # or what the config and the step count fix
         data = copy.deepcopy(example_report.to_dict())
         index = report.CHECK_NAMES.index(name)
         data["checks"][index]["details"] = old(data["checks"][index]["details"])
@@ -571,45 +644,20 @@ class TestRevalidation:
         [
             (
                 # X^5 at level 2 -> Y^5: no longer the 5th root of X^5 at level 1
-                lambda d: d["quotient"][0][1].update(terms=[[0, 0, 5, "1"]]),
+                lambda d: d["quotient"][1].update(terms=[[0, 0, 5, "1"]]),
                 [NOT_COMPATIBLE],
             ),
             (
                 # X -> Y at every level: compatible, but pmp * [Y] is not pmp * [X]
-                lambda d: [c.update(terms=[[0, 0, 5, "1"]]) for c in d["quotient"][0]],
-                ["pmp * quotient is not pmp * [X] on the first 2 coordinates"],
-            ),
-            (
-                lambda d: d["quotient"][1][0].update(terms=[[0, 1, 0, "1"]]),
-                ["the quotient's coordinates after the first must be zero"],
+                lambda d: [c.update(terms=[[0, 0, 5, "1"]]) for c in d["quotient"]],
+                ["pmp * [quotient] is not pmp * [X] on the first 2 coordinates"],
             ),
             (
                 lambda d: d.update(steps=3),
-                [
-                    "steps must lie between 2 and the Witt length 2",
-                    "the quotient must hold 3 sequences of 2 residues",
-                ],
-            ),
-            (
-                lambda d: d.update(component_depth=0),
-                [
-                    "2 steps leave component depth 1",
-                    "the quotient must hold 2 sequences of 1 residues",
-                ],
-            ),
-            (
-                lambda d: d.update(exhausted=True),
-                ["exhausted must be False after 2 of 2 steps"],
+                ["steps must lie between 2 and the Witt length 2"],
             ),
         ],
-        ids=[
-            "component",
-            "coordinate",
-            "zero-coordinate",
-            "steps-plus-one",
-            "component-depth",
-            "exhausted",
-        ],
+        ids=["component", "coordinate", "steps-plus-one"],
     )
     def test_revalidate_refuses_a_forged_witt_quotient(self, tmp_path, capsys, forge, errors):
         # depth 4, Witt length 2: two steps, component depth 1 and the
@@ -632,23 +680,15 @@ class TestRevalidation:
         "edit, key",
         [
             ({"steps": True}, "steps"),
-            ({"component_depth": 1.0}, "component_depth"),
-            ({"exhausted": 0}, "exhausted"),
+            ({"steps": 1.0}, "steps"),
             ({"quotient": {}}, "quotient"),
             (
-                {"quotient": [[{"level": 1, "ring": "quotient", "terms": [[0, 5, 0, 1]]}]]},
+                {"quotient": [{"level": 1, "ring": "quotient", "terms": [[0, 5, 0, 1]]}]},
                 "residue terms",
             ),
-            ({"quotient": [[FAR_ELEM]]}, "residue level"),
+            ({"quotient": [FAR_ELEM]}, "residue level"),
         ],
-        ids=[
-            "bool-steps",
-            "float-depth",
-            "int-exhausted",
-            "quotient-object",
-            "int-coefficient",
-            "far-level",
-        ],
+        ids=["bool-steps", "float-steps", "quotient-object", "int-coefficient", "far-level"],
     )
     def test_revalidate_refuses_a_malformed_witt_record(
         self, tmp_path, capsys, depth2_report, edit, key
@@ -879,7 +919,9 @@ class TestCli:
             _report_text({}),
             _report_text([{"name": 1, "status": "pass"}]),
             _report_text(_example_checks("sequence_compatibility", status="ok")),
-            _report_text(_example_checks("closure_certificates", details={"certificates": 3})),
+            _report_text(
+                _example_checks("witt_division_roundtrip", details={"steps": 1, "quotient": 3})
+            ),
             _report_text(_example_checks("base_residue_vanishes", details={"residue": {}})),
             _report_text(_example_checks("plain_division_fails", details=[])),
             '{"config": [], "checks": []}',
@@ -896,7 +938,7 @@ class TestCli:
             "checks-object",
             "int-name",
             "unknown-status",
-            "int-certificates",
+            "int-quotient",
             "residue-without-elem",
             "details-list",
             "config-list",
@@ -965,118 +1007,9 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
-    def test_revalidate_fails_a_certificate_above_the_search_bound(
-        self, tmp_path, capsys, depth2_report
-    ):
-        # depth 2 bounds the search at m = 4; deciding m = 6 would raise
-        # a depth-2 element to the 5^6-th power modulo 5^3125
-        data = copy.deepcopy(depth2_report.to_dict())
-        check = data["checks"][report.CHECK_NAMES.index("closure_certificates")]
-        assert check["details"]["certificates"][0]["m"] == 1
-        check["details"]["certificates"][0]["m"] = 6
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
-        started = time.perf_counter()
-        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
-        assert time.perf_counter() - started < 1
-        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert checks.pop("closure_certificates") == {
-            "name": "closure_certificates",
-            "status": "fail",
-            "details": {
-                "revalidated": 2,
-                "errors": [
-                    "the certificate exponents must be [1]",
-                    "certificate exponent 6 above the search bound 4",
-                ],
-            },
-        }
-        assert {c["status"] for c in checks.values()} == {"pass"}
-
-    @pytest.mark.parametrize(
-        "forge, errors",
-        [
-            (
-                # (X^3 + Y^3)^5 = 0 mod 5 passes the mod-p pre-test, and
-                # deciding m = 1 would work modulo 5^(10^7)
-                lambda certs: certs[0].update(
-                    denom_exp=10**7, num_terms=[[0, 3, 0, "1"], [0, 0, 3, "1"]]
-                ),
-                ["certificate 0 is not u_1 / PI at level 1"],
-            ),
-            (
-                lambda certs: (certs[0].update(level=2), certs[1].update(level=1)),
-                [
-                    "certificate 0 is not u_1 / PI at level 1",
-                    "certificate 1 is not u_2 / PI at level 2",
-                ],
-            ),
-        ],
-        ids=["denominator-10**7", "swapped-levels"],
-    )
-    def test_revalidate_binds_closure_certificates_to_their_claim(
-        self, tmp_path, capsys, example_report, forge, errors
-    ):
-        # certificate n must be u_n / PI = (PI^3 + X^3 + Y^3) / PI at level
-        # n, rebuilt from the config: a mismatch is refused before any power
-        data = copy.deepcopy(example_report.to_dict())
-        index = report.CHECK_NAMES.index("closure_certificates")
-        forge(data["checks"][index]["details"]["certificates"])
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
-        started = time.perf_counter()
-        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
-        assert time.perf_counter() - started < 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert checks[index]["details"]["errors"] == errors
-        assert [c["status"] for c in checks] == [
-            "fail" if i == index else "pass" for i in range(len(checks))
-        ]
-
-    @pytest.mark.parametrize(
-        "forge, errors",
-        [
-            (
-                # the same forgery as on the closure certificates: deciding
-                # it would build (X^3 + Y^3)^5 modulo 5^(10^7)
-                lambda certs: certs[0].update(
-                    denom_exp=10**7, num_terms=[[0, 3, 0, "1"], [0, 0, 3, "1"]]
-                ),
-                ["certificate 0 is not u_1 / PI at level 1"],
-            ),
-            (
-                lambda certs: (certs[0].update(level=2), certs[1].update(level=1)),
-                [
-                    "certificate 0 is not u_1 / PI at level 1",
-                    "certificate 1 is not u_2 / PI at level 2",
-                ],
-            ),
-        ],
-        ids=["denominator-10**7", "swapped-levels"],
-    )
-    def test_revalidate_binds_division_certificates_to_eta(
-        self, tmp_path, capsys, example_report, forge, errors
-    ):
-        # certificate i must be that of r_n / PI_n for eta's component n,
-        # the i-th with a nonzero factor exponent: a mismatch is refused
-        # before any power is built
-        data = copy.deepcopy(example_report.to_dict())
-        index = report.CHECK_NAMES.index("certified_division")
-        forge(data["checks"][index]["details"]["certificates"])
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
-        started = time.perf_counter()
-        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
-        assert time.perf_counter() - started < 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert checks[index]["details"] == {"revalidated": 3, "errors": errors}
-        assert [c["status"] for c in checks] == [
-            "fail" if i == index else "pass" for i in range(len(checks))
-        ]
-
     @pytest.mark.parametrize("p, depth", [(5, 2), (5, 3), (7, 2), (11, 3)])
     def test_division_factors_are_the_closure_claims(self, p, depth):
-        # the element the re-check binds division certificate n to, u_n /
+        # the element the re-check decides factor exponent n for, u_n /
         # PI, is the factor r_n / PI_n that the division certifies (p > 3)
         config = cfg(p=p, depth=depth)
         eta = report._example_eta(config)
@@ -1095,7 +1028,6 @@ class TestCli:
             ({"denom_exp": -1}, "denom_exp"),
             ({"level": 1.0}, "level"),
             ({"level": -1}, "level"),
-            ({"level": 10**7}, "level"),
             ({"ring": "banana"}, "ring"),
             ({"witness_terms": []}, "witness_terms"),
             ({"num_terms": None}, "num_terms"),
@@ -1120,7 +1052,6 @@ class TestCli:
             "negative-denom-exp",
             "float-level",
             "negative-level",
-            "level-above-depth",
             "unknown-ring",
             "old-format-witness",
             "drop-num-terms",
@@ -1137,21 +1068,18 @@ class TestCli:
             "terms-not-a-list",
         ],
     )
-    def test_revalidate_refuses_a_malformed_certificate(
-        self, tmp_path, capsys, depth2_report, edit, key
-    ):
-        # None drops the key
-        data = copy.deepcopy(depth2_report.to_dict())
-        check = data["checks"][report.CHECK_NAMES.index("closure_certificates")]
-        cert = {**check["details"]["certificates"][0], **edit}
-        check["details"]["certificates"][0] = {k: v for k, v in cert.items() if v is not None}
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(data))
-        assert cli.main(["revalidate", str(path)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("error: ") and out.err.count("\n") == 1
-        assert f"certificate {key}" in out.err or f"'{key}'" in out.err
+    def test_cert_from_json_refuses_a_malformed_certificate(self, eval_certificate, edit, key):
+        # None drops the key; reports carry no certificates, ``eval`` does
+        cert = {**eval_certificate, **edit}
+        with pytest.raises(report.MalformedReportError) as err:
+            report.cert_from_json({k: v for k, v in cert.items() if v is not None}, 5, 3)
+        assert f"certificate {key}" in str(err.value) or f"'{key}'" in str(err.value)
+
+    def test_cert_from_json_inverts_cert_to_json(self, eval_certificate):
+        assert set(eval_certificate) == set(report.CERT_KEYS) == CERT_KEYS
+        cert = report.cert_from_json(eval_certificate, 5, 3)
+        assert report.cert_to_json(cert) == eval_certificate
+        assert closure.validate_cert(cert)
 
     #: Where each check's first element sits in its details.
     RESIDUE_AT = {
