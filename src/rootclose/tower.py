@@ -257,6 +257,8 @@ class TowerElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be non-negative")
+        if e and self.is_zero:
+            return self
         base = self
         p = self.ctx.p
         if e and e % p == 0 and self.over_fp:
@@ -274,19 +276,22 @@ class TowerElem:
                 base = base * base
         return self.one_like() if result is None else result
 
-    def _frobenius_power(self, k: int) -> "TowerElem":
-        """x^(p^k) over F_p in one pass over the terms.
+    def _frobenius_power(self, k: int, level: int | None = None) -> "TowerElem":
+        """x^(p^k) over F_p in one pass over the terms, written at
+        ``level`` >= self.level - k (its own by default).
 
         Frobenius is additive in characteristic p and fixes coefficients
         (Fermat), so each monomial goes to its own p^k-th power, which is
         a single +-monomial or 0 mod p: PI^(a*p^k) with a*p^k >= p^level
         is a multiple of PI^(p^level) = p, and in quotient mode
         Y^(t*d*p^level) = (-p^d - X^(d*p^level))^t = (-1)^t X^(t*d*p^level).
-        Two monomials can meet after that wrap, so coefficients are
-        summed before reduction.
+        Writing it delta levels deeper scales exponents and bounds by
+        p^delta, so one multiplier p^(k + delta) and the target level's
+        bounds do both.  Two monomials can meet after the wrap, so
+        coefficients are summed before reduction.
         """
-        ctx = self.ctx
-        f = ctx.p**k
+        ctx = self.ctx if level is None else self.ctx.at_level(level)
+        f = ctx.p ** (k + ctx.level - self.ctx.level)
         pn, yo = ctx.pi_order, ctx.y_order
         wrap = ctx.mode == QUOTIENT
         out: TermMap = {}
@@ -303,7 +308,8 @@ class TowerElem:
                     v = -v
             key = (a, b, c)
             out[key] = out.get(key, 0) + v
-        return self._new(out)
+        m = self.coeff_mod
+        return TowerElem(ctx, _reduced(out, m), m, _normal=True)
 
     def pow_mod(self, e: int, coeff_mod: int) -> "TowerElem":
         """Power with coefficients modulo ``coeff_mod``.
@@ -396,10 +402,23 @@ class TowerElem:
         return best
 
     # ------------------------------------------------------------------
-    def frobenius(self) -> "TowerElem":
-        """The p-power map; over F_p ``__pow__`` takes it termwise (see
-        ``_frobenius_power``), over Z or Z/p^k it multiplies out."""
-        return self**self.ctx.p
+    def frobenius(self, level: int | None = None) -> "TowerElem":
+        """The p-power map, written at ``level`` (its own by default): one
+        pass over F_p at a level >= self.level - 1, else the power taken
+        here, then embedded deeper or every exponent divided by p^delta."""
+        p = self.ctx.p
+        level = self.level if level is None else level
+        if self.over_fp and level >= self.level - 1:
+            return self._frobenius_power(1, level)
+        c = self**p
+        delta = c.level - level
+        if delta <= 0:
+            return c.embed(level)
+        f = p**delta
+        if any(e % f for mono in c.terms for e in mono):
+            raise ArithmeticError(f"a Frobenius image does not lie at level {level} (bug)")
+        terms = {(a // f, b // f, e // f): v for (a, b, e), v in c.terms.items()}
+        return TowerElem(c.ctx.at_level(level), terms, c.coeff_mod, _normal=True)
 
     def xy_part(self) -> "TowerElem":
         """Image under PI -> 0 (the monomials without a PI factor)."""

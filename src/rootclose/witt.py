@@ -207,13 +207,19 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
                 return _teichmuller_product(t[0], b, p)
 
     def chain(v, i):
-        # v^(p^e) mod p^(e+1) for the e that coordinate i enters: e < n - i
+        # v^(p^e) mod p^(e+1) for the e that coordinate i enters: e < n - i;
+        # representatives mod p^e are already reduced mod p^(e+1)
         if v.is_zero:
             return None
         out = [v]
         for e in range(1, n - i):
-            out.append(TowerElem(ctx, out[-1].terms, _modulus(zero, e + 1)) ** p)
+            out.append(TowerElem(ctx, out[-1].terms, _modulus(zero, e + 1), _normal=True) ** p)
         return out
+
+    def reduced(terms, mod):
+        # a sum of normal forms in ctx: only its coefficients need reducing
+        kept = {m: r for m, v in terms.items() if (r := v % mod if mod else v)}
+        return TowerElem(ctx, kept, mod, _normal=True)
 
     def ghost(acc, chains, k, sign=1):
         # acc + sign * sum of p^i v_i^(p^(k-i)) over the nonzero chains, as terms
@@ -230,31 +236,17 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
     for k in range(n):
         mod = _modulus(zero, k + 1)
         if op == "*":
-            gx, gy = (TowerElem(ctx, ghost({}, c[: k + 1], k), mod) for c in (x_chains, y_chains))
+            gx, gy = (reduced(ghost({}, c[: k + 1], k), mod) for c in (x_chains, y_chains))
             acc = {} if gx.is_zero or gy.is_zero else dict((gx * gy).terms)
         else:
             acc = ghost({}, x_chains[: k + 1], k)
             ghost(acc, y_chains[: k + 1], k, 1 if op == "+" else -1)
-        rest = TowerElem(ctx, ghost(acc, out_chains, k, -1), mod)
+        rest = reduced(ghost(acc, out_chains, k, -1), mod)
         # rest = p^k c_k exactly, so its division by p^k has no remainder
         c = TowerElem(ctx, _poly_div_exact(rest.terms, p**k), zero.coeff_mod, _normal=True)
         out.append(c)
         out_chains.append(chain(c, k))
     return out
-
-
-def _frobenius_at(c: TowerElem, level: int) -> TowerElem:
-    """c^p written at ``level``: ``embed`` when that is deeper, else its
-    exact inverse, every exponent divided by p^delta."""
-    c = c ** c.ctx.p
-    delta = c.level - level
-    if delta <= 0:
-        return c.embed(level)
-    f = c.ctx.p**delta
-    if any(e % f for mono in c.terms for e in mono):
-        raise ArithmeticError(f"a Frobenius image does not lie at level {level} (bug)")
-    terms = {(a // f, b // f, e // f): v for (a, b, e), v in c.terms.items()}
-    return TowerElem(c.ctx.at_level(level), terms, c.coeff_mod, _normal=True)
 
 
 def _sequence_op(op: str, xs, ys, p: int) -> list:
@@ -266,7 +258,9 @@ def _sequence_op(op: str, xs, ys, p: int) -> list:
     coordinate's depth starts (once, at the top index, when the depths
     are equal); every lower index j is the Frobenius image of index
     j + 1, c_k^(j) = (c_k^(j+1))^p, because the operands are compatible
-    and W(Frobenius) is a ring map.  An incompatible coordinate is
+    and W(Frobenius) is a ring map: one pass over each nonzero
+    component's terms (``TowerElem.frobenius``), while every zero one
+    maps to index j's zero, built once.  An incompatible coordinate is
     refused."""
     n = len(xs)
     for i, c in enumerate(xs + ys):
@@ -278,14 +272,18 @@ def _sequence_op(op: str, xs, ys, p: int) -> list:
     depths = list(accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min))
     starts = set(depths)
     comps: list[list] = [[] for _ in xs]
+    m = 0  # the coordinates that read index j: the depths do not increase
     for j in range(depths[0], -1, -1):
-        m = sum(d >= j for d in depths)
-        level = max(c.comps[j].level for c in (*xs[:m], *ys[:m]))
+        while m < n and depths[m] >= j:
+            m += 1
+        level = max([c.comps[j].ctx.level for c in (*xs[:m], *ys[:m])])
         if j in starts:
             index_j = ([c.comps[j].embed(level) for c in v[:m]] for v in (xs, ys))
             at_j = _lifted_op(op, *index_j, p)
         else:
-            at_j = [_frobenius_at(comp[-1], level) for comp in comps[:m]]
+            above = [comp[-1] for comp in comps[:m]]
+            zero = TowerElem.zero(above[0].ctx.at_level(level), above[0].coeff_mod)
+            at_j = [zero if c.is_zero else c.frobenius(level) for c in above]
         for k, c in enumerate(at_j):
             comps[k].append(c)
     return [FontaineElem._trusted(c[::-1], PLAIN, True) for c in comps]
@@ -461,7 +459,7 @@ def _p_seq_minus_p(
     # tower elements are never changed in place
     p_seq, _, _ = generators(p, degree, depth, ring_mode, closure_mode)
     tau_p = WittVec.teichmuller(ctx, p_seq)
-    p_one = mul_by_p(WittVec.teichmuller(ctx, p_seq.one_like()))
+    p_one = verschiebung(WittVec.teichmuller(ctx, p_seq.one_like()))  # p[1] = VF[1] = V[1]
     return tau_p - p_one
 
 

@@ -730,9 +730,9 @@ def _next_prime(n: int) -> int:
 
 @st.composite
 def example_configs(draw):
-    """A prime 5 <= p < 2^16, 2 <= depth <= 20 and 1 <= witt_length <= depth + 1."""
+    """A prime 5 <= p < 2^16, 2 <= depth <= 100 and 1 <= witt_length <= depth + 1."""
     p = _next_prime(draw(st.integers(5, 65521)))
-    depth = draw(st.integers(2, 20))
+    depth = draw(st.integers(2, 100))
     return p, depth, draw(st.integers(1, depth + 1))
 
 
@@ -775,7 +775,7 @@ class TestConfigSpace:
 
     def test_the_deepest_config_passes_and_revalidates(self):
         # the largest depth and Witt length the example accepts: 50 division steps
-        self.passes_and_revalidates(5, 100, 101)
+        assert self.passes_and_revalidates(5, 100, 101) < 2
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_p_2_and_3_are_refused(self, p):

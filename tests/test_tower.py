@@ -329,6 +329,44 @@ def frobenius_unsigned_wrap(self, k):
     return TowerElem(ctx, out, ctx.p)
 
 
+def frobenius_source_bounds(self, k, level=None):
+    """A broken termwise p^k-th power written at ``level``: exponents
+    scaled for that level, but the PI-drop and Y-wrap at this
+    element's own level's bounds."""
+    ctx = self.ctx if level is None else self.ctx.at_level(level)
+    f = ctx.p ** (k + ctx.level - self.level)
+    pn, yo = self.ctx.pi_order, self.ctx.y_order
+    out = {}
+    for (a, b, c), v in self.terms.items():
+        if a * f >= pn:
+            continue
+        b, c = b * f, c * f
+        if ctx.mode == QUOTIENT and c >= yo:
+            t, c = divmod(c, yo)
+            b += t * yo
+            v = -v if t % 2 else v
+        out[(a * f, b, c)] = out.get((a * f, b, c), 0) + v
+    return TowerElem(ctx, out, ctx.p)
+
+
+@st.composite
+def frobenius_targets(draw):
+    """An F_p element as in ``frobenius_cases`` and a level from one
+    shallower than its own to two deeper."""
+    x, _ = draw(frobenius_cases())
+    return x, draw(st.integers(max(0, x.level - 1), x.level + 2))
+
+
+def frobenius_written_at(x, level):
+    """x^p by products at x's level, then embedded deeper or, one level
+    up, every exponent divided by p: the reference for one pass."""
+    power, p = power_by_products(x, x.ctx.p), x.ctx.p
+    if level >= x.level:
+        return power.embed(level)
+    terms = {tuple(e // p for e in mono): v for mono, v in power.terms.items()}
+    return TowerElem(x.ctx.at_level(level), terms, p)
+
+
 class TestTermwiseFrobenius:
     """The one-pass p-power over F_p against the product kernel."""
 
@@ -347,6 +385,30 @@ class TestTermwiseFrobenius:
                 settings=settings(database=None, derandomize=True, max_examples=500),
             )
         assert x.ctx.mode == QUOTIENT
+
+    @given(case=frobenius_targets())
+    @settings(max_examples=100, deadline=None)
+    def test_written_at_a_level_agrees_with_the_moved_power(self, case):
+        x, level = case
+        assert x.frobenius(level) == frobenius_written_at(x, level)
+
+    def test_negative_control_bounds_of_the_own_level(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TowerElem, "_frobenius_power", frobenius_source_bounds)
+            x, level = find(
+                frobenius_targets(),
+                lambda case: case[0].frobenius(case[1]) != frobenius_written_at(*case),
+                settings=settings(database=None, derandomize=True, max_examples=500),
+            )
+        assert level > x.level
+
+    def test_more_than_one_level_up_is_an_exact_division(self):
+        # X^5 at level 2 is x^(1/5), whose p-th power x is X at level 0;
+        # X at level 2 is x^(1/25), whose p-th power lies at level 1 only
+        x = ResidueElem.monomial(CTX52, 0, 5, 0)
+        assert x.frobenius(0) == ResidueElem.monomial(TowerCtx(5, 0, 3, QUOTIENT), 0, 1, 0)
+        with pytest.raises(ArithmeticError, match="does not lie at level 0"):
+            ResidueElem.monomial(CTX52, 0, 1, 0).frobenius(0)
 
 
 def pi_divide_stepwise(x, j):

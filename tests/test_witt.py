@@ -7,7 +7,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from rootclose import witt
+from rootclose import report, witt
 from rootclose.closure import HypothesisNotMetError
 from rootclose.fontaine import (
     CERTIFIED,
@@ -557,6 +557,21 @@ def sequence_operands(draw):
     return comps[:n], comps[n:], p
 
 
+@st.composite
+def fold_operands(draw):
+    """The operands of one fold of the Witt division, (0, r_1, ...) and
+    (0, y^p, 0, ..., 0), at Witt lengths 2..6: nearly every coordinate
+    of the sum is derived from zero components."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    degree = 2 if p == 3 else 3
+    rs = [_sequence_coord(rng, p, degree) for _ in range(n)]
+    y_p = _sequence_coord(rng, p, degree) ** p
+    zero = y_p.zero_like()
+    return [rs[0].zero_like(), *rs[1:]], [zero, y_p, *[zero] * (n - 2)], p
+
+
 def as_written(coords):
     """Depth and, per component, level, modulus and terms as written."""
     return [(s.depth, [(c.level, c.coeff_mod, sorted(c.terms.items())) for c in s.comps]) for s in coords]
@@ -578,7 +593,7 @@ def copied_disagrees(case) -> bool:
     """Does index j copied from index j + 1 without the p-th power (only
     embedded, where index j sits deeper) give another value?"""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witt, "_frobenius_at", lambda c, level: c.embed(max(level, c.level)))
+        mp.setattr(TowerElem, "frobenius", lambda c, level: c.embed(max(level, c.level)))
         return not agrees_with_per_index(case, as_valued)
 
 
@@ -587,10 +602,25 @@ class TestSequenceFrobenius:
     index the Frobenius image of the one above, against the per-index
     loop."""
 
-    @given(case=sequence_operands())
-    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(sequence_operands(), fold_operands()))
+    @settings(max_examples=120, deadline=None)
     def test_agrees_with_the_per_index_loop(self, case):
         assert agrees_with_per_index(case)
+
+    def test_the_division_takes_no_frobenius_image_of_a_zero(self, monkeypatch):
+        # p5-d100-w101: the folds' coordinates are nearly all zero, and
+        # the zero of each index is shared instead of computed
+        _, x = report._witt_operands(5, 101, 100)
+        kernel, seen = TowerElem._frobenius_power, []
+
+        def counted(self, *args):
+            seen.append(self.is_zero)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(TowerElem, "_frobenius_power", counted)
+        assert divide_by_p_seq_minus_p(x).steps == 50
+        assert seen.count(True) == 0
+        assert seen.count(False) > 0  # the counter sees the nonzero images
 
     def test_negative_control_index_copied_without_the_p_th_power(self):
         find(
