@@ -23,7 +23,7 @@ from functools import partial
 from math import inf
 
 from . import closure, fontaine, tower, valuation, witt
-from .closure import ClosureCert, LocalElem, NotMember
+from .closure import ClosureCert, LocalElem
 from .fontaine import CERTIFIED, PLAIN, FontaineElem
 from .invariants import FAIL, INVARIANTS
 from .tower import FREE, QUOTIENT, TowerCtx, TowerElem
@@ -62,9 +62,9 @@ class Config:
         valuation.check_prime(self.p)
         if self.p <= 3:
             raise ValueError("the example suite requires a prime p > 3")
-        # the upper end is a work bound: depth 1,000 runs for about a minute
-        if not 2 <= self.depth <= 100:
-            raise ValueError("the example suite requires 2 <= depth <= 100")
+        # the upper end is the tower's level bound: depth 1,000 runs about a minute
+        if not 2 <= self.depth <= tower.MAX_LEVEL:
+            raise ValueError(f"the example suite requires 2 <= depth <= {tower.MAX_LEVEL}")
         if self.witt_length < 1:
             raise ValueError("witt_length must be >= 1")
         # a work bound: at most (depth + 1) // 2 coordinates are determined,
@@ -192,12 +192,12 @@ def _natural(d: dict, key: str, what: str) -> int:
     return d[key]
 
 
-def _context_from_json(d: dict, p: int, degree: int, what: str, depth: float) -> TowerCtx:
+def _context_from_json(d: dict, p: int, degree: int, what: str, max_level: int) -> TowerCtx:
     """The context a serialized element names by ``level`` and ``ring``,
-    refused above ``depth`` before p^level is ever computed."""
+    refused above ``max_level`` before p^level is ever computed."""
     level = _natural(d, "level", what)
-    if level > depth:
-        raise MalformedReportError(f"{what} level {level} is above the depth {depth}")
+    if level > max_level:
+        raise MalformedReportError(f"{what} level {level} is above {max_level}")
     if d["ring"] not in (FREE, QUOTIENT):
         raise MalformedReportError(f"{what} ring {d['ring']!r} is not a known mode")
     return tower.context(p, level, degree, d["ring"])
@@ -237,7 +237,7 @@ def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
             f" (missing: {sorted(missing)}, unexpected: {sorted(extra)})"
         )
     m, denom_exp = _natural(d, "m", "certificate"), _natural(d, "denom_exp", "certificate")
-    ctx = _context_from_json(d, p, degree, "certificate", inf)
+    ctx = _context_from_json(d, p, degree, "certificate", tower.MAX_LEVEL)
     num = TowerElem(ctx, terms_from_json(d["num_terms"], ctx, "certificate num_terms"))
     return ClosureCert(LocalElem(num, denom_exp), m)
 
@@ -309,16 +309,16 @@ def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
 
 
 def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
-    m_max = fontaine.default_m_max(cfg.depth)
-    exponents = []
+    """The least exponent of u_n / PI is n, for n = 1..depth-1: the
+    claim (n, n) holds and (n, n - 1) fails.  An integral c^(p^m) stays
+    integral under p-th powers, so that failure refutes every m < n."""
     for n in range(1, cfg.depth):
-        got = closure.membership(_closure_claim(cfg, n), m_max)
-        if isinstance(got, NotMember):
-            return {"_status": FAIL, "error": f"no certificate for level {n}"}
-        if got.m != n:
-            return {"_status": FAIL, "error": f"bad certificate at level {n} (m={got.m})"}
-        exponents.append(got.m)
-    return {"exponents": exponents}
+        claim = _closure_claim(cfg, n)
+        if not closure.validate_cert(ClosureCert(claim, n)):
+            return {"_status": FAIL, "error": f"u_{n} / PI fails with exponent {n}"}
+        if closure.validate_cert(ClosureCert(claim, n - 1)):
+            return {"_status": FAIL, "error": f"u_{n} / PI passes with exponent {n - 1}"}
+    return {"exponents": list(range(1, cfg.depth))}
 
 
 def _check_certified_division(cfg: Config, eta: FontaineElem) -> dict:

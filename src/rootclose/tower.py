@@ -30,6 +30,9 @@ TermMap = dict[Monomial, int]
 FREE = "free"
 QUOTIENT = "quotient"
 
+#: The deepest level of a context: a work bound, and the example's largest depth.
+MAX_LEVEL = 100
+
 
 class NotDivisibleError(ArithmeticError):
     """Requested division does not exist; carries a witness monomial."""
@@ -56,6 +59,8 @@ class TowerCtx:
         check_prime(self.p)
         if self.level < 0:
             raise ValueError("level must be non-negative")
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"level {self.level} is above the tower's bound {MAX_LEVEL}")
         if self.degree < 1:
             raise ValueError("degree must be positive")
         if self.mode not in (FREE, QUOTIENT):
@@ -278,7 +283,7 @@ class TowerElem:
 
     def _frobenius_power(self, k: int, level: int | None = None) -> "TowerElem":
         """x^(p^k) over F_p in one pass over the terms, written at
-        ``level`` >= self.level - k (its own by default).
+        ``level`` (its own by default); the one Frobenius kernel.
 
         Frobenius is additive in characteristic p and fixes coefficients
         (Fermat), so each monomial goes to its own p^k-th power, which is
@@ -288,10 +293,14 @@ class TowerElem:
         Writing it delta levels deeper scales exponents and bounds by
         p^delta, so one multiplier p^(k + delta) and the target level's
         bounds do both.  Two monomials can meet after the wrap, so
-        coefficients are summed before reduction.
+        coefficients are summed before reduction.  Below self.level - k it
+        is written at self.level - k, then a second pass divides every
+        exponent by p^(self.level - k - level), exactly (normal forms are
+        unique) or with ArithmeticError; dropped terms are never divided.
         """
-        ctx = self.ctx if level is None else self.ctx.at_level(level)
-        f = ctx.p ** (k + ctx.level - self.ctx.level)
+        own = self.ctx.level
+        ctx = self.ctx if level is None else self.ctx.at_level(max(level, own - k))
+        f = ctx.p ** (k + ctx.level - own)
         pn, yo = ctx.pi_order, ctx.y_order
         wrap = ctx.mode == QUOTIENT
         out: TermMap = {}
@@ -309,7 +318,14 @@ class TowerElem:
             key = (a, b, c)
             out[key] = out.get(key, 0) + v
         m = self.coeff_mod
-        return TowerElem(ctx, _reduced(out, m), m, _normal=True)
+        out = _reduced(out, m)
+        if level is not None and level < ctx.level:
+            g = ctx.p ** (ctx.level - level)
+            if any(e % g for mono in out for e in mono):
+                raise ArithmeticError(f"a Frobenius image does not lie at level {level}")
+            out = {(a // g, b // g, c // g): v for (a, b, c), v in out.items()}
+            ctx = ctx.at_level(level)
+        return TowerElem(ctx, out, m, _normal=True)
 
     def pow_mod(self, e: int, coeff_mod: int) -> "TowerElem":
         """Power with coefficients modulo ``coeff_mod``.
@@ -403,22 +419,11 @@ class TowerElem:
 
     # ------------------------------------------------------------------
     def frobenius(self, level: int | None = None) -> "TowerElem":
-        """The p-power map, written at ``level`` (its own by default): one
-        pass over F_p at a level >= self.level - 1, else the power taken
-        here, then embedded deeper or every exponent divided by p^delta."""
-        p = self.ctx.p
-        level = self.level if level is None else level
-        if self.over_fp and level >= self.level - 1:
-            return self._frobenius_power(1, level)
-        c = self**p
-        delta = c.level - level
-        if delta <= 0:
-            return c.embed(level)
-        f = p**delta
-        if any(e % f for mono in c.terms for e in mono):
-            raise ArithmeticError(f"a Frobenius image does not lie at level {level} (bug)")
-        terms = {(a // f, b // f, e // f): v for (a, b, e), v in c.terms.items()}
-        return TowerElem(c.ctx.at_level(level), terms, c.coeff_mod, _normal=True)
+        """The p-power map over F_p, written at ``level`` (its own by
+        default): ``_frobenius_power(1, level)``."""
+        if not self.over_fp:
+            raise ValueError("the Frobenius runs over F_p: reduce mod p first")
+        return self._frobenius_power(1, level)
 
     def xy_part(self) -> "TowerElem":
         """Image under PI -> 0 (the monomials without a PI factor)."""
@@ -454,18 +459,6 @@ class ResidueElem(TowerElem):
 
     def __new__(cls, ctx: TowerCtx, terms: TermMap | None = None):
         return TowerElem(ctx, terms, ctx.p)
-
-    @staticmethod
-    def zero(ctx: TowerCtx) -> TowerElem:
-        return TowerElem.zero(ctx, ctx.p)
-
-    @staticmethod
-    def integer(ctx: TowerCtx, k: int) -> TowerElem:
-        return TowerElem.integer(ctx, k, ctx.p)
-
-    @staticmethod
-    def monomial(ctx: TowerCtx, a: int, b: int, c: int, coeff: int = 1) -> TowerElem:
-        return TowerElem.monomial(ctx, a, b, c, coeff, ctx.p)
 
 
 def poly_divides(h: TowerElem, g: TowerElem) -> tuple[bool, TowerElem | None]:
@@ -510,18 +503,6 @@ def poly_divides(h: TowerElem, g: TowerElem) -> tuple[bool, TowerElem | None]:
                 rem.pop(key, None)
     quot = {k: v for k, v in quot.items() if v}
     return True, TowerElem(h.ctx, quot, p, _normal=True)
-
-
-def pi(ctx: TowerCtx) -> TowerElem:
-    return TowerElem.monomial(ctx, 1, 0, 0)
-
-
-def x_var(ctx: TowerCtx) -> TowerElem:
-    return TowerElem.monomial(ctx, 0, 1, 0)
-
-
-def y_var(ctx: TowerCtx) -> TowerElem:
-    return TowerElem.monomial(ctx, 0, 0, 1)
 
 
 def _format_terms(terms: TermMap, limit: int = 8) -> str:

@@ -345,31 +345,26 @@ class WittVec:
     def is_zero(self) -> bool:
         return all(_is_zero(c) for c in self.comps)
 
-    def _check(self, other: "WittVec"):
+    # ------------------------------------------------------------------
+    def _binary(self, other, op: str):
+        """x op y (op one of + * -) through ``_ghost_op``, in one Witt context."""
+        if not isinstance(other, WittVec):
+            return NotImplemented
         if self.ctx != other.ctx:
             raise ValueError("Witt context mismatch")
+        return WittVec(self.ctx, _ghost_op(op, self.comps, other.comps, self.ctx.p))
 
-    # ------------------------------------------------------------------
     def __add__(self, other):
-        if not isinstance(other, WittVec):
-            return NotImplemented
-        self._check(other)
-        return WittVec(self.ctx, _ghost_op("+", self.comps, other.comps, self.ctx.p))
+        return self._binary(other, "+")
 
     def __mul__(self, other):
-        if not isinstance(other, WittVec):
-            return NotImplemented
-        self._check(other)
-        return WittVec(self.ctx, _ghost_op("*", self.comps, other.comps, self.ctx.p))
+        return self._binary(other, "*")
 
     def __neg__(self):
         return WittVec(self.ctx, map(_zero_like, self.comps)) - self
 
     def __sub__(self, other):
-        if not isinstance(other, WittVec):
-            return NotImplemented
-        self._check(other)
-        return WittVec(self.ctx, _ghost_op("-", self.comps, other.comps, self.ctx.p))
+        return self._binary(other, "-")
 
     def __eq__(self, other):
         if not isinstance(other, WittVec):
@@ -445,19 +440,18 @@ def witt_theta(x: WittVec, precision: int) -> TowerElem:
 
 
 def p_seq_minus_p(ctx: WittCtx, template: FontaineElem) -> WittVec:
-    """The Witt vector (p-root sequence) - p over the template's family,
-    depth and closure mode: one shared constant per shape."""
+    """The Witt vector (p-root sequence) - p over the template's family
+    and depth, of plain sequences (Witt arithmetic refuses certified
+    ones): one shared constant per shape."""
     fam = template.family
-    return _p_seq_minus_p(ctx, fam.p, fam.degree, template.depth, fam.mode, template.mode)
+    return _p_seq_minus_p(ctx, fam.p, fam.degree, template.depth, fam.mode)
 
 
 @cache
-def _p_seq_minus_p(
-    ctx: WittCtx, p: int, degree: int, depth: int, ring_mode: str, closure_mode: str
-) -> WittVec:
+def _p_seq_minus_p(ctx: WittCtx, p: int, degree: int, depth: int, ring_mode: str) -> WittVec:
     # shared by every caller: WittVec and FontaineElem hold tuples, and
     # tower elements are never changed in place
-    p_seq, _, _ = generators(p, degree, depth, ring_mode, closure_mode)
+    p_seq, _, _ = generators(p, degree, depth, ring_mode)
     tau_p = WittVec.teichmuller(ctx, p_seq)
     p_one = verschiebung(WittVec.teichmuller(ctx, p_seq.one_like()))  # p[1] = VF[1] = V[1]
     return tau_p - p_one

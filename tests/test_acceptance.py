@@ -40,7 +40,7 @@ def test_criterion_1_binomial_valuation_exhaustive():
 def test_criterion_2_closure_addition_bound():
     started = time.perf_counter()
     ctx = TowerCtx(2, 1, 3, QUOTIENT)
-    piv = tower.pi(ctx)
+    piv = TowerElem.monomial(ctx, 1, 0, 0)
     # the only degree-3 shape whose square cancels mod 2 under the
     # quotient rewrite: genuine exponent-1 members live on this coset
     cubes = TowerElem(ctx, {(0, 3, 0): 1, (0, 0, 3): 1})
@@ -99,7 +99,7 @@ def test_criterion_3_witt_ghost_oracle_and_order():
             vectors += 1
         # additive order of 1 over the p-element field is exactly p^n
         base = TowerCtx(p, 0, 1, tower.FREE)
-        one = witt.WittVec.teichmuller(ctx, ResidueElem.integer(base, 1))
+        one = witt.WittVec.teichmuller(ctx, TowerElem.integer(base, 1, coeff_mod=p))
         acc = witt.WittVec.zero(ctx, one.comps[0])
         order = None
         for k in range(1, p**n + 1):

@@ -20,13 +20,22 @@ from rootclose.tower import (
     NotDivisibleError,
     TowerCtx,
     TowerElem,
-    pi,
-    x_var,
-    y_var,
 )
 
 CTX = TowerCtx(5, 1, 3, QUOTIENT)
 CTX2 = TowerCtx(5, 2, 3, QUOTIENT)
+
+
+def pi(ctx):
+    return TowerElem.monomial(ctx, 1, 0, 0)
+
+
+def x_var(ctx):
+    return TowerElem.monomial(ctx, 0, 1, 0)
+
+
+def y_var(ctx):
+    return TowerElem.monomial(ctx, 0, 0, 1)
 
 
 def cubes(ctx):

@@ -39,7 +39,6 @@ from rootclose.tower import (
     FREE,
     QUOTIENT,
     NotDivisibleError,
-    ResidueElem,
     TowerCtx,
     TowerElem,
     context,
@@ -73,19 +72,23 @@ class TestCompat:
         ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
         ctx1 = TowerCtx(5, 1, 3, QUOTIENT)
         e = FontaineElem(
-            [ResidueElem.monomial(ctx0, 0, 1, 0), ResidueElem.monomial(ctx1, 0, 0, 1)]
+            [
+                TowerElem.monomial(ctx0, 0, 1, 0, coeff_mod=5),
+                TowerElem.monomial(ctx1, 0, 0, 1, coeff_mod=5),
+            ]
         )
         assert not e.check_compat()
 
     def test_generator_components(self):
         P, X, _ = gens()
         assert base_residue(P).is_zero  # level-0 residue of p
-        assert base_residue(X) == ResidueElem.monomial(TowerCtx(5, 0, 3, QUOTIENT), 0, 1, 0)
+        level0 = TowerCtx(5, 0, 3, QUOTIENT)
+        assert base_residue(X) == TowerElem.monomial(level0, 0, 1, 0, coeff_mod=5)
 
     def test_level_below_index_rejected(self):
         ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
         with pytest.raises(ValueError):
-            FontaineElem([ResidueElem.zero(ctx0), ResidueElem.zero(ctx0)])
+            FontaineElem([TowerElem.zero(ctx0, coeff_mod=5), TowerElem.zero(ctx0, coeff_mod=5)])
 
     def test_plain_mode_rejects_z_component(self):
         ctx0 = TowerCtx(5, 0, 3, QUOTIENT)
@@ -149,7 +152,7 @@ class TestRingOps:
         # component n is the product of the roots at slots n and n+1
         for n in range(prod.depth + 1):
             ctx = TowerCtx(5, n + 1, 3, QUOTIENT)
-            assert prod.residue(n) == ResidueElem.monomial(ctx, 6, 0, 0)
+            assert prod.residue(n) == TowerElem.monomial(ctx, 6, 0, 0, coeff_mod=5)
 
     def test_proot_consumes_depth(self):
         P, _, _ = gens(1)
@@ -278,7 +281,7 @@ class TestBaseResidue:
     def test_x_sequence(self):
         _, X, _ = gens()
         got = base_residue(X)
-        assert got == ResidueElem.monomial(TowerCtx(5, 0, 3, QUOTIENT), 0, 1, 0)
+        assert got == TowerElem.monomial(TowerCtx(5, 0, 3, QUOTIENT), 0, 1, 0, coeff_mod=5)
 
 
 class TestTheta:
@@ -827,7 +830,7 @@ class TestZeroModPClosure:
     PI4_U = U * TowerElem.monomial(CTX1, 4, 0, 0)
 
     def test_zero_test_and_equality_agree(self):
-        e = FontaineElem([ResidueElem.zero(self.CTX0), LocalElem(self.PI4_U)], CERTIFIED)
+        e = FontaineElem([TowerElem.zero(self.CTX0, coeff_mod=5), LocalElem(self.PI4_U)], CERTIFIED)
         assert e.is_zero
         assert e == e.zero_like()
         assert (e - e.zero_like()).is_zero
@@ -853,7 +856,7 @@ class TestUndetermined:
     def test_undetermined_names_its_component(self):
         ctx0, ctx1 = TowerCtx(5, 0, 3, QUOTIENT), TowerCtx(5, 1, 3, QUOTIENT)
         u = TowerElem(ctx1, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-        a = FontaineElem([ResidueElem.zero(ctx0), LocalElem(u, 1)], CERTIFIED)
+        a = FontaineElem([TowerElem.zero(ctx0, coeff_mod=5), LocalElem(u, 1)], CERTIFIED)
         with pytest.raises(UndeterminedCongruenceError) as err:
             a.equals(a.zero_like(), m_max=1)
         assert err.value.index == 1

@@ -244,6 +244,20 @@ class TestExampleSuite:
         assert report.run_example_suite(cfg()).to_json() == first.to_json()
         assert len(cubes) == 3
 
+    def test_the_closure_check_decides_two_exponents_per_level(self, monkeypatch):
+        # the least exponent of u_n / PI is n: the run decides (n, n) and
+        # refutes (n, n - 1), rather than trying every m from 0 up
+        tried, quotient = [], closure._truncated_quotient
+
+        def counted(c, m):
+            tried.append(m)
+            return quotient(c, m)
+
+        monkeypatch.setattr(closure, "_truncated_quotient", counted)
+        details = report._check_closure_certs(cfg(p=65521, depth=100, witt_length=101), None)
+        assert details == {"exponents": list(range(1, 100))}
+        assert len(tried) == 2 * (100 - 1)
+
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
             report.run_example_suite(cfg(p=2))
@@ -829,8 +843,9 @@ class TestCli:
             (["example", "--depth", "101"], "depth <= 100"),
             (["example", "--p", "65537"], "below 2^16"),
             (["eval", "x", "--p", "1000000000000000003"], "below 2^16"),
+            (["eval", f"x^(1/{5**101})"], "level 101 is above the tower's bound 100"),
         ],
-        ids=["example-depth-101", "example-p-65537", "eval-huge-prime"],
+        ids=["example-depth-101", "example-p-65537", "eval-huge-prime", "eval-level-101"],
     )
     def test_work_is_bounded_up_front(self, capsys, argv, bound):
         started = time.perf_counter()
@@ -1028,6 +1043,7 @@ class TestCli:
             ({"denom_exp": -1}, "denom_exp"),
             ({"level": 1.0}, "level"),
             ({"level": -1}, "level"),
+            ({"level": 10**7}, "level"),
             ({"ring": "banana"}, "ring"),
             ({"witness_terms": []}, "witness_terms"),
             ({"num_terms": None}, "num_terms"),
@@ -1052,6 +1068,7 @@ class TestCli:
             "negative-denom-exp",
             "float-level",
             "negative-level",
+            "level-above-the-tower",
             "unknown-ring",
             "old-format-witness",
             "drop-num-terms",
@@ -1071,8 +1088,10 @@ class TestCli:
     def test_cert_from_json_refuses_a_malformed_certificate(self, eval_certificate, edit, key):
         # None drops the key; reports carry no certificates, ``eval`` does
         cert = {**eval_certificate, **edit}
+        started = time.perf_counter()
         with pytest.raises(report.MalformedReportError) as err:
             report.cert_from_json({k: v for k, v in cert.items() if v is not None}, 5, 3)
+        assert time.perf_counter() - started < 0.1
         assert f"certificate {key}" in str(err.value) or f"'{key}'" in str(err.value)
 
     def test_cert_from_json_inverts_cert_to_json(self, eval_certificate):

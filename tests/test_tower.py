@@ -2,7 +2,7 @@ import operator
 from functools import reduce
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from rootclose.closure import LocalElem
@@ -13,14 +13,23 @@ from rootclose.tower import (
     ResidueElem,
     TowerCtx,
     TowerElem,
-    pi,
     poly_divides,
-    x_var,
-    y_var,
 )
 
 CTX51 = TowerCtx(5, 1, 3, QUOTIENT)
 CTX52 = TowerCtx(5, 2, 3, QUOTIENT)
+
+
+def pi(ctx):
+    return TowerElem.monomial(ctx, 1, 0, 0)
+
+
+def x_var(ctx):
+    return TowerElem.monomial(ctx, 0, 1, 0)
+
+
+def y_var(ctx):
+    return TowerElem.monomial(ctx, 0, 0, 1)
 
 
 def elems(ctx, span=6, coeff=9, max_terms=4):
@@ -176,11 +185,11 @@ class TestResidue:
         assert (7 * y_var(CTX51)).reduce_mod_p() == ResidueElem(CTX51, {(0, 0, 1): 2})
 
     def test_frobenius_examples(self):
-        x = ResidueElem.monomial(CTX51, 0, 1, 0)
-        y = ResidueElem.monomial(CTX51, 0, 0, 1)
-        assert x.frobenius() == ResidueElem.monomial(CTX51, 0, 5, 0)
+        x = TowerElem.monomial(CTX51, 0, 1, 0, coeff_mod=5)
+        y = TowerElem.monomial(CTX51, 0, 0, 1, coeff_mod=5)
+        assert x.frobenius() == TowerElem.monomial(CTX51, 0, 5, 0, coeff_mod=5)
         assert (x + y).frobenius() == x.frobenius() + y.frobenius()
-        assert ResidueElem.zero(CTX51).frobenius().is_zero
+        assert TowerElem.zero(CTX51, coeff_mod=5).frobenius().is_zero
 
     def test_defining_relation_dies_mod_p(self):
         for level in (0, 1, 2):
@@ -193,7 +202,7 @@ class TestResidue:
 
     def test_frobenius_kernel_contains_pi(self):
         # at level 1 the p-th power of PI is the integer p, which dies mod p
-        e = ResidueElem.monomial(CTX51, 1, 0, 0)
+        e = TowerElem.monomial(CTX51, 1, 0, 0, coeff_mod=5)
         assert e.frobenius().is_zero
 
     @given(a=elems(CTX51), b=elems(CTX51))
@@ -226,7 +235,7 @@ class TestCoefficientRing:
     def test_reduction_only_to_a_divisor(self):
         assert x_var(CTX51).reduce_coeffs(25).reduce_mod_p() == x_var(CTX51).reduce_mod_p()
         with pytest.raises(ValueError):
-            ResidueElem.monomial(CTX51, 0, 1, 0).reduce_coeffs(25)
+            TowerElem.monomial(CTX51, 0, 1, 0, coeff_mod=5).reduce_coeffs(25)
 
 
 @st.composite
@@ -329,10 +338,17 @@ def frobenius_unsigned_wrap(self, k):
     return TowerElem(ctx, out, ctx.p)
 
 
+#: The kernel under test, kept for the broken variants to delegate to.
+FROBENIUS_POWER = TowerElem._frobenius_power
+
+
 def frobenius_source_bounds(self, k, level=None):
     """A broken termwise p^k-th power written at ``level``: exponents
     scaled for that level, but the PI-drop and Y-wrap at this
-    element's own level's bounds."""
+    element's own level's bounds.  Below self.level - k it is the
+    kernel itself."""
+    if level is not None and level < self.level - k:
+        return FROBENIUS_POWER(self, k, level)
     ctx = self.ctx if level is None else self.ctx.at_level(level)
     f = ctx.p ** (k + ctx.level - self.level)
     pn, yo = self.ctx.pi_order, self.ctx.y_order
@@ -349,22 +365,67 @@ def frobenius_source_bounds(self, k, level=None):
     return TowerElem(ctx, out, ctx.p)
 
 
+def frobenius_divided_first(self, k, level=None):
+    """A broken termwise p^k-th power: below self.level - k every
+    exponent is divided by p^(self.level - k - level) before the
+    p-power, so a term the PI-drop removes must divide too."""
+    drop = 0 if level is None else self.level - k - level
+    if drop <= 0:
+        return FROBENIUS_POWER(self, k, level)
+    g = self.ctx.p**drop
+    if any(e % g for mono in self.terms for e in mono):
+        raise ArithmeticError(f"a Frobenius image does not lie at level {level}")
+    terms = {tuple(e // g for e in mono): v for mono, v in self.terms.items()}
+    return FROBENIUS_POWER(TowerElem(self.ctx.at_level(level + k), terms, self.ctx.p), k, level)
+
+
 @st.composite
 def frobenius_targets(draw):
-    """An F_p element as in ``frobenius_cases`` and a level from one
-    shallower than its own to two deeper."""
+    """An F_p element as in ``frobenius_cases``, written at the level it
+    was drawn at or j >= 2 levels deeper, and sometimes plus a term
+    PI^a * X^b with a * p >= p^level, which its p-th power drops; and a
+    level from one shallower than the level it was drawn at to two
+    deeper than the one it is written at, where its p-th power lies."""
     x, _ = draw(frobenius_cases())
-    return x, draw(st.integers(max(0, x.level - 1), x.level + 2))
+    drawn_at = x.level
+    x = x.embed(drawn_at + draw(st.sampled_from([0, 2, 3])))
+    ctx = x.ctx
+    if ctx.level and draw(st.booleans()):
+        a = draw(st.integers(ctx.pi_order // ctx.p, ctx.pi_order - 1))
+        x = x + TowerElem.monomial(ctx, a, draw(st.integers(0, 3)), 0, coeff_mod=ctx.p)
+    return x, draw(st.integers(max(0, drawn_at - 1), x.level + 2))
+
+
+@st.composite
+def frobenius_below(draw):
+    """An F_p element as in ``frobenius_cases`` at level 2 and a level
+    more than one below it, where its p-th power may or may not lie."""
+    x, _ = draw(frobenius_cases().filter(lambda case: case[0].level == 2))
+    return x, 0
 
 
 def frobenius_written_at(x, level):
-    """x^p by products at x's level, then embedded deeper or, one level
-    up, every exponent divided by p: the reference for one pass."""
+    """x^p by products at x's level, then embedded deeper or every
+    exponent divided by p^(x.level - level): the reference for one pass;
+    None when some exponent does not divide, so x^p does not lie there."""
     power, p = power_by_products(x, x.ctx.p), x.ctx.p
     if level >= x.level:
         return power.embed(level)
-    terms = {tuple(e // p for e in mono): v for mono, v in power.terms.items()}
+    g = p ** (x.level - level)
+    if any(e % g for mono in power.terms for e in mono):
+        return None
+    terms = {tuple(e // g for e in mono): v for mono, v in power.terms.items()}
     return TowerElem(x.ctx.at_level(level), terms, p)
+
+
+def frobenius_agrees(x, level) -> bool:
+    """x.frobenius(level) is the reference, refused exactly where x^p
+    does not lie at ``level``."""
+    want = frobenius_written_at(x, level)
+    try:
+        return x.frobenius(level) == want
+    except ArithmeticError:
+        return want is None
 
 
 class TestTermwiseFrobenius:
@@ -402,13 +463,40 @@ class TestTermwiseFrobenius:
             )
         assert level > x.level
 
+    @given(case=frobenius_below())
+    # PI^7 * X^5: 7 * 5 >= 25, so the p-th power drops PI^7 undivided
+    @example(case=(TowerElem(CTX52, {(7, 0, 0): 1, (0, 5, 0): 1}, 5), 0))
+    # Y * (X^15 + Y^15): its p-th power is -p^3 * Y^5 = 0 mod p, so the
+    # two terms cancel and neither exponent has to divide
+    @example(case=(TowerElem(CTX52, {(0, 0, 16): 1, (0, 15, 1): 1}, 5), 0))
+    @settings(max_examples=100, deadline=None)
+    def test_below_its_level_an_image_is_written_or_refused(self, case):
+        x, level = case
+        want = frobenius_written_at(x, level)
+        if want is None:
+            with pytest.raises(ArithmeticError, match=f"does not lie at level {level}"):
+                x.frobenius(level)
+        else:
+            assert x.frobenius(level) == want
+
+    def test_negative_control_dividing_before_the_drop(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TowerElem, "_frobenius_power", frobenius_divided_first)
+            x, level = find(
+                frobenius_targets(),
+                lambda case: not frobenius_agrees(*case),
+                settings=settings(database=None, derandomize=True, max_examples=500),
+            )
+        assert level < x.level - 1
+
     def test_more_than_one_level_up_is_an_exact_division(self):
         # X^5 at level 2 is x^(1/5), whose p-th power x is X at level 0;
         # X at level 2 is x^(1/25), whose p-th power lies at level 1 only
-        x = ResidueElem.monomial(CTX52, 0, 5, 0)
-        assert x.frobenius(0) == ResidueElem.monomial(TowerCtx(5, 0, 3, QUOTIENT), 0, 1, 0)
+        x = TowerElem.monomial(CTX52, 0, 5, 0, coeff_mod=5)
+        level0 = TowerCtx(5, 0, 3, QUOTIENT)
+        assert x.frobenius(0) == TowerElem.monomial(level0, 0, 1, 0, coeff_mod=5)
         with pytest.raises(ArithmeticError, match="does not lie at level 0"):
-            ResidueElem.monomial(CTX52, 0, 1, 0).frobenius(0)
+            TowerElem.monomial(CTX52, 0, 1, 0, coeff_mod=5).frobenius(0)
 
 
 def pi_divide_stepwise(x, j):
@@ -526,10 +614,10 @@ class TestPolyDivides:
     FREE1 = TowerCtx(5, 1, 3, FREE)
 
     def x(self):
-        return ResidueElem.monomial(self.FREE1, 0, 1, 0)
+        return TowerElem.monomial(self.FREE1, 0, 1, 0, coeff_mod=5)
 
     def y(self):
-        return ResidueElem.monomial(self.FREE1, 0, 0, 1)
+        return TowerElem.monomial(self.FREE1, 0, 0, 1, coeff_mod=5)
 
     def test_char5_fifth_power(self):
         h = self.x() ** 3 + self.y() ** 3
@@ -547,21 +635,22 @@ class TestPolyDivides:
         assert not ok and q is None
 
     def test_zero_dividend(self):
-        ok, q = poly_divides(self.x() + self.y(), ResidueElem.zero(self.FREE1))
+        ok, q = poly_divides(self.x() + self.y(), TowerElem.zero(self.FREE1, coeff_mod=5))
         assert ok and q.is_zero
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ValueError):
-            poly_divides(ResidueElem.zero(self.FREE1), self.x())
+            poly_divides(TowerElem.zero(self.FREE1, coeff_mod=5), self.x())
 
     def test_pi_contamination_rejected(self):
         with pytest.raises(ValueError):
-            poly_divides(ResidueElem.monomial(self.FREE1, 1, 0, 0), self.x())
+            poly_divides(TowerElem.monomial(self.FREE1, 1, 0, 0, coeff_mod=5), self.x())
 
     def test_quotient_mode_rejected(self):
         with pytest.raises(ValueError):
             poly_divides(
-                ResidueElem.monomial(CTX51, 0, 1, 0), ResidueElem.monomial(CTX51, 0, 2, 0)
+                TowerElem.monomial(CTX51, 0, 1, 0, coeff_mod=5),
+                TowerElem.monomial(CTX51, 0, 2, 0, coeff_mod=5),
             )
 
     def test_division_verifies(self):
