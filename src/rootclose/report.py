@@ -1,14 +1,15 @@
 """Check suites and machine-readable reports.
 
-A passing record holds only the objects its claim is about (residues,
-divisor and dividend) and what the run found (closure exponents, the
-monomial a division refused, the Witt quotient's first coordinate),
-never its own verdict or a copy of the config: ``revalidate`` rebuilds
-the objects from the config, requires the recorded ones to equal them,
-and decides each claim again.  A closure certificate is its exponent m,
-since the config fixes its element; the Witt quotient is multiplied back.
-Reports are deterministic: one config and seed give byte-identical
-JSON, modulo the optional timestamp.
+Each check of the worked example is a witness and a checker: the run
+writes the objects its claim is about (residues, divisor and dividend)
+and what its search found (closure exponents, the monomial a division
+refused, the Witt quotient's first coordinate), never a verdict or a
+copy of the config.  One checker per check decides both the run's
+status and ``revalidate``'s, from objects rebuilt from the config.  A
+closure certificate is its exponent m, since the config fixes its
+element; the Witt quotient is multiplied back.  Reports are
+deterministic: one config and seed give byte-identical JSON, modulo
+the optional timestamp.
 """
 
 from __future__ import annotations
@@ -244,11 +245,11 @@ def cert_from_json(d: dict, p: int, degree: int) -> ClosureCert:
 
 # ----------------------------------------------------------------------
 def _run_checks(config: dict, steps) -> Report:
+    """One record per (name, run) step, ``run()`` giving status and details."""
     checks = []
-    for name, fn in steps:
+    for name, run in steps:
         try:
-            details = fn()
-            status = details.pop("_status", PASS)
+            status, details = run()
         except fontaine.UndeterminedCongruenceError as exc:
             status, details = UNDETERMINED, {"error": str(exc)}
         except Exception as exc:  # recorded, never raised past the runner
@@ -283,51 +284,6 @@ def _division_operands(cfg: Config, r1: TowerElem) -> tuple[TowerElem, TowerElem
     return divisor, TowerElem(free1, r1.xy_part().terms, cfg.p)
 
 
-def _check_compat(cfg: Config, eta: FontaineElem) -> dict:
-    # decided afresh, not read from the answer eta's construction carries
-    if not FontaineElem(eta.comps, PLAIN).check_compat():
-        return {"_status": FAIL}
-    return {"sequence": [elem_to_json(eta.residue(i)) for i in range(cfg.depth + 1)]}
-
-
-def _check_base_residue(cfg: Config, eta: FontaineElem) -> dict:
-    r0 = fontaine.base_residue(eta)
-    return {"residue": elem_to_json(r0)} | ({} if r0.is_zero else {"_status": FAIL})
-
-
-def _check_plain_division(cfg: Config, eta: FontaineElem) -> dict:
-    try:
-        fontaine.divide_by_p_seq(eta)
-        return {"_status": FAIL, "error": "plain division unexpectedly succeeded"}
-    except fontaine.SequenceDivisionError as exc:
-        details = {"component": exc.index, "monomial": list(exc.monomial) if exc.monomial else None}
-    divisor, dividend = _division_operands(cfg, eta.residue(1))
-    details.update(divisor=elem_to_json(divisor), dividend=elem_to_json(dividend))
-    if tower.poly_divides(divisor, dividend)[0] or details["component"] != 1:
-        details["_status"] = FAIL
-    return details
-
-
-def _check_closure_certs(cfg: Config, _eta: FontaineElem) -> dict:
-    """The least exponent of u_n / PI is n, for n = 1..depth-1: the
-    claim (n, n) holds and (n, n - 1) fails.  An integral c^(p^m) stays
-    integral under p-th powers, so that failure refutes every m < n."""
-    for n in range(1, cfg.depth):
-        claim = _closure_claim(cfg, n)
-        if not closure.validate_cert(ClosureCert(claim, n)):
-            return {"_status": FAIL, "error": f"u_{n} / PI fails with exponent {n}"}
-        if closure.validate_cert(ClosureCert(claim, n - 1)):
-            return {"_status": FAIL, "error": f"u_{n} / PI passes with exponent {n - 1}"}
-    return {"exponents": list(range(1, cfg.depth))}
-
-
-def _check_certified_division(cfg: Config, eta: FontaineElem) -> dict:
-    # the factoring raises unless eta is compatible, which is what makes
-    # P * quotient give eta back, one depth lower; no quotient is built
-    _, factors = fontaine.factor_by_p_seq(FontaineElem(eta.comps, cfg.closure_mode))
-    return {"factor_exponents": [0 if c is None else c.m for c in factors]}
-
-
 def _witt_operands(p: int, length: int, depth: int) -> tuple[witt.WittVec, witt.WittVec]:
     """pmp = (p-root sequence - p) and x = pmp * [X], of Witt length
     ``length`` over sequences of ``depth``: built from the generators,
@@ -338,25 +294,43 @@ def _witt_operands(p: int, length: int, depth: int) -> tuple[witt.WittVec, witt.
     return pmp, pmp * witt.WittVec.teichmuller(ctx, X)
 
 
-def _witt_steps_needed(cfg: Config) -> int:
-    # each approximation step costs one root shift in the sequence
-    # division and one in the Witt division by p
-    return min(cfg.witt_length, (cfg.depth + 1) // 2)
+def _witness_sequence(cfg: Config, eta: FontaineElem) -> dict:
+    return {"sequence": [elem_to_json(eta.residue(i)) for i in range(cfg.depth + 1)]}
 
 
-def _check_witt_roundtrip(cfg: Config, _eta: FontaineElem | None = None) -> dict:
-    """Divide x = (p-root sequence - p) * [X] by (p-root sequence - p),
-    whose first sequence division decides that theta kills x at
-    precision 1 (it raises otherwise), and record how far it got and
-    the quotient's coordinate 0, a plain sequence at the depth reached,
-    for ``revalidate`` to multiply back as a Teichmuller vector."""
+def _witness_residue(cfg: Config, eta: FontaineElem) -> dict:
+    return {"residue": elem_to_json(fontaine.base_residue(eta))}
+
+
+def _witness_plain_division(cfg: Config, eta: FontaineElem) -> dict:
+    """Where plain division of eta stops (None when it does not), and
+    the operands of the polynomial certificate."""
+    try:
+        fontaine.divide_by_p_seq(eta)
+        details = {"component": None, "monomial": None}
+    except fontaine.SequenceDivisionError as exc:
+        details = {"component": exc.index, "monomial": list(exc.monomial) if exc.monomial else None}
+    divisor, dividend = _division_operands(cfg, eta.residue(1))
+    return details | {"divisor": elem_to_json(divisor), "dividend": elem_to_json(dividend)}
+
+
+def _witness_closure(cfg: Config, _eta: FontaineElem) -> dict:
+    return {"exponents": list(range(1, cfg.depth))}  # n, the least exponent of u_n / PI
+
+
+def _witness_division(cfg: Config, eta: FontaineElem) -> dict:
+    # the factoring raises unless eta is compatible, which is what makes
+    # P * quotient give eta back, one depth lower; no quotient is built
+    _, factors = fontaine.factor_by_p_seq(FontaineElem(eta.comps, cfg.closure_mode))
+    return {"factor_exponents": [0 if c is None else c.m for c in factors]}
+
+
+def _witness_witt(cfg: Config, _eta: FontaineElem | None = None) -> dict:
+    """How many steps the division of x = pmp * [X] by pmp took, and its
+    quotient's coordinate 0, a plain sequence at the depth reached."""
     _, x = _witt_operands(cfg.p, cfg.witt_length, cfg.depth)
     got = witt.divide_by_p_seq_minus_p(x)
-    q0 = got.quotient.comps[0]
-    details = {"steps": got.steps, "quotient": [elem_to_json(c) for c in q0.comps]}
-    if got.steps < _witt_steps_needed(cfg):
-        details["_status"] = FAIL
-    return details
+    return {"steps": got.steps, "quotient": [elem_to_json(c) for c in got.quotient.comps[0].comps]}
 
 
 def _same(recorded, again) -> bool:
@@ -364,16 +338,21 @@ def _same(recorded, again) -> bool:
     return json.dumps(recorded) == json.dumps(again)
 
 
-def _recheck_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
+def _compatible(comps: list[TowerElem]) -> list[bool]:
+    """r_(n+1)^p = r_n, by one Frobenius of r_(n+1) at level n, per n."""
+    return [comps[n + 1].frobenius(n) == comps[n] for n in range(len(comps) - 1)]
+
+
+def _check_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
     """The sequence is u_n mod p for n = 0..depth, and it is compatible."""
     comps = [residue_from_json(d, cfg) for d in details["sequence"]]
     if comps != [_u(cfg, n, cfg.p) for n in range(cfg.depth + 1)]:
         yield f"the sequence is not u_n mod p for n = 0..{cfg.depth}"
     else:
-        yield None if FontaineElem(comps, PLAIN).check_compat() else "the sequence is incompatible"
+        yield None if all(_compatible(comps)) else "the sequence is incompatible"
 
 
-def _recheck_residue(details: dict, cfg: Config) -> Iterator[str | None]:
+def _check_residue(details: dict, cfg: Config) -> Iterator[str | None]:
     """The residue is u_0 mod p, and it is zero."""
     r0 = residue_from_json(details["residue"], cfg)
     if r0 != _u(cfg, 0, cfg.p):
@@ -382,7 +361,7 @@ def _recheck_residue(details: dict, cfg: Config) -> Iterator[str | None]:
         yield None if r0.is_zero else "the base residue is not zero"
 
 
-def _recheck_plain_division(details: dict, cfg: Config) -> Iterator[str | None]:
+def _check_plain_division(details: dict, cfg: Config) -> Iterator[str | None]:
     """Plain division stops at component 1, on the monomial that
     ``pi_divide(1)`` names on u_1 mod p; the operands are those of u_1
     mod p, and the divisor does not divide the dividend."""
@@ -413,18 +392,22 @@ def _decide(cfg: Config, n: int, m: int) -> str | None:
     return None if closure.validate_cert(cert) else f"u_{n} / PI fails with exponent {k}"
 
 
-def _recheck_closure_certs(details: dict, cfg: Config) -> Iterator[str | None]:
-    """Claims (n, n) for n = 1..depth-1: the exponents are exactly
-    1..depth-1, compared before any power is built; then each claim is
-    decided again."""
+def _check_closure(details: dict, cfg: Config) -> Iterator[str | None]:
+    """The exponents are exactly 1..depth-1, compared before any power is
+    built; then, one verdict per level, (n, n) holds and (n, n - 1)
+    fails: n is the least, as an integral c^(p^m) stays integral."""
     levels = list(range(1, cfg.depth))
     if not _same(details["exponents"], levels):
         yield f"the exponents must be {levels}"
-    else:
-        yield from (_decide(cfg, n, n) for n in levels)
+        return
+    for n in levels:
+        error = _decide(cfg, n, n)
+        if error is None and _decide(cfg, n, n - 1) is None:
+            error = f"u_{n} / PI passes with exponent {n - 1}"
+        yield error
 
 
-def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
+def _check_division(details: dict, cfg: Config) -> Iterator[str | None]:
     """One factor exponent e_n per component of eta, each an integer
     (not a boolean) in 0..default_m_max(depth), read before any power is
     built.  e_n = 0 claims that r_n / PI_n is integral; a nonzero e_n
@@ -445,20 +428,20 @@ def _recheck_division(details: dict, cfg: Config) -> Iterator[str | None]:
             yield f"factor exponent {n} is 0, but r_{n} / PI_{n} is not integral"
 
 
-def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
+def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     """No division runs: the recorded quotient's coordinate 0, q, is
-    multiplied back as the Teichmuller vector [q], as in the quotient
-    [X], in closed form, whose cost no report can raise.  Enough steps
-    were taken, min(witt_length, (depth + 1) // 2) <= steps <=
-    witt_length; each step costs two units of depth, so q holds depth +
-    2 - 2 * steps residues, read by ``residue_from_json``.  Then pmp *
-    [q] must equal x = pmp * [X], rebuilt from the config, in Witt
-    length ``steps`` over sequences of that depth."""
+    multiplied back as the Teichmuller vector [q], in closed form, whose
+    cost no report can raise.  A step costs a root shift in the sequence
+    division and one in the division by p: need <= steps <= witt_length
+    with need = min(witt_length, (depth + 1) // 2), and q holds
+    depth + 2 - 2 * steps residues.  Then pmp * [q] must equal x = pmp *
+    [X], rebuilt from the config, in Witt length ``steps`` at that depth."""
     steps = _natural(details, "steps", "witt")
     if type(details["quotient"]) is not list:
         raise MalformedReportError("the witt quotient must be a list of residues")
     comps = [residue_from_json(d, cfg) for d in details["quotient"]]
-    need, length, comp_depth = _witt_steps_needed(cfg), cfg.witt_length, cfg.depth + 1 - 2 * steps
+    length, comp_depth = cfg.witt_length, cfg.depth + 1 - 2 * steps
+    need = min(length, (cfg.depth + 1) // 2)
     if not need <= steps <= length:
         yield f"steps must lie between {need} and the Witt length {length}"
         return
@@ -478,41 +461,60 @@ def _recheck_witt(details: dict, cfg: Config) -> Iterator[str | None]:
 
 
 #: The example suite in run order, the one place that names its checks:
-#: (name, run, keys, recheck).  ``run(cfg, eta)`` decides a check, with
-#: eta the plain sequence of ``_example_eta``, and on a pass writes
-#: details with exactly ``keys``; ``recheck(details, cfg)`` decides it
-#: again from them, yielding one verdict per piece of evidence: None
-#: when the piece is reproduced, else the error.  A re-check first
-#: requires the recorded objects to equal those rebuilt from the config
-#: with ``tower`` alone (the exponents: to be in range; the Witt
-#: quotient: to have the length its step count implies); an object that
-#: is not the claim's is one error in place of its decisions, so a
-#: valid report's counts stay.
+#: (name, witness, keys, check).  ``witness(cfg, eta)``, with eta from
+#: ``_example_eta``, returns what the run found as details with exactly
+#: ``keys``, or raises; ``check(details, cfg)`` decides them with no
+#: search, one verdict per piece of evidence (None, or the error), and
+#: first requires the recorded objects to equal those rebuilt from the
+#: config, as one error in place of its decisions.  ``example`` and
+#: ``revalidate`` both take their status from ``_checked``.
 EXAMPLE_CHECKS = (
-    ("sequence_compatibility", _check_compat, ("sequence",), _recheck_sequence),
-    ("base_residue_vanishes", _check_base_residue, ("residue",), _recheck_residue),
+    ("sequence_compatibility", _witness_sequence, ("sequence",), _check_sequence),
+    ("base_residue_vanishes", _witness_residue, ("residue",), _check_residue),
     (
         "plain_division_fails",
-        _check_plain_division,
+        _witness_plain_division,
         ("component", "monomial", "divisor", "dividend"),
-        _recheck_plain_division,
+        _check_plain_division,
     ),
-    ("closure_certificates", _check_closure_certs, ("exponents",), _recheck_closure_certs),
-    ("certified_division", _check_certified_division, ("factor_exponents",), _recheck_division),
-    ("witt_division_roundtrip", _check_witt_roundtrip, ("steps", "quotient"), _recheck_witt),
+    ("closure_certificates", _witness_closure, ("exponents",), _check_closure),
+    ("certified_division", _witness_division, ("factor_exponents",), _check_division),
+    ("witt_division_roundtrip", _witness_witt, ("steps", "quotient"), _check_witt),
 )
 CHECK_NAMES = tuple(name for name, _, _, _ in EXAMPLE_CHECKS)
+
+
+def _checked(row: tuple, details: dict, cfg: Config) -> tuple[str, int, list[str]]:
+    """The row checker's status, verdict count and errors on ``details``,
+    read only if their keys are the row's: a pass is one verdict or more
+    and no error."""
+    _, _, keys, check = row
+    verdicts = list(check(details, cfg)) if set(details) == set(keys) else []
+    errors = [v for v in verdicts if v]
+    return (PASS if verdicts and not errors else FAIL), len(verdicts), errors
+
+
+def _certified(row: tuple, cfg: Config, eta: FontaineElem) -> tuple[str, dict]:
+    """The checker's status, with the witness on a pass, else its errors."""
+    details = row[1](cfg, eta)
+    status, _, errors = _checked(row, details, cfg)
+    return status, details if status == PASS else {"error": "; ".join(errors) or "no evidence"}
 
 
 def run_example_suite(cfg: Config) -> Report:
     """The worked example at prime p: the sum of cubes is killed by the
     base residue map, fails plain division, and divides with closure
     certificates; plus a Witt-level division roundtrip.  eta is built
-    once per call and shared by the checks that read it."""
+    once per call and shared by the witnesses that read it."""
     cfg.validate_example()
     eta = _example_eta(cfg)
-    steps = [(name, partial(run, cfg, eta)) for name, run, _, _ in EXAMPLE_CHECKS]
+    steps = [(row[0], partial(_certified, row, cfg, eta)) for row in EXAMPLE_CHECKS]
     return _run_checks(cfg.to_dict(), steps)
+
+
+def _invariant(fn, rng: random.Random) -> tuple[str, dict]:
+    details = fn(rng)
+    return details.pop("_status", PASS), details
 
 
 def run_property_suites(seed: int, timestamp: bool = True) -> Report:
@@ -520,26 +522,23 @@ def run_property_suites(seed: int, timestamp: bool = True) -> Report:
     one generator seeded by ``seed``, the only value the config records;
     statuses are deterministic across seeds, the samples differ."""
     rng = random.Random(seed)
-    steps = [(name, partial(fn, rng)) for name, fn in INVARIANTS]
+    steps = [(name, partial(_invariant, fn, rng)) for name, fn in INVARIANTS]
     return _run_checks(_stamped({"seed": seed}, timestamp), steps)
 
 
 # ----------------------------------------------------------------------
-def _revalidate(check: tuple, record: dict, cfg: Config) -> CheckRecord:
-    """Decide ``record`` again through its own re-check, when the keys of
-    its details are exactly its evidence keys.  A pass with nothing
-    re-checked fails as ``no evidence``."""
-    name, _, keys, recheck = check
+def _revalidate(row: tuple, record: dict, cfg: Config) -> CheckRecord:
+    """Decide ``record`` again through its row's checker: a recorded pass
+    takes the checker's status (``no evidence`` when it decided nothing),
+    a fail or undetermined keeps its status."""
+    name = row[0]
     status, details = record["status"], record.get("details", {})
     if status not in (PASS, FAIL, UNDETERMINED) or not isinstance(details, dict):
         raise ValueError(f"{name} needs a known status and details that are an object")
-    verdicts = list(recheck(details, cfg)) if set(details) == set(keys) else []
-    errors = [v for v in verdicts if v]
-    if status == PASS and not verdicts:
-        status, errors = FAIL, ["no evidence"]
-    elif status == PASS and errors:
-        status = FAIL
-    return CheckRecord(name, status, {"revalidated": len(verdicts), "errors": errors})
+    checked, count, errors = _checked(row, details, cfg)
+    if status == PASS:
+        status, errors = checked, errors if count else ["no evidence"]
+    return CheckRecord(name, status, {"revalidated": count, "errors": errors})
 
 
 def revalidate_report(data) -> Report:

@@ -77,3 +77,59 @@ def _identifiers(tree: ast.Module) -> set[str]:
 def test_only_closure_names_the_structural_refutation():
     users = [m for m in MODULES if "definite_nonmember" in _identifiers(_tree(m))]
     assert users == ["closure"]
+
+
+#: The run's searches: a checker that reached one would decide a claim by
+#: doing the run's work again instead of checking its witness.
+SEARCHES = {
+    "divide_by_p_seq",
+    "divide_by_p_seq_minus_p",
+    "factor_by_p_seq",
+    "membership",
+    "run_example_suite",
+}
+
+
+def _searches_reached(tree: ast.Module) -> dict[str, set[str]]:
+    """The searches each function of the ``check`` column of
+    ``EXAMPLE_CHECKS`` names, or ``_decide`` names, directly or through
+    a function of the same module that it calls."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["EXAMPLE_CHECKS"]
+    ]
+    checkers = [row.elts[3].id for row in table.elts] + ["_decide"]
+    reached = {}
+    for checker in checkers:
+        seen, todo = set(), [checker]
+        while todo:
+            name = todo.pop()
+            if name in functions and name not in seen:
+                seen.add(name)
+                todo += _identifiers(functions[name])
+        reached[checker] = set().union(*(_identifiers(functions[n]) for n in seen)) & SEARCHES
+    return reached
+
+
+def test_no_checker_reaches_a_search():
+    reached = _searches_reached(_tree("report"))
+    assert len(reached) == 7
+    assert reached == {checker: set() for checker in reached}
+
+
+def test_the_search_scan_catches_a_checker_that_names_one():
+    # negative control for the scan above: one search named directly,
+    # one through a helper, and a witness's search that is not read
+    tree = ast.parse(
+        "def _decide(c, n):\n    return closure.membership(c)\n"
+        "def _helper(x):\n    return witt.divide_by_p_seq_minus_p(x)\n"
+        "def _check(d, cfg):\n    return _helper(d)\n"
+        "def _witness(cfg, eta):\n    return fontaine.factor_by_p_seq(eta)\n"
+        "EXAMPLE_CHECKS = (('name', _witness, ('key',), _check),)\n"
+    )
+    assert _searches_reached(tree) == {
+        "_check": {"divide_by_p_seq_minus_p"},
+        "_decide": {"membership"},
+    }

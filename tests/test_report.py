@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rootclose import cli, closure, fontaine, report, valuation, witt
 from rootclose.closure import CertificateSearchError
 from rootclose.fontaine import PLAIN, FontaineElem, UndeterminedCongruenceError
+from rootclose.tower import TowerElem
 
 
 def cfg(**kw):
@@ -224,6 +225,61 @@ class TestExampleSuite:
             "SequenceDivisionError: component 0 is not divisible (monomial (0, 1, 0))"
         )
 
+    def test_a_wrong_factor_exponent_fails_the_run(self, monkeypatch):
+        # negative control: the run records the search's exponents and the
+        # checker decides them, so a search that reports exponent 0 at
+        # index 1 fails the run itself, not only its revalidation
+        factor = fontaine.factor_by_p_seq
+
+        def zeroed(e):
+            factors, certs = factor(e)
+            return factors, [certs[0], None, *certs[2:]]
+
+        monkeypatch.setattr(fontaine, "factor_by_p_seq", zeroed)
+        rep = report.run_example_suite(cfg())
+        failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
+        assert failed == {
+            "certified_division": {
+                "error": "factor exponent 1 is 0, but r_1 / PI_1 is not integral"
+            }
+        }
+
+    def test_a_plain_division_that_does_not_stop_fails_the_run(self, monkeypatch):
+        # the witness records no stopping component, and the checker
+        # rejects it: the error is the checker's
+        monkeypatch.setattr(fontaine, "divide_by_p_seq", lambda e: e)
+        rep = report.run_example_suite(cfg())
+        failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
+        assert failed == {
+            "plain_division_fails": {
+                "error": "plain division must stop at component 1, monomial [0, 0, 3]"
+            }
+        }
+
+    @pytest.mark.parametrize(
+        "depth, error",
+        [(3, "pmp * [quotient] is not pmp * [X] on the first 2 coordinates"), (4, NOT_COMPATIBLE)],
+        ids=["p5-d3", "p5-d4"],
+    )
+    def test_a_wrong_witt_quotient_fails_the_run(self, monkeypatch, depth, error):
+        # negative control: the division does not multiply its quotient
+        # back, so one residue of coordinate 0 moved by 1 after it returns
+        # must fail the run's checker: at depth 3 the quotient is one
+        # residue, at depth 4 two, whose relation the move breaks
+        divide = witt.divide_by_p_seq_minus_p
+
+        def moved(x):
+            got = divide(x)
+            q0, *rest = got.quotient.comps
+            comps = [q0.comps[0] + 1, *q0.comps[1:]]
+            got.quotient = witt.WittVec(got.quotient.ctx, [FontaineElem(comps, PLAIN), *rest])
+            return got
+
+        monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", moved)
+        rep = report.run_example_suite(cfg(depth=depth))
+        failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
+        assert failed == {"witt_division_roundtrip": {"error": error}}
+
     def test_eta_is_built_once_per_run(self, monkeypatch):
         # eta = P^3 + X^3 + Y^3 takes three cubes of sequences; the Witt
         # check reads only X, and each run builds its own eta
@@ -238,15 +294,16 @@ class TestExampleSuite:
         first = report.run_example_suite(cfg())
         assert len(cubes) == 3
         cubes.clear()
-        report._check_witt_roundtrip(cfg())
+        report._witness_witt(cfg())
         assert report.revalidate_report(first.to_dict()).ok
         assert cubes == []
         assert report.run_example_suite(cfg()).to_json() == first.to_json()
         assert len(cubes) == 3
 
     def test_the_closure_check_decides_two_exponents_per_level(self, monkeypatch):
-        # the least exponent of u_n / PI is n: the run decides (n, n) and
-        # refutes (n, n - 1), rather than trying every m from 0 up
+        # the least exponent of u_n / PI is n: the checker decides (n, n)
+        # and refutes (n, n - 1), one verdict per level, rather than
+        # trying every m from 0 up; the witness decides nothing
         tried, quotient = [], closure._truncated_quotient
 
         def counted(c, m):
@@ -254,8 +311,10 @@ class TestExampleSuite:
             return quotient(c, m)
 
         monkeypatch.setattr(closure, "_truncated_quotient", counted)
-        details = report._check_closure_certs(cfg(p=65521, depth=100, witt_length=101), None)
-        assert details == {"exponents": list(range(1, 100))}
+        config = cfg(p=65521, depth=100, witt_length=101)
+        details = report._witness_closure(config, None)
+        assert details == {"exponents": list(range(1, 100))} and tried == []
+        assert list(report._check_closure(details, config)) == [None] * (100 - 1)
         assert len(tried) == 2 * (100 - 1)
 
     def test_small_prime_rejected(self):
@@ -605,13 +664,37 @@ class TestRevalidation:
         assert rv.checks[index].details == {"revalidated": 0, "errors": ["no evidence"]}
         assert [c.status for c in rv.checks] == ["fail" if i == index else "pass" for i in range(6)]
 
+    @pytest.mark.parametrize(
+        "index, var, want",
+        [
+            (None, None, [True] * 3),
+            (2, (0, 1, 0), [True, False, False]),
+            (1, (0, 0, 1), [False, False, True]),
+        ],
+        ids=["u_n", "x-at-2", "y-at-1"],
+    )
+    def test_compatibility_is_one_frobenius_per_index(self, index, var, want):
+        # verdict n is comps[n + 1].frobenius(n) == comps[n]: a component
+        # moved by X or Y breaks its relations with both neighbours
+        config = cfg()
+        comps = [report._u(config, n, config.p) for n in range(config.depth + 1)]
+        if index is not None:
+            moved = comps[index]
+            comps[index] = moved + TowerElem.monomial(moved.ctx, *var, coeff_mod=config.p)
+        assert report._compatible(comps) == want
+
     def test_the_run_decides_the_compatibility(self, monkeypatch):
-        # eta carries the answer of its construction; the check decides it
-        # again, one component pair at a time
-        calls, comp_equal = [], fontaine._comp_equal
-        monkeypatch.setattr(fontaine, "_comp_equal", lambda *a: calls.append(a) or comp_equal(*a))
-        details = report._check_compat(cfg(), report._example_eta(cfg()))
-        assert set(details) == {"sequence"} and len(calls) == 3
+        # eta carries the answer of its construction; the checker decides
+        # it again, one tower Frobenius per component pair, and the
+        # witness decides nothing
+        calls, frobenius = [], TowerElem.frobenius
+        monkeypatch.setattr(
+            TowerElem, "frobenius", lambda self, *a: calls.append(a) or frobenius(self, *a)
+        )
+        details = report._witness_sequence(cfg(), report._example_eta(cfg()))
+        assert set(details) == {"sequence"} and calls == []
+        assert list(report._check_sequence(details, cfg())) == [None]
+        assert calls == [(0,), (1,), (2,)]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -757,6 +840,23 @@ def _main(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _example_and_revalidate(args: list[str], codes: tuple[int, int]) -> tuple[list, list]:
+    """Run ``example`` with ``args``, then ``revalidate`` on its report,
+    requiring the two exit ``codes`` and that every status ``example``
+    gives is the one ``revalidate`` gives; return the statuses and the
+    revalidated checks."""
+    code, text = _main(["example", *args, "--format", "json", "--no-timestamp"])
+    statuses = [c["status"] for c in json.loads(text)["checks"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(text)
+        re_code, text = _main(["revalidate", str(path), "--format", "json"])
+    rechecked = json.loads(text)["checks"]
+    assert (code, re_code) == codes
+    assert [c["status"] for c in rechecked] == statuses
+    return statuses, rechecked
+
+
 class TestConfigSpace:
     """The worked example as a property of its config space: every config
     inside the bounds passes, revalidates with the counts it implies, and
@@ -768,16 +868,10 @@ class TestConfigSpace:
         both took."""
         args = ["--p", str(p), "--depth", str(depth), "--witt-len", str(length)]
         started = time.perf_counter()
-        code, text = _main(["example", *args, "--format", "json", "--no-timestamp"])
-        assert code == 0
-        assert {c["status"] for c in json.loads(text)["checks"]} == {"pass"}
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "report.json"
-            path.write_text(text)
-            code, text = _main(["revalidate", str(path), "--format", "json"])
+        statuses, rechecked = _example_and_revalidate(args, (0, 0))
         elapsed = time.perf_counter() - started
-        assert code == 0
-        assert [(c["status"], c["details"]) for c in json.loads(text)["checks"]] == [
+        assert statuses == ["pass"] * 6
+        assert [(c["status"], c["details"]) for c in rechecked] == [
             ("pass", {"revalidated": n, "errors": []}) for n in (1, 1, 1, depth - 1, depth, 1)
         ]
         return elapsed
@@ -790,6 +884,10 @@ class TestConfigSpace:
     def test_the_deepest_config_passes_and_revalidates(self):
         # the largest depth and Witt length the example accepts: 50 division steps
         assert self.passes_and_revalidates(5, 100, 101) < 2
+
+    def test_plain_mode_revalidates_with_the_same_statuses(self):
+        statuses, _ = _example_and_revalidate(["--mode", "plain"], (1, 1))
+        assert statuses == ["pass"] * 4 + ["fail", "pass"]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_p_2_and_3_are_refused(self, p):

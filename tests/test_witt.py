@@ -227,6 +227,17 @@ class TestThetaMap:
             witt_theta(WittVec(ctx, [X, 0]), 1)
 
 
+def agrees_on_the_steps(product: WittVec, x: WittVec, result) -> bool:
+    """The division checks no quotient: ``product`` = pmp * quotient must
+    give x back on the first ``result.steps`` coordinates, at the depth
+    reached."""
+    for got, want in zip(product.comps[: result.steps], x.comps):
+        d = min(got.depth, want.depth, result.depth)
+        if not got.truncate(d).equals(want.truncate(d)):
+            return False
+    return True
+
+
 class TestKernelDivision:
     def test_roundtrip_teichmuller_x(self):
         P, X, _ = generators(5, 3, 3, QUOTIENT)
@@ -235,6 +246,7 @@ class TestKernelDivision:
         x_vec = pmp * WittVec.teichmuller(ctx, X)
         result = divide_by_p_seq_minus_p(x_vec)
         assert result.steps == 2 and not result.exhausted
+        assert agrees_on_the_steps(pmp * result.quotient, x_vec, result)
 
     def test_zero_divides_to_zero(self):
         P, _, _ = generators(5, 3, 3, QUOTIENT)
@@ -280,6 +292,7 @@ class TestKernelDivision:
         x_vec = pmp * WittVec.teichmuller(ctx, X)
         result = divide_by_p_seq_minus_p(x_vec)
         assert result.steps == 2 and result.exhausted
+        assert agrees_on_the_steps(pmp * result.quotient, x_vec, result)
 
 
 def evaluate(poly, vals):
@@ -885,7 +898,7 @@ class TestClosedFormDivision:
         assert all(len(w) == 4 and w[0] >= 2 for w in want)
         assert all(g != w for g, w in zip(got, want))
 
-    def test_one_addition_per_fold_and_one_product(self, monkeypatch):
+    def test_one_addition_per_fold_and_no_product(self, monkeypatch):
         _, X, Y = generators(2, 3, 7, QUOTIENT)
         ctx = WittCtx(2, 4)
         x_vec = p_seq_minus_p(ctx, X) * WittVec(ctx, [X + Y, X * Y, X, Y])
@@ -901,9 +914,9 @@ class TestClosedFormDivision:
         monkeypatch.setattr(witt, "_ghost_op", counted)
         monkeypatch.setattr(witt, "witt_theta", no_theta)
         assert divide_by_p_seq_minus_p(x_vec).steps == 4
-        # three folds, one coordinate shorter each, then the closing
-        # roundtrip at full length
-        assert ops == [("+", 4, 4), ("+", 3, 3), ("+", 2, 2), ("*", 4, 4)]
+        # three folds, one coordinate shorter each, and no closing
+        # roundtrip: the callers multiply the quotient back
+        assert ops == [("+", 4, 4), ("+", 3, 3), ("+", 2, 2)]
 
     def test_runs_no_frobenius_and_no_verschiebung(self, monkeypatch):
         _, X, Y = generators(3, 2, 6, QUOTIENT)
