@@ -258,24 +258,20 @@ class FontaineElem:
 
 
 def generators(
-    p: int, degree: int, depth: int, ring_mode: str, closure_mode: str = PLAIN
+    p: int, degree: int, depth: int, ring_mode: str
 ) -> tuple[FontaineElem, FontaineElem, FontaineElem]:
-    """The canonical compatible sequences of p-power roots of p, x, y.
+    """The canonical compatible sequences of p-power roots of p, x, y,
+    in plain mode.
 
     Component i lives at level i; the level-i residue of the root of p
     is the PI variable there (level 0: the integer p, which is 0 mod p).
     """
-    ps, xs, ys = [], [], []
-    for i in range(depth + 1):
-        ctx = context(p, i, degree, ring_mode)
-        ps.append(TowerElem.monomial(ctx, 1, 0, 0, coeff_mod=p))
-        xs.append(TowerElem.monomial(ctx, 0, 1, 0, coeff_mod=p))
-        ys.append(TowerElem.monomial(ctx, 0, 0, 1, coeff_mod=p))
-    return (
-        FontaineElem(ps, closure_mode),
-        FontaineElem(xs, closure_mode),
-        FontaineElem(ys, closure_mode),
+    ctxs = [context(p, i, degree, ring_mode) for i in range(depth + 1)]
+    P, X, Y = (
+        FontaineElem([TowerElem.monomial(ctx, *e, coeff_mod=p) for ctx in ctxs])
+        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     )
+    return P, X, Y
 
 
 def base_residue(e: FontaineElem) -> TowerElem:

@@ -5,11 +5,12 @@ writes the objects its claim is about (residues, divisor and dividend)
 and what its search found (closure exponents, the monomial a division
 refused, the Witt quotient's first coordinate), never a verdict or a
 copy of the config.  One checker per check decides both the run's
-status and ``revalidate``'s, from objects rebuilt from the config.  A
-closure certificate is its exponent m, since the config fixes its
-element; the Witt quotient is multiplied back.  Reports are
-deterministic: one config and seed give byte-identical JSON, modulo
-the optional timestamp.
+status and ``revalidate``'s, from objects rebuilt from the config with
+``tower`` and ``closure`` alone.  A closure certificate is its exponent
+m, since the config fixes its element; the Witt quotient is multiplied
+back in closed form, with pmp = (P, -1, 0, ...).  Reports are
+deterministic: one config and seed give byte-identical JSON, modulo the
+optional timestamp.
 """
 
 from __future__ import annotations
@@ -284,16 +285,6 @@ def _division_operands(cfg: Config, r1: TowerElem) -> tuple[TowerElem, TowerElem
     return divisor, TowerElem(free1, r1.xy_part().terms, cfg.p)
 
 
-def _witt_operands(p: int, length: int, depth: int) -> tuple[witt.WittVec, witt.WittVec]:
-    """pmp = (p-root sequence - p) and x = pmp * [X], of Witt length
-    ``length`` over sequences of ``depth``: built from the generators,
-    not from eta."""
-    ctx = witt.WittCtx(p, length)
-    _, X, _ = fontaine.generators(p, DEGREE, depth, QUOTIENT)
-    pmp = witt.p_seq_minus_p(ctx, X)
-    return pmp, pmp * witt.WittVec.teichmuller(ctx, X)
-
-
 def _witness_sequence(cfg: Config, eta: FontaineElem) -> dict:
     return {"sequence": [elem_to_json(eta.residue(i)) for i in range(cfg.depth + 1)]}
 
@@ -326,9 +317,12 @@ def _witness_division(cfg: Config, eta: FontaineElem) -> dict:
 
 
 def _witness_witt(cfg: Config, _eta: FontaineElem | None = None) -> dict:
-    """How many steps the division of x = pmp * [X] by pmp took, and its
-    quotient's coordinate 0, a plain sequence at the depth reached."""
-    _, x = _witt_operands(cfg.p, cfg.witt_length, cfg.depth)
+    """The steps and the quotient's coordinate 0 of x = pmp * [X] divided by
+    pmp, with x in closed form: for odd p, pmp = [P] - p = (P, -1, 0, ...)
+    and [X] * (b_0, b_1, ...) = (X b_0, X^p b_1, ...): x = (X P, -X^p, 0, ...)."""
+    P, X, _ = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
+    coords = [X * P, -(X**cfg.p)] + [X.zero_like()] * (cfg.witt_length - 2)
+    x = witt.WittVec(witt.WittCtx(cfg.p, cfg.witt_length), coords[: cfg.witt_length])
     got = witt.divide_by_p_seq_minus_p(x)
     return {"steps": got.steps, "quotient": [elem_to_json(c) for c in got.quotient.comps[0].comps]}
 
@@ -339,8 +333,11 @@ def _same(recorded, again) -> bool:
 
 
 def _compatible(comps: list[TowerElem]) -> list[bool]:
-    """r_(n+1)^p = r_n, by one Frobenius of r_(n+1) at level n, per n."""
-    return [comps[n + 1].frobenius(n) == comps[n] for n in range(len(comps) - 1)]
+    """r_(n+1)^p = r_n per n, both sides written at t = max(level_n,
+    level_(n+1) - 1), where the Frobenius divides no exponent and so no
+    recorded level makes it raise."""
+    ts = [max(low.level, high.level - 1) for low, high in zip(comps, comps[1:])]
+    return [high.frobenius(t) == low.embed(t) for low, high, t in zip(comps, comps[1:], ts)]
 
 
 def _check_sequence(details: dict, cfg: Config) -> Iterator[str | None]:
@@ -428,14 +425,22 @@ def _check_division(details: dict, cfg: Config) -> Iterator[str | None]:
             yield f"factor exponent {n} is 0, but r_{n} / PI_{n} is not integral"
 
 
+def _pmp_times(a: TowerElem, n: int, steps: int) -> list[TowerElem]:
+    """Index n of pmp * [a] = (a PI_n, -a^p, 0, ...) at a's level L, with
+    PI_n = PI^(p^(L - n)), on its first ``steps`` coordinates but the
+    zero ones, and the unit -1 dropped."""
+    pi_n = TowerElem.monomial(a.ctx, a.ctx.p ** (a.level - n), 0, 0, coeff_mod=a.ctx.p)
+    return [a * pi_n, a.frobenius()][:steps]
+
+
 def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
-    """No division runs: the recorded quotient's coordinate 0, q, is
-    multiplied back as the Teichmuller vector [q], in closed form, whose
-    cost no report can raise.  A step costs a root shift in the sequence
-    division and one in the division by p: need <= steps <= witt_length
-    with need = min(witt_length, (depth + 1) // 2), and q holds
-    depth + 2 - 2 * steps residues.  Then pmp * [q] must equal x = pmp *
-    [X], rebuilt from the config, in Witt length ``steps`` at that depth."""
+    """No division and no Witt product runs: the recorded quotient's
+    coordinate 0, q, is multiplied back as [q] in closed form.  A step
+    costs a root shift in the sequence division and one in the division
+    by p: need <= steps <= witt_length with need = min(witt_length,
+    (depth + 1) // 2), and q is a compatible sequence of depth + 1 - 2 *
+    steps in the quotient ring.  Then pmp * [q] = pmp * [X] on the first
+    ``steps`` coordinates, per index n at q_n's level L, X^(p^(L - n))."""
     steps = _natural(details, "steps", "witt")
     if type(details["quotient"]) is not list:
         raise MalformedReportError("the witt quotient must be a list of residues")
@@ -444,19 +449,18 @@ def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     need = min(length, (cfg.depth + 1) // 2)
     if not need <= steps <= length:
         yield f"steps must lie between {need} and the Witt length {length}"
-        return
-    if len(comps) != comp_depth + 1:
+    elif len(comps) != comp_depth + 1:
         yield f"the quotient must be a sequence of depth {comp_depth} after {steps} steps"
-        return
-    # the first ``steps`` coordinates of a product read only the first
-    # ``steps`` of its factors, and sequence arithmetic is componentwise
-    pmp, x = _witt_operands(cfg.p, steps, comp_depth)
-    q = FontaineElem(comps, PLAIN)
-    if not (q.family.same_family(pmp.comps[0].family) and q.check_compat()):
+    elif low := [n for n, q in enumerate(comps) if q.level < n]:
+        raise MalformedReportError(f"witt quotient component {low[0]} sits below its index")
+    elif any(q.ctx.mode != QUOTIENT for q in comps) or not all(_compatible(comps)):
         yield "the quotient is not a compatible sequence of the example's ring"
-    elif pmp * witt.WittVec.teichmuller(pmp.ctx, q) != x:
-        yield f"pmp * [quotient] is not pmp * [X] on the first {steps} coordinates"
     else:
+        for n, q in enumerate(comps):
+            x_n = TowerElem.monomial(q.ctx, 0, cfg.p ** (q.level - n), 0, coeff_mod=cfg.p)
+            if _pmp_times(q, n, steps) != _pmp_times(x_n, n, steps):
+                yield f"pmp * [quotient] is not pmp * [X] on the first {steps} coordinates"
+                return
         yield None
 
 

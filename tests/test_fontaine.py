@@ -46,7 +46,7 @@ from rootclose.tower import (
 
 
 def gens(depth=3, closure=PLAIN, p=5):
-    return generators(p, 3, depth, QUOTIENT, closure)
+    return tuple(FontaineElem(g.comps, closure) for g in generators(p, 3, depth, QUOTIENT))
 
 
 def cube_sum(depth=3, closure=PLAIN, p=5):
@@ -220,7 +220,7 @@ def kernel_elems(draw, primes=(2, 3, 5, 7), modes=(PLAIN,)):
         b, c, v = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, p - 1))
         seed = TowerElem.monomial(ctx, a, b, c, v, coeff_mod=p)
         roots.append(FontaineElem([seed ** (p ** (depth - i)) for i in range(depth + 1)], mode))
-    P, _, _ = generators(p, degree, depth, QUOTIENT, mode)
+    P = FontaineElem(generators(p, degree, depth, QUOTIENT)[0].comps, mode)
     return P * (roots[0] + roots[1])
 
 
@@ -683,7 +683,7 @@ def nonkernel_elems(draw, modes=(PLAIN, CERTIFIED)):
     mode = draw(st.sampled_from(modes))
     degree = 2 if p == 3 else 3
     depth = draw(st.integers(1, 3))
-    P, X, Y = generators(p, degree, depth, QUOTIENT, mode)
+    P, X, Y = (FontaineElem(g.comps, mode) for g in generators(p, degree, depth, QUOTIENT))
     factor = draw(st.sampled_from((P.one_like(), P, P**degree + X**degree + Y**degree)))
     e = _root_seq(draw, context(p, depth, degree, QUOTIENT), mode, depth, factor)
     if mode == CERTIFIED and draw(st.booleans()):

@@ -90,10 +90,11 @@ SEARCHES = {
 }
 
 
-def _searches_reached(tree: ast.Module) -> dict[str, set[str]]:
-    """The searches each function of the ``check`` column of
-    ``EXAMPLE_CHECKS`` names, or ``_decide`` names, directly or through
-    a function of the same module that it calls."""
+def _reach(tree: ast.Module) -> dict[str, list[ast.FunctionDef]]:
+    """Per function of the ``check`` column of ``EXAMPLE_CHECKS``, and
+    ``_decide``: the functions of the module it runs, itself included,
+    found by following the names each one reads to the module's other
+    functions."""
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     (table,) = [
         node.value
@@ -101,7 +102,7 @@ def _searches_reached(tree: ast.Module) -> dict[str, set[str]]:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["EXAMPLE_CHECKS"]
     ]
     checkers = [row.elts[3].id for row in table.elts] + ["_decide"]
-    reached = {}
+    reach = {}
     for checker in checkers:
         seen, todo = set(), [checker]
         while todo:
@@ -109,8 +110,48 @@ def _searches_reached(tree: ast.Module) -> dict[str, set[str]]:
             if name in functions and name not in seen:
                 seen.add(name)
                 todo += _identifiers(functions[name])
-        reached[checker] = set().union(*(_identifiers(functions[n]) for n in seen)) & SEARCHES
-    return reached
+        reach[checker] = [functions[n] for n in sorted(seen)]
+    return reach
+
+
+def _searches_reached(tree: ast.Module) -> dict[str, set[str]]:
+    """The searches each checker names, directly or through a function of
+    the same module that it calls."""
+    return {
+        checker: set().union(*map(_identifiers, functions)) & SEARCHES
+        for checker, functions in _reach(tree).items()
+    }
+
+
+#: The layers whose work the checkers judge: what they read of them.
+JUDGED = {"fontaine", "witt"}
+ALLOWED = {"fontaine.default_m_max"}  # a one-line formula, depth + 2
+
+
+def _judged_names(tree: ast.Module, function: ast.FunctionDef) -> set[str]:
+    """Names of a judged layer in ``function``: an attribute of the
+    module, the module itself, or a name imported from it."""
+    sources = {name: m for name, m in _package_imports(tree).items() if m in JUDGED}
+    bases = {id(n.value) for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+    out = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if sources.get(node.value.id) == node.value.id:
+                out.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in sources and id(node) not in bases:
+            source = sources[node.id]
+            out.add(source if node.id == source else f"{source}.{node.id}")
+    return out
+
+
+def _layers_reached(tree: ast.Module) -> dict[str, set[str]]:
+    """The names of ``fontaine`` and ``witt`` each checker reads, directly
+    or through a function of the same module that it calls, but
+    ``ALLOWED``."""
+    return {
+        checker: set().union(*(_judged_names(tree, f) for f in functions)) - ALLOWED
+        for checker, functions in _reach(tree).items()
+    }
 
 
 def test_no_checker_reaches_a_search():
@@ -132,4 +173,32 @@ def test_the_search_scan_catches_a_checker_that_names_one():
     assert _searches_reached(tree) == {
         "_check": {"divide_by_p_seq_minus_p"},
         "_decide": {"membership"},
+    }
+
+
+def test_checkers_run_on_tower_and_closure_alone():
+    # the checker is small: it reads nothing of the sequence and Witt
+    # layers whose results it judges but the search bound's formula
+    reached = _layers_reached(_tree("report"))
+    assert len(reached) == 7
+    assert reached == {checker: set() for checker in reached}
+
+
+def test_the_layer_scan_catches_a_checker_that_reads_one():
+    # negative control for the scan above: witt.WittVec through a helper,
+    # an imported name, the bare module, and a witness that is not read
+    tree = ast.parse(
+        "from . import fontaine, tower, witt\n"
+        "from .fontaine import PLAIN, FontaineElem\n"
+        "def _decide(c, n):\n    return fontaine.default_m_max(n) + tower.MAX_LEVEL\n"
+        "def _helper(x):\n    return witt.WittVec.teichmuller(x)\n"
+        "def _check(d, cfg):\n    return _helper(FontaineElem(d, PLAIN))\n"
+        "def _other(d, cfg):\n    return getattr(witt, 'p_seq_minus_p')\n"
+        "def _witness(cfg, eta):\n    return fontaine.factor_by_p_seq(eta)\n"
+        "EXAMPLE_CHECKS = (('a', _witness, ('k',), _check), ('b', _witness, ('k',), _other))\n"
+    )
+    assert _layers_reached(tree) == {
+        "_check": {"witt.WittVec", "fontaine.FontaineElem", "fontaine.PLAIN"},
+        "_other": {"witt"},
+        "_decide": set(),
     }

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootclose import cli, closure, fontaine, report, valuation, witt
+from rootclose import cli, closure, fontaine, report, tower, valuation, witt
 from rootclose.closure import CertificateSearchError
 from rootclose.fontaine import PLAIN, FontaineElem, UndeterminedCongruenceError
-from rootclose.tower import TowerElem
+from rootclose.tower import QUOTIENT, TowerElem
 
 
 def cfg(**kw):
@@ -209,15 +209,16 @@ class TestExampleSuite:
         assert "[fail] certified_division" in capsys.readouterr().out
 
     def test_a_dividend_outside_the_kernel_fails_the_witt_check(self, monkeypatch):
-        # the check records what the division decided: (pmp + [1]) * [x]
-        # has theta = x mod p, and the first sequence division refuses
-        # its component 0
-        pmp = witt.p_seq_minus_p
+        # the check records what the division decided: (pmp + [1]) * [X]
+        # = x + [X] has theta = X mod p, and the first sequence division
+        # refuses its component 0
+        divide = witt.divide_by_p_seq_minus_p
 
-        def off_by_one(ctx, template):
-            return pmp(ctx, template) + witt.WittVec.teichmuller(ctx, template.one_like())
+        def off_by_one(x):
+            X = fontaine.generators(x.ctx.p, report.DEGREE, x.comps[0].depth, QUOTIENT)[1]
+            return divide(x + witt.WittVec.teichmuller(x.ctx, X))
 
-        monkeypatch.setattr(witt, "p_seq_minus_p", off_by_one)
+        monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", off_by_one)
         rep = report.run_example_suite(cfg(depth=2))
         failed = {c.name: c.details for c in rep.checks if c.status != "pass"}
         assert list(failed) == ["witt_division_roundtrip"]
@@ -806,17 +807,179 @@ class TestRevalidation:
         [{}, {"depth": 2}, {"depth": 6, "witt_length": 4}, {"p": 7, "depth": 3, "witt_length": 4}],
     )
     def test_revalidate_runs_no_division(self, monkeypatch, overrides):
-        # the Witt check is one multiply-back: neither the Witt division
-        # nor the sequence division it calls runs again
+        # the Witt check is one multiply-back in closed form: neither the
+        # Witt division nor the sequence division it calls runs again, and
+        # no Witt arithmetic runs
         rep = report.run_example_suite(cfg(**overrides))
 
         def no_division(*args):
-            raise AssertionError("revalidate ran a division")
+            raise AssertionError("revalidate ran a division or Witt arithmetic")
 
         monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", no_division)
         monkeypatch.setattr(witt, "divide_by_p_seq", no_division)
+        monkeypatch.setattr(witt.WittVec, "_binary", no_division)
         rv = report.revalidate_report(rep.to_dict())
         assert rv.ok and rv.checks[-1].details == {"revalidated": 1, "errors": []}
+
+
+MULTIPLY_BACK = "pmp * [quotient] is not pmp * [X] on the first {} coordinates"
+
+#: Configs of the Witt record: (steps, quotient components) are (2, 1),
+#: (1, 2), (1, 2), (3, 2), (2, 1) and (1, 3).
+WITT_CONFIGS = {
+    "p5-d3-w2": {},
+    "p7-d2-w2": {"p": 7, "depth": 2},
+    "p5-d2-w3": {"depth": 2, "witt_length": 3},
+    "p5-d6-w4": {"depth": 6, "witt_length": 4},
+    "p7-d3-w4": {"p": 7, "depth": 3, "witt_length": 4},
+    "p5-d3-w1": {"witt_length": 1},
+}
+
+
+def _verdicts(check, details: dict, config: report.Config):
+    """The checker's verdicts on ``details``, or "malformed" where it
+    refuses them (MalformedReportError is a ValueError)."""
+    try:
+        return list(check(details, config))
+    except ValueError:
+        return "malformed"
+
+
+def _multiply_back(details: dict, config: report.Config):
+    """The oracle of the closed form, for a record whose steps and
+    quotient length are right: pmp * [q] against x = pmp * [X], both
+    built by Witt products over the quotient as a plain sequence."""
+    steps = details["steps"]
+    comps = [report.residue_from_json(d, config) for d in details["quotient"]]
+    ctx = witt.WittCtx(config.p, steps)
+    _, X, _ = fontaine.generators(config.p, report.DEGREE, len(comps) - 1, QUOTIENT)
+    pmp = witt.p_seq_minus_p(ctx, X)
+    q = FontaineElem(comps, PLAIN)
+    if not (q.family.same_family(X.family) and q.check_compat()):
+        yield NOT_COMPATIBLE
+    elif pmp * witt.WittVec.teichmuller(ctx, q) != pmp * witt.WittVec.teichmuller(ctx, X):
+        yield MULTIPLY_BACK.format(steps)
+    else:
+        yield None
+
+
+@st.composite
+def witt_edits(draw):
+    """A Witt record of ``WITT_CONFIGS`` with one quotient component
+    edited: a term added (to a monomial's coefficient, mod p), dropped or
+    moved, or the component's level changed."""
+    name = draw(st.sampled_from(sorted(WITT_CONFIGS)))
+    config = cfg(**WITT_CONFIGS[name])
+    details = report._witness_witt(config)
+    comp = draw(st.sampled_from(details["quotient"]))
+    terms = {tuple(t[:3]): int(t[3]) for t in comp["terms"]}
+    level, p = comp["level"], config.p
+    monomials = st.tuples(
+        st.integers(0, p**level - 1), st.integers(0, 2 * p), st.integers(0, 3 * p**level - 1)
+    )
+    edit = draw(st.sampled_from(("add", "drop", "move", "level")))
+    if edit == "level":
+        comp["level"] = draw(st.integers(0, config.depth))
+    elif edit == "add":
+        mono = draw(monomials)
+        terms[mono] = (terms.get(mono, 0) + draw(st.integers(1, p - 1))) % p
+    elif terms:
+        mono = draw(st.sampled_from(sorted(terms)))
+        v = terms.pop(mono)
+        if edit == "move":
+            terms[draw(monomials)] = v
+    comp["terms"] = [[*m, str(v)] for m, v in sorted(terms.items()) if v]
+    return config, details
+
+
+class TestClosedFormWittCheck:
+    """The Witt check multiplies the quotient back in closed form,
+    pmp = (P, -1, 0, ...) and [q] * pmp = (q P, -q^p, 0, ...), with no
+    Witt product; the generic multiply-back is its oracle."""
+
+    @pytest.mark.parametrize("overrides", WITT_CONFIGS.values(), ids=WITT_CONFIGS)
+    def test_the_witness_input_is_pmp_times_teichmuller_x(self, monkeypatch, overrides):
+        # x = (X P, -X^p, 0, ...) equals pmp * [X] component by component,
+        # at the same levels, and no Witt product builds it
+        config, seen, ops = cfg(**overrides), [], []
+        divide, binary = witt.divide_by_p_seq_minus_p, witt.WittVec._binary
+        monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", lambda x: seen.append(x) or divide(x))
+        monkeypatch.setattr(
+            witt.WittVec, "_binary", lambda a, b, op: ops.append(op) or binary(a, b, op)
+        )
+        report._witness_witt(config)
+        assert "*" not in ops
+        ctx = witt.WittCtx(config.p, config.witt_length)
+        _, X, _ = fontaine.generators(config.p, report.DEGREE, config.depth, QUOTIENT)
+        want = witt.p_seq_minus_p(ctx, X) * witt.WittVec.teichmuller(ctx, X)
+        assert [c.comps for c in seen[0].comps] == [c.comps for c in want.comps]
+
+    @given(case=witt_edits())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_multiply_back_on_edited_quotients(self, case):
+        config, details = case
+        got = _verdicts(report._check_witt, details, config)
+        assert got == _verdicts(_multiply_back, details, config)
+
+    def test_negative_control_without_coordinate_0(self, monkeypatch):
+        # PI^5 added to the top quotient component at p5-d6-w4 (level 2)
+        # keeps it compatible and its p-th power, and moves q_1 PI_1 by
+        # PI^10: only coordinate 0 sees it
+        config = cfg(**WITT_CONFIGS["p5-d6-w4"])
+        forged = report._witness_witt(config)
+        forged["quotient"][1]["terms"].insert(0, [5, 0, 0, "1"])
+        assert list(_multiply_back(forged, config)) == [MULTIPLY_BACK.format(3)]
+        assert list(report._check_witt(forged, config)) == [MULTIPLY_BACK.format(3)]
+        pmp_times = report._pmp_times
+        monkeypatch.setattr(report, "_pmp_times", lambda a, n, steps: pmp_times(a, n, steps)[1:])
+        assert list(report._check_witt(forged, config)) == [None]
+
+    def test_negative_control_without_the_compatibility(self, monkeypatch):
+        # Y added to q_0 at p5-d3-w1 (level 1) is killed by PI_0 = p, so
+        # coordinate 0 alone, the only one at one step, passes it
+        config = cfg(**WITT_CONFIGS["p5-d3-w1"])
+        forged = report._witness_witt(config)
+        forged["quotient"][0]["terms"].append([0, 0, 1, "1"])
+        assert list(_multiply_back(forged, config)) == [NOT_COMPATIBLE]
+        assert list(report._check_witt(forged, config)) == [NOT_COMPATIBLE]
+        monkeypatch.setattr(report, "_compatible", lambda comps: [True] * (len(comps) - 1))
+        assert list(report._check_witt(forged, config)) == [None]
+
+    def test_compatibility_never_divides_an_exponent(self):
+        # a component recorded levels above its neighbour is compared at
+        # one below its own level, where its Frobenius image is written
+        # without dividing: the same element embedded deeper is
+        # compatible, the same terms read deeper are not
+        at = [tower.context(5, level, report.DEGREE, QUOTIENT) for level in range(7)]
+        low, high = (TowerElem.monomial(at[n], 0, 5, 0, coeff_mod=5) for n in (1, 2))
+        assert report._compatible([low, high.embed(6)]) == [True]
+        assert report._compatible([low, TowerElem(at[6], high.terms, 5)]) == [False]
+        assert report._compatible([low.embed(5), high]) == [True]
+
+    @pytest.mark.parametrize(
+        "name, index, level, code, out",
+        [
+            ("p5-d6-w4", 1, 0, 2, "witt quotient component 1 sits below its index"),
+            ("p5-d6-w4", 1, 6, 1, NOT_COMPATIBLE),
+            ("p5-d3-w1", 1, 3, 1, NOT_COMPATIBLE),
+        ],
+        ids=["below-its-index", "five-above-its-neighbour", "two-above-its-neighbour"],
+    )
+    def test_a_forged_level_exits_cleanly(self, tmp_path, capsys, name, index, level, code, out):
+        # neither a level below the index nor one far above the neighbour
+        # may end in a traceback: the first is malformed, the second fails
+        data = report.run_example_suite(cfg(**WITT_CONFIGS[name])).to_dict()
+        _details(data, "witt_division_roundtrip")["quotient"][index]["level"] = level
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == code
+        got = capsys.readouterr()
+        assert "Traceback" not in got.err
+        if code == 2:
+            assert got.out == "" and out in got.err
+        else:
+            checks = {c["name"]: c["details"] for c in json.loads(got.out)["checks"]}
+            assert checks["witt_division_roundtrip"] == {"revalidated": 1, "errors": [out]}
 
 
 def _next_prime(n: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from rootclose import report, witt
+from rootclose import witt
 from rootclose.closure import HypothesisNotMetError
 from rootclose.fontaine import (
     CERTIFIED,
@@ -247,6 +247,17 @@ class TestKernelDivision:
         result = divide_by_p_seq_minus_p(x_vec)
         assert result.steps == 2 and not result.exhausted
         assert agrees_on_the_steps(pmp * result.quotient, x_vec, result)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 65521])
+    def test_p_seq_minus_p_is_p_minus_one_then_zeros(self, p):
+        # for odd p, [P] - p = [P] + V[-1] = (P, -1, 0, ...): the closed
+        # form the example's witness and checker write in place of pmp
+        for length in range(1, 5):
+            for depth in range(5):
+                P, _, _ = generators(p, 3, depth, QUOTIENT)
+                want = [P, -P.one_like()] + [P.zero_like()] * (length - 2)
+                got = p_seq_minus_p(WittCtx(p, length), P)
+                assert [c.comps for c in got.comps] == [c.comps for c in want[:length]]
 
     def test_zero_divides_to_zero(self):
         P, _, _ = generators(5, 3, 3, QUOTIENT)
@@ -505,7 +516,7 @@ class TestGhostArithmetic:
         ctx = WittCtx(5, 2)
         P, X, _ = generators(5, 3, 2, QUOTIENT)
         if kind == "certified sequence":
-            Pc, Xc, _ = generators(5, 3, 2, QUOTIENT, CERTIFIED)
+            Pc, Xc = (FontaineElem(g.comps, CERTIFIED) for g in (P, X))
             ok, bad = WittVec(ctx, (P, X)), WittVec(ctx, (X, Pc))
             all_bad = WittVec(ctx, (Pc, Xc))
         else:
@@ -623,7 +634,9 @@ class TestSequenceFrobenius:
     def test_the_division_takes_no_frobenius_image_of_a_zero(self, monkeypatch):
         # p5-d100-w101: the folds' coordinates are nearly all zero, and
         # the zero of each index is shared instead of computed
-        _, x = report._witt_operands(5, 101, 100)
+        _, X, _ = generators(5, 3, 100, QUOTIENT)
+        ctx = WittCtx(5, 101)
+        x = p_seq_minus_p(ctx, X) * WittVec.teichmuller(ctx, X)
         kernel, seen = TowerElem._frobenius_power, []
 
         def counted(self, *args):
