@@ -317,12 +317,11 @@ def _witness_division(cfg: Config, eta: FontaineElem) -> dict:
 
 
 def _witness_witt(cfg: Config, _eta: FontaineElem | None = None) -> dict:
-    """The steps and the quotient's coordinate 0 of x = pmp * [X] divided by
-    pmp, with x in closed form: for odd p, pmp = [P] - p = (P, -1, 0, ...)
-    and [X] * (b_0, b_1, ...) = (X b_0, X^p b_1, ...): x = (X P, -X^p, 0, ...)."""
-    P, X, _ = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
-    coords = [X * P, -(X**cfg.p)] + [X.zero_like()] * (cfg.witt_length - 2)
-    x = witt.WittVec(witt.WittCtx(cfg.p, cfg.witt_length), coords[: cfg.witt_length])
+    """The steps and the quotient's coordinate 0 of x = pmp * [X] divided
+    by pmp, with x a Witt product: the checker's closed form is its own."""
+    ctx = witt.WittCtx(cfg.p, cfg.witt_length)
+    _, X, _ = fontaine.generators(cfg.p, DEGREE, cfg.depth, QUOTIENT)
+    x = witt.p_seq_minus_p(ctx, X) * witt.WittVec.teichmuller(ctx, X)
     got = witt.divide_by_p_seq_minus_p(x)
     return {"steps": got.steps, "quotient": [elem_to_json(c) for c in got.quotient.comps[0].comps]}
 
@@ -427,8 +426,8 @@ def _check_division(details: dict, cfg: Config) -> Iterator[str | None]:
 
 def _pmp_times(a: TowerElem, n: int, steps: int) -> list[TowerElem]:
     """Index n of pmp * [a] = (a PI_n, -a^p, 0, ...) at a's level L, with
-    PI_n = PI^(p^(L - n)), on its first ``steps`` coordinates but the
-    zero ones, and the unit -1 dropped."""
+    PI_n = PI^(p^(L - n)), on its first ``steps`` coordinates but the zero
+    ones, the unit -1 dropped; PI_0 = p is 0 mod p, so at n = 0 a^p decides."""
     pi_n = TowerElem.monomial(a.ctx, a.ctx.p ** (a.level - n), 0, 0, coeff_mod=a.ctx.p)
     return [a * pi_n, a.frobenius()][:steps]
 
@@ -436,11 +435,11 @@ def _pmp_times(a: TowerElem, n: int, steps: int) -> list[TowerElem]:
 def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     """No division and no Witt product runs: the recorded quotient's
     coordinate 0, q, is multiplied back as [q] in closed form.  A step
-    costs a root shift in the sequence division and one in the division
-    by p: need <= steps <= witt_length with need = min(witt_length,
-    (depth + 1) // 2), and q is a compatible sequence of depth + 1 - 2 *
-    steps in the quotient ring.  Then pmp * [q] = pmp * [X] on the first
-    ``steps`` coordinates, per index n at q_n's level L, X^(p^(L - n))."""
+    takes two roots, one in each division: need = min(witt_length, (depth
+    + 1) // 2) <= steps <= witt_length and 2 * steps <= depth + 1, and q
+    is a compatible sequence of depth + 1 - 2 * steps in the quotient ring.
+    Then pmp * [q] = pmp * [X] on the first ``steps`` coordinates, per
+    index n at q_n's level L, X^(p^(L - n))."""
     steps = _natural(details, "steps", "witt")
     if type(details["quotient"]) is not list:
         raise MalformedReportError("the witt quotient must be a list of residues")
@@ -449,6 +448,8 @@ def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     need = min(length, (cfg.depth + 1) // 2)
     if not need <= steps <= length:
         yield f"steps must lie between {need} and the Witt length {length}"
+    elif comp_depth < 0:
+        yield f"{steps} steps need {2 * steps} roots, and depth {cfg.depth} has {cfg.depth + 1}"
     elif len(comps) != comp_depth + 1:
         yield f"the quotient must be a sequence of depth {comp_depth} after {steps} steps"
     elif low := [n for n, q in enumerate(comps) if q.level < n]:

@@ -462,7 +462,7 @@ class SeqDivisionResult:
     """Quotient by (p-root sequence - p) with its achieved precision: the
     first ``steps`` Witt coordinates are meant to agree at component
     depth ``depth``; ``exhausted`` flags an early stop for lack of
-    depth.  The quotient is not checked: callers multiply it back."""
+    depth.  The quotient is not checked here: callers decide it."""
 
     quotient: WittVec
     steps: int
@@ -483,8 +483,7 @@ def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
     coordinates <= k, so no later head reads the one a pad would fill.
     The quotient, the sum of p^k [y_k], is (y_0, y_1^p, y_2^(p^2),
     ...), since p = VF and (a_0, a_1, ...) is the sum of V^k [a_k].
-    No product checks it: a caller that needs the quotient decided
-    multiplies (p-root sequence - p) * quotient back against x.
+    No product checks it: a caller that needs the quotient decided checks it.
     """
     ctx = x.ctx
     length = ctx.length

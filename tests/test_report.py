@@ -898,21 +898,20 @@ class TestClosedFormWittCheck:
     Witt product; the generic multiply-back is its oracle."""
 
     @pytest.mark.parametrize("overrides", WITT_CONFIGS.values(), ids=WITT_CONFIGS)
-    def test_the_witness_input_is_pmp_times_teichmuller_x(self, monkeypatch, overrides):
-        # x = (X P, -X^p, 0, ...) equals pmp * [X] component by component,
-        # at the same levels, and no Witt product builds it
-        config, seen, ops = cfg(**overrides), [], []
-        divide, binary = witt.divide_by_p_seq_minus_p, witt.WittVec._binary
+    def test_pmp_times_teichmuller_x_is_the_closed_form(self, monkeypatch, overrides):
+        # the witness divides the Witt product pmp * [X], and it equals
+        # the checker's closed form (X P, -X^p, 0, ...) component by
+        # component, at the same levels
+        config, seen = cfg(**overrides), []
+        divide = witt.divide_by_p_seq_minus_p
         monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", lambda x: seen.append(x) or divide(x))
-        monkeypatch.setattr(
-            witt.WittVec, "_binary", lambda a, b, op: ops.append(op) or binary(a, b, op)
-        )
         report._witness_witt(config)
-        assert "*" not in ops
         ctx = witt.WittCtx(config.p, config.witt_length)
-        _, X, _ = fontaine.generators(config.p, report.DEGREE, config.depth, QUOTIENT)
+        P, X, _ = fontaine.generators(config.p, report.DEGREE, config.depth, QUOTIENT)
         want = witt.p_seq_minus_p(ctx, X) * witt.WittVec.teichmuller(ctx, X)
+        closed = [X * P, -(X**config.p)] + [X.zero_like()] * (config.witt_length - 2)
         assert [c.comps for c in seen[0].comps] == [c.comps for c in want.comps]
+        assert [c.comps for c in want.comps] == [c.comps for c in closed[: config.witt_length]]
 
     @given(case=witt_edits())
     @settings(max_examples=150, deadline=None)
@@ -932,6 +931,19 @@ class TestClosedFormWittCheck:
         assert list(report._check_witt(forged, config)) == [MULTIPLY_BACK.format(3)]
         pmp_times = report._pmp_times
         monkeypatch.setattr(report, "_pmp_times", lambda a, n, steps: pmp_times(a, n, steps)[1:])
+        assert list(report._check_witt(forged, config)) == [None]
+
+    def test_negative_control_without_coordinate_1(self, monkeypatch):
+        # at p5-d3-w2 the quotient is the one residue q_0, whose PI_0 = p
+        # is zero mod p and whose compatibility is empty: Y added to it
+        # is seen by q_0^p alone
+        config = cfg(**WITT_CONFIGS["p5-d3-w2"])
+        forged = report._witness_witt(config)
+        forged["quotient"][0]["terms"].append([0, 0, 1, "1"])
+        assert list(_multiply_back(forged, config)) == [MULTIPLY_BACK.format(2)]
+        assert list(report._check_witt(forged, config)) == [MULTIPLY_BACK.format(2)]
+        pmp_times = report._pmp_times
+        monkeypatch.setattr(report, "_pmp_times", lambda a, n, steps: pmp_times(a, n, steps)[:1])
         assert list(report._check_witt(forged, config)) == [None]
 
     def test_negative_control_without_the_compatibility(self, monkeypatch):
@@ -955,6 +967,26 @@ class TestClosedFormWittCheck:
         assert report._compatible([low, high.embed(6)]) == [True]
         assert report._compatible([low, TowerElem(at[6], high.terms, 5)]) == [False]
         assert report._compatible([low.embed(5), high]) == [True]
+
+    @pytest.mark.parametrize(
+        "name, steps, error",
+        [
+            ("p5-d6-w4", 4, "4 steps need 8 roots, and depth 6 has 7"),
+            ("p5-d2-w3", 2, "2 steps need 4 roots, and depth 2 has 3"),
+            ("p7-d3-w4", 3, "3 steps need 6 roots, and depth 3 has 4"),
+        ],
+        ids=["p5-d6-w4", "p5-d2-w3", "p7-d3-w4"],
+    )
+    def test_steps_past_the_depth_fail(self, tmp_path, capsys, name, steps, error):
+        # steps within the Witt length but beyond (depth + 1) // 2 leave
+        # the quotient a depth below 0: an empty one must not pass
+        data = report.run_example_suite(cfg(**WITT_CONFIGS[name])).to_dict()
+        _details(data, "witt_division_roundtrip").update(steps=steps, quotient=[])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["revalidate", str(path), "--format", "json"]) == 1
+        checks = {c["name"]: c["details"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["witt_division_roundtrip"] == {"revalidated": 1, "errors": [error]}
 
     @pytest.mark.parametrize(
         "name, index, level, code, out",
