@@ -627,7 +627,7 @@ class TestSequenceFrobenius:
     loop."""
 
     @given(case=st.one_of(sequence_operands(), fold_operands()))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     def test_agrees_with_the_per_index_loop(self, case):
         assert agrees_with_per_index(case)
 
