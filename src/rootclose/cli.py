@@ -143,27 +143,39 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # the top level takes no option but -h, so its first argument that
-    # is not an option names the command; argparse parses no other
-    # subparser, and those get only their name and help
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
+def _add_options(command: Command, parser: argparse.ArgumentParser) -> None:
+    command.add_options(parser)
+    parser.add_argument("--format", choices=("json", "text"), default="text")
+
+
+def _whole_tree(argv: list[str]) -> int:
+    """Parse ``argv`` with every command's subparser and options: the
+    parser that prints ``rootclose -h`` and the usage errors."""
     parser = argparse.ArgumentParser(
         prog="rootclose",
         description="Exact verification of root-closure, sequence and Witt-vector constructions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        if name == named:
-            sub = subs.add_parser(name, help=command.help)
-            command.add_options(sub)
-            sub.add_argument("--format", choices=("json", "text"), default="text")
-        else:
-            subs.add_parser(name, help=command.help, add_help=False)
+        _add_options(command, subs.add_parser(name, help=command.help))
     args = parser.parse_args(argv)
     return COMMANDS[args.command].run(args)
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command named first is parsed by its own parser alone, which is
+    # the whole tree's subparser for it; every other argv, and one with
+    # arguments left over, goes through the whole tree
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"rootclose {argv[0]}")
+        _add_options(command, parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return command.run(args)
+    return _whole_tree(argv)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """The command line's parser: what each argv prints and exits with, and
-that a call builds the options of the command it runs and no others.
+that a call naming its command first and parsing cleanly builds that
+command's parser alone, while help and errors come from the whole tree.
 
 The recorded strings are argparse's wording at 80 columns on Python
 3.11, from the parser that built every command's options on every call.
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from rootclose import cli
+from rootclose import cli, report
 
 TOP_USAGE = "usage: rootclose [-h] {example,props,eval,revalidate} ...\n"
 TOP_HELP = (
@@ -168,8 +169,37 @@ def test_a_call_adds_no_other_commands_options(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
     assert _run(capsys, cli.main, ["eval", "x"])[0] == 0
-    assert {"expr", "--mmax", "--format"} <= added  # the spy sees eval's own
-    assert not {"--depth", "--witt-len", "--seed", "report"} & added
+    assert added == {"-h", "expr", "--check-closure", "--mmax", "--p", "--degree", "--format"}
+
+
+@pytest.fixture
+def built(monkeypatch) -> list[str]:
+    """The prog of every ``ArgumentParser`` built while the test runs."""
+    init, progs = argparse.ArgumentParser.__init__, []
+
+    def spy(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    return progs
+
+
+WHOLE_TREE = ["rootclose", *(f"rootclose {name}" for name in cli.COMMANDS)]
+
+
+def test_a_clean_command_first_call_builds_its_parser_alone(built, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(report.run_example_suite(report.Config(timestamp=False)).to_json())
+    for argv in (["eval", "x"], ["example", "--no-timestamp"], ["revalidate", str(path)]):
+        built.clear()
+        assert _run(capsys, cli.main, argv)[0] == 0
+        assert built == [f"rootclose {argv[0]}"]
+
+
+def test_leftover_arguments_go_through_the_whole_tree(built, capsys):
+    assert _run(capsys, cli.main, ["example", "--bogus", "1"])[0] == 2
+    assert built == ["rootclose example", *WHOLE_TREE]
 
 
 def _whole_tree_main(argv: list[str]) -> int:
@@ -188,6 +218,11 @@ def _whole_tree_main(argv: list[str]) -> int:
     return cli.COMMANDS[args.command].run(args)
 
 
+def test_negative_control_the_spy_sees_every_parser_of_the_whole_tree(built, capsys):
+    assert _run(capsys, _whole_tree_main, ["eval", "x"])[0] == 0
+    assert built == WHOLE_TREE
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -202,6 +237,18 @@ def _whole_tree_main(argv: list[str]) -> int:
         ("props", "--seed", "x"),
         ("revalidate",),
         ("revalidate", "-h", "--bogus"),
+        ("eval", "--", "x"),
+        ("eval", "--", "-x"),
+        ("eval", "x", "--p"),
+        ("eval", "--format=json", "x"),
+        ("eval", "x", "y"),
+        ("eval", "x", "--", "--p"),
+        ("eval", "x", "-h"),
+        ("eval", "x", "--bogus=1"),
+        ("example", "extra"),
+        ("example", "--p=7", "--de", "2", "--no-t"),
+        ("example", "--mode", "weird"),
+        ("eval", "x", "--ch", "--f", "json"),
     ],
     ids=" ".join,
 )

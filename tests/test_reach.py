@@ -94,8 +94,10 @@ def _clear_caches() -> None:
 
 
 def _main(*argv: str) -> str:
+    """What ``cli.main`` prints to stdout; a usage error or ``--help``
+    exits through ``SystemExit``, which ends the call."""
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
             cli.main(list(argv))
     return out.getvalue()
 
@@ -120,8 +122,9 @@ EXPRESSIONS = (
 def _runs(tmp: Path) -> dict:
     """Name -> a call of ``cli.main`` commands: ``example`` at each config
     with ``revalidate`` of its report in JSON and in text, ``props``,
-    and ``eval`` of each expression with and without --check-closure,
-    plus one that does not parse."""
+    ``eval`` of each expression with and without --check-closure, plus
+    one that does not parse, and the argv argparse answers itself: an
+    unknown command, ``eval`` without its expression and ``--help``."""
 
     def example(name: str, args: tuple) -> None:
         path = tmp / f"{name}.json"
@@ -135,9 +138,14 @@ def _runs(tmp: Path) -> dict:
             _main("eval", expr, "--check-closure", "--format", "json")
         _main("eval", "(x+")
 
+    def usage() -> None:
+        for argv in (("bogus",), ("eval",), ("--help",)):
+            _main(*argv)
+
     runs = {f"example-{n}": lambda n=n, a=a: example(n, a) for n, a in EXAMPLES.items()}
     runs["props"] = lambda: _main("props", "--seed", "0", "--no-timestamp")
     runs["eval"] = evals
+    runs["usage"] = usage
     return runs
 
 
