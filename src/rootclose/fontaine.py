@@ -93,10 +93,6 @@ def _p_closure_cert(delta: LocalElem, index: int, m_max: int) -> ClosureCert | N
     raise UndeterminedCongruenceError(index, m_max)
 
 
-#: Certificate search bound of ``equals``, ``is_zero`` and ``check_compat``.
-CONGRUENCE_M_MAX = 4
-
-
 def _comp_equal(a: Component, b: Component, index: int, m_max: int) -> bool:
     """Two residues compare exactly, a pair with a LocalElem modulo p * closure."""
     a, b = aligned(a, b)
@@ -226,10 +222,12 @@ class FontaineElem:
         return FontaineElem._trusted(self.comps[1:], self.mode, self._compat)
 
     # ------------------------------------------------------------------
-    def equals(self, other, m_max: int = CONGRUENCE_M_MAX) -> bool:
-        """Equal as sequences; anything that is not a sequence is unequal."""
+    def equals(self, other, m_max: int | None = None) -> bool:
+        """Equal as sequences; anything that is not a sequence is unequal.
+        Searches stop at ``m_max``, by default ``default_m_max(depth)``."""
         if not (isinstance(other, FontaineElem) and self.depth == other.depth):
             return False
+        m_max = default_m_max(self.depth) if m_max is None else m_max
         return self.family.same_family(other.family) and all(
             _comp_equal(a, b, i, m_max) for i, (a, b) in enumerate(zip(self.comps, other.comps))
         )
@@ -241,12 +239,13 @@ class FontaineElem:
 
     def check_compat(self) -> bool:
         """Do consecutive components satisfy r_{i+1}^p = r_i?  Decided
-        once per instance; an undetermined congruence is reported at
-        index i + 1 and leaves the answer undecided."""
+        once per instance as in the division's step 2, r_{i+1}^p built
+        modulo p * R; an undetermined congruence is reported at index
+        i + 1 and leaves the answer undecided."""
         if self._compat is None:
-            p = self.family.p
+            m_max = default_m_max(self.depth)
             self._compat = all(
-                _comp_equal(self.comps[i + 1] ** p, self.comps[i], i + 1, CONGRUENCE_M_MAX)
+                _comp_equal(_pth_power_mod_p(self.comps[i + 1]), self.comps[i], i + 1, m_max)
                 for i in range(self.depth)
             )
         return self._compat

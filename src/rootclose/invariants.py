@@ -8,6 +8,7 @@ draws fix the samples of a seed; the tests run each entry on its own.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from functools import reduce
@@ -42,7 +43,7 @@ def valuation_rule(rng: random.Random) -> dict:
     for p in (2, 3, 5):
         for m in range(4):
             for i in range(1, p**m + 1):
-                want = valuation.vp(p, valuation.binom(p**m, i))
+                want = valuation.vp(p, math.comb(p**m, i))
                 if valuation.binom_valuation(p, m, i) != want:
                     return {"_status": FAIL, "p": p, "m": m, "i": i}
                 count += 1
@@ -56,17 +57,6 @@ def valuation_products(rng: random.Random) -> dict:
         b = rng.randint(1, 10**6)
         if valuation.vp(p, a * b) != valuation.vp(p, a) + valuation.vp(p, b):
             return {"_status": FAIL, "p": p, "a": a, "b": b}
-    return {"cases": 200}
-
-
-def pascal(rng: random.Random) -> dict:
-    for _ in range(200):
-        n = rng.randint(1, 60)
-        k = rng.randint(1, n)
-        lhs = valuation.binom(n, k)
-        rhs = valuation.binom(n - 1, k - 1) + (valuation.binom(n - 1, k) if k < n else 0)
-        if lhs != rhs:
-            return {"_status": FAIL, "n": n, "k": k}
     return {"cases": 200}
 
 
@@ -351,7 +341,6 @@ def witt_kernel_roundtrip(rng: random.Random) -> dict:
 INVARIANTS = (
     ("valuation_binomial_rule", valuation_rule),
     ("valuation_product_rule", valuation_products),
-    ("pascal_recurrence", pascal),
     ("tower_ring_axioms", ring_axioms),
     ("tower_embed_hom", embed_hom),
     ("tower_pi_roundtrip", pi_roundtrip),

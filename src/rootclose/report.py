@@ -435,8 +435,8 @@ def _pmp_times(a: TowerElem, n: int, steps: int) -> list[TowerElem]:
 def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     """No division and no Witt product runs: the recorded quotient's
     coordinate 0, q, is multiplied back as [q] in closed form.  A step
-    takes two roots, one in each division: need = min(witt_length, (depth
-    + 1) // 2) <= steps <= witt_length and 2 * steps <= depth + 1, and q
+    takes two roots, one in each division, and runs while the Witt length
+    and the depth allow: steps = min(witt_length, (depth + 1) // 2), and q
     is a compatible sequence of depth + 1 - 2 * steps in the quotient ring.
     Then pmp * [q] = pmp * [X] on the first ``steps`` coordinates, per
     index n at q_n's level L, X^(p^(L - n))."""
@@ -446,10 +446,8 @@ def _check_witt(details: dict, cfg: Config) -> Iterator[str | None]:
     comps = [residue_from_json(d, cfg) for d in details["quotient"]]
     length, comp_depth = cfg.witt_length, cfg.depth + 1 - 2 * steps
     need = min(length, (cfg.depth + 1) // 2)
-    if not need <= steps <= length:
-        yield f"steps must lie between {need} and the Witt length {length}"
-    elif comp_depth < 0:
-        yield f"{steps} steps need {2 * steps} roots, and depth {cfg.depth} has {cfg.depth + 1}"
+    if steps != need:
+        yield f"steps must be {need} = min(Witt length {length}, (depth + 1) // 2)"
     elif len(comps) != comp_depth + 1:
         yield f"the quotient must be a sequence of depth {comp_depth} after {steps} steps"
     elif low := [n for n, q in enumerate(comps) if q.level < n]:

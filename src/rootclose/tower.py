@@ -444,7 +444,7 @@ class TowerElem:
 
     def __repr__(self):
         mod = "" if self.coeff_mod is None else f", mod={self.coeff_mod}"
-        return f"TowerElem(level={self.ctx.level}{mod}, {_format_terms(self.terms)})"
+        return f"TowerElem(level={self.ctx.level}{mod}, {sorted(self.terms.items())})"
 
 
 class ResidueElem(TowerElem):
@@ -503,22 +503,3 @@ def poly_divides(h: TowerElem, g: TowerElem) -> tuple[bool, TowerElem | None]:
                 rem.pop(key, None)
     quot = {k: v for k, v in quot.items() if v}
     return True, TowerElem(h.ctx, quot, p, _normal=True)
-
-
-def _format_terms(terms: TermMap, limit: int = 8) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for (a, b, c), v in sorted(terms.items())[:limit]:
-        factors = [str(v)] if abs(v) != 1 or (a, b, c) == (0, 0, 0) else (["-"] if v == -1 else [])
-        for name, e in (("PI", a), ("X", b), ("Y", c)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        part = "*".join(factors) if factors and factors != ["-"] else ""
-        if factors and factors[0] == "-":
-            part = "-" + "*".join(factors[1:])
-        parts.append(part or str(v))
-    tail = " + ..." if len(terms) > limit else ""
-    return " + ".join(parts) + tail

@@ -1,4 +1,4 @@
-"""Exact integer utilities: p-adic valuations and binomial coefficients.
+"""Exact integer utilities: p-adic valuations and the binomial rule.
 
 Everything here runs on arbitrary-precision integers with no modular
 shortcuts; this module is the oracle layer for the rest of the package.
@@ -53,25 +53,11 @@ def vp(p: int, n: int) -> int | float:
     return r
 
 
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient via the incremental product formula."""
-    if k < 0 or n < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
-    out = 1
-    for i in range(k):
-        # exact at every step: out is C(n, i) before the division
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def binom_valuation(p: int, m: int, i: int) -> int:
     """p-adic valuation of C(p**m, i) for 1 <= i <= p**m.
 
     Computed as m - vp(p, i); the contract that this equals
-    vp(p, binom(p**m, i)) is checked exhaustively by the test suite
-    against the exact binomial.
+    vp(p, math.comb(p**m, i)) is checked exhaustively by the test suite.
     """
     check_prime(p)
     if m < 0:

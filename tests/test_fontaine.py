@@ -113,6 +113,32 @@ class TestCompat:
         assert e.check_compat() and len(calls) == e.depth
         assert e.check_compat() and len(calls) == e.depth
 
+    def test_certified_compat_builds_no_exact_power(self, monkeypatch):
+        # the certified quotient of the cube sum holds LocalElems; their
+        # p-th powers are read modulo p * R, so no exact power is built
+        quotient, _ = divide_by_p_seq_traced(cube_sum(closure=CERTIFIED))
+        assert any(isinstance(c, LocalElem) for c in quotient.comps)
+
+        def refused(self, e):
+            raise AssertionError("an exact LocalElem power was built")
+
+        monkeypatch.setattr(LocalElem, "__pow__", refused)
+        assert decided_compat(quotient)
+
+    def test_certified_compat_searches_to_the_division_bound(self, monkeypatch):
+        # depth 3, where default_m_max is 5: every congruence search of
+        # check_compat stops where the division's step 2 stops
+        quotient, _ = divide_by_p_seq_traced(cube_sum(depth=4, closure=CERTIFIED))
+        bounds = []
+
+        def spy(delta, index, m_max):
+            bounds.append(m_max)
+            return _p_closure_cert(delta, index, m_max)
+
+        monkeypatch.setattr(fontaine, "_p_closure_cert", spy)
+        assert decided_compat(quotient)
+        assert bounds and set(bounds) == {default_m_max(quotient.depth)}
+
     def test_operations_carry_a_known_compatibility(self):
         # a sequence built from its components starts unknown; one that
         # an operation builds from known compatible plain operands is

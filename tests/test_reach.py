@@ -44,14 +44,18 @@ NEVER_ENTERED = {
     "fontaine.FontaineElem.__rsub__": DUNDER,
     "fontaine.FontaineElem.is_zero": ITEM_4,
     "fontaine.NonIntegralComponentError.__init__": ITEM_4,
-    "fontaine.UndeterminedCongruenceError.__init__": ITEM_4,
-    "fontaine._p_closure_cert": ITEM_4,
+    "fontaine.UndeterminedCongruenceError.__init__": (
+        f"{BENCH} (tracer.py counts it); report._run_checks maps the error to undetermined"
+    ),
+    "fontaine._p_closure_cert": (
+        "step 2 of the certified division; acceptance criterion 4 enters it "
+        "through check_compat and equals of the certified quotient"
+    ),
     "report.cert_from_json": BENCH,
     "tower.ResidueElem.__new__": BENCH,
     "tower.TowerElem.__repr__": DUNDER,
     "tower.TowerElem.__rsub__": DUNDER,
     "tower.TowerElem.one_like": f"{DUNDER}: x ** 0 in TowerElem.__pow__",
-    "tower._format_terms": f"{DUNDER}: TowerElem.__repr__ writes the terms",
     "witt.WittVec.__neg__": DUNDER,
     "witt.WittVec.__repr__": DUNDER,
     "witt._ghost_poly": ITEM_11,

@@ -395,12 +395,11 @@ class TestDeterminism:
         assert a == b
 
     def test_props_bytes_match_the_recorded_digest(self):
-        # the compact JSON of the same report as before the invariants moved
-        # into their own table: any drift in sample order, case counts or
-        # details changes the digest
+        # the compact JSON of the 19-check report: any drift in sample
+        # order, case counts or details changes the digest
         text = report.run_property_suites(0, timestamp=False).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "b8c80de7201a76c9675936f6f7c68258af3980eec8dfcdb649e311e1c2cb2e48"
+            "575478a1bc60f83371a01adcf3d42864a1f11f88388d0beb12dde4aeddda451c"
         )
 
     def test_seed_changes_samples_not_statuses(self):
@@ -467,7 +466,7 @@ class TestPropertySuites:
 
         monkeypatch.setattr(witt, "witt_polynomials", no_tables)
         rep = report.run_property_suites(seed, timestamp=False)
-        assert rep.ok and len(rep.checks) == 20
+        assert rep.ok and len(rep.checks) == 19
 
 
 class TestRevalidation:
@@ -752,7 +751,7 @@ class TestRevalidation:
             ),
             (
                 lambda d: d.update(steps=3),
-                ["steps must lie between 2 and the Witt length 2"],
+                ["steps must be 2 = min(Witt length 2, (depth + 1) // 2)"],
             ),
         ],
         ids=["component", "coordinate", "steps-plus-one"],
@@ -971,9 +970,9 @@ class TestClosedFormWittCheck:
     @pytest.mark.parametrize(
         "name, steps, error",
         [
-            ("p5-d6-w4", 4, "4 steps need 8 roots, and depth 6 has 7"),
-            ("p5-d2-w3", 2, "2 steps need 4 roots, and depth 2 has 3"),
-            ("p7-d3-w4", 3, "3 steps need 6 roots, and depth 3 has 4"),
+            ("p5-d6-w4", 4, "steps must be 3 = min(Witt length 4, (depth + 1) // 2)"),
+            ("p5-d2-w3", 2, "steps must be 1 = min(Witt length 3, (depth + 1) // 2)"),
+            ("p7-d3-w4", 3, "steps must be 2 = min(Witt length 4, (depth + 1) // 2)"),
         ],
         ids=["p5-d6-w4", "p5-d2-w3", "p7-d3-w4"],
     )

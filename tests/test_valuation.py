@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rootclose.valuation import INFINITY, binom, binom_valuation, check_prime, vp
+from rootclose.valuation import INFINITY, binom_valuation, check_prime, vp
 
 
 def test_vp_examples():
@@ -27,29 +27,8 @@ def test_vp_zero_is_infinite():
     assert math.isinf(vp(3, 0))
 
 
-def test_binom_examples():
-    # independent oracle: plain multiply/divide
-    assert binom(25, 5) == 25 * 24 * 23 * 22 * 21 // 120 == 53130
-    assert binom(17, 0) == 1
-    for p, m in ((2, 3), (5, 2), (3, 4)):
-        assert binom(p**m, 1) == p**m
-
-
-def test_binom_matches_stdlib():
-    for n in range(0, 40):
-        for k in range(0, n + 1):
-            assert binom(n, k) == math.comb(n, k)
-
-
-def test_binom_rejects_bad_args():
-    with pytest.raises(ValueError):
-        binom(3, 5)
-    with pytest.raises(ValueError):
-        binom(-1, 0)
-
-
 def test_binom_valuation_examples():
-    assert binom_valuation(5, 2, 5) == 1 == vp(5, binom(25, 5))
+    assert binom_valuation(5, 2, 5) == 1 == vp(5, math.comb(25, 5))
     for p, m in ((2, 4), (3, 3), (5, 2)):
         assert binom_valuation(p, m, p**m) == 0
         assert binom_valuation(p, m, 1) == m
@@ -69,7 +48,7 @@ def test_binom_valuation_contract_small():
     for p in (2, 3, 5):
         for m in range(4):
             for i in range(1, p**m + 1):
-                assert binom_valuation(p, m, i) == vp(p, binom(p**m, i))
+                assert binom_valuation(p, m, i) == vp(p, math.comb(p**m, i))
 
 
 @given(
@@ -79,13 +58,3 @@ def test_binom_valuation_contract_small():
 )
 def test_vp_is_additive_on_products(p, a, b):
     assert vp(p, a * b) == vp(p, a) + vp(p, b)
-
-
-@given(n=st.integers(min_value=1, max_value=200), k=st.integers(min_value=0, max_value=200))
-def test_pascal_recurrence(n, k):
-    if k > n:
-        return
-    if 0 < k < n:
-        assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
-    else:
-        assert binom(n, k) == 1
