@@ -8,6 +8,9 @@ The recorded strings are argparse's wording at 80 columns on Python
 
 import argparse
 import hashlib
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -158,6 +161,21 @@ def test_main_without_argv_reads_sys_argv(argv, monkeypatch, columns, capsys):
     given = _run(capsys, cli.main, argv)
     monkeypatch.setattr(sys, "argv", ["rootclose", *argv])
     assert _run(capsys, cli.main, None) == given
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"]], ids=" ".join)
+def test_the_module_entry_point_runs_main(argv, columns, capsys):
+    # `python -m rootclose.cli` prints what main prints and exits with
+    # its code: 0 for help, 2 for an unknown command
+    given = _run(capsys, cli.main, argv)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "rootclose.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == given
+    assert given[0] == {"--help": 0, "bogus": 2}[argv[0]]
 
 
 def test_a_call_adds_no_other_commands_options(monkeypatch, capsys):

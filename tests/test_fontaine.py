@@ -54,6 +54,26 @@ def cube_sum(depth=3, closure=PLAIN, p=5):
     return P**3 + X**3 + Y**3
 
 
+def search_bounds(monkeypatch):
+    """The ``m_max`` of every ``_p_closure_cert`` call from now on."""
+    bounds = []
+
+    def spy(delta, index, m_max):
+        bounds.append(m_max)
+        return _p_closure_cert(delta, index, m_max)
+
+    monkeypatch.setattr(fontaine, "_p_closure_cert", spy)
+    return bounds
+
+
+def certified_roundtrip():
+    """(P * quotient, eta) at depth 3 for the certified quotient of the
+    depth-4 cube sum eta: equal modulo p * closure, not as elements."""
+    eta = cube_sum(depth=4, closure=CERTIFIED)
+    quotient, _ = divide_by_p_seq_traced(eta)
+    return gens(4)[0].truncate(3) * quotient, eta.truncate(3)
+
+
 def decided_compat(e):
     """``check_compat`` decided from the components of ``e``, not read
     from the compatibility a sequence operation carried forward."""
@@ -129,15 +149,29 @@ class TestCompat:
         # depth 3, where default_m_max is 5: every congruence search of
         # check_compat stops where the division's step 2 stops
         quotient, _ = divide_by_p_seq_traced(cube_sum(depth=4, closure=CERTIFIED))
-        bounds = []
-
-        def spy(delta, index, m_max):
-            bounds.append(m_max)
-            return _p_closure_cert(delta, index, m_max)
-
-        monkeypatch.setattr(fontaine, "_p_closure_cert", spy)
+        bounds = search_bounds(monkeypatch)
         assert decided_compat(quotient)
         assert bounds and set(bounds) == {default_m_max(quotient.depth)}
+
+    def test_certified_equality_searches_to_the_division_bound(self, monkeypatch):
+        # P * quotient = eta at depth 3, read modulo p * closure with no
+        # bound passed: every search stops at default_m_max(3) = 5
+        product, eta = certified_roundtrip()
+        bounds = search_bounds(monkeypatch)
+        assert product.equals(eta)
+        assert bounds and set(bounds) == {default_m_max(eta.depth)}
+
+    def test_an_explicit_bound_reaches_every_search(self, monkeypatch):
+        product, eta = certified_roundtrip()
+        bounds = search_bounds(monkeypatch)
+        assert product.equals(eta, m_max=7)
+        assert bounds and set(bounds) == {7}
+
+    def test_certified_zero_test_searches_to_the_division_bound(self, monkeypatch):
+        product, eta = certified_roundtrip()
+        bounds = search_bounds(monkeypatch)
+        assert (product - eta).is_zero
+        assert bounds and set(bounds) == {default_m_max(eta.depth)}
 
     def test_operations_carry_a_known_compatibility(self):
         # a sequence built from its components starts unknown; one that

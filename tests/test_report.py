@@ -753,8 +753,12 @@ class TestRevalidation:
                 lambda d: d.update(steps=3),
                 ["steps must be 2 = min(Witt length 2, (depth + 1) // 2)"],
             ),
+            (
+                lambda d: d.update(steps=1),
+                ["steps must be 2 = min(Witt length 2, (depth + 1) // 2)"],
+            ),
         ],
-        ids=["component", "coordinate", "steps-plus-one"],
+        ids=["component", "coordinate", "steps-plus-one", "steps-minus-one"],
     )
     def test_revalidate_refuses_a_forged_witt_quotient(self, tmp_path, capsys, forge, errors):
         # depth 4, Witt length 2: two steps, component depth 1 and the

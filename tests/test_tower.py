@@ -213,6 +213,15 @@ class TestResidue:
         assert ra.frobenius() == reduce(operator.mul, [ra] * 5)
 
 
+class TestRepr:
+    def test_repr_prints_the_sorted_terms(self):
+        e = TowerElem(CTX51, {(1, 0, 0): -1, (0, 1, 0): 2})
+        assert repr(e) == "TowerElem(level=1, [((0, 1, 0), 2), ((1, 0, 0), -1)])"
+        assert repr(e.reduce_mod_p()) == (
+            "TowerElem(level=1, mod=5, [((0, 1, 0), 2), ((1, 0, 0), 4)])"
+        )
+
+
 class TestCoefficientRing:
     def test_z_and_fp_elements_differ(self):
         terms = {(0, 1, 0): 1}
