@@ -249,6 +249,12 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
     return out
 
 
+def _refuse_incompatible(c: FontaineElem, index: int) -> None:
+    if not c.check_compat():
+        runs = "Witt + * - run over compatible plain sequences"
+        raise ValueError(f"coordinate {index} is an incompatible sequence: {runs}")
+
+
 def _sequence_op(op: str, xs, ys, p: int) -> list:
     """Coordinates of x op y over compatible plain sequences, whose
     arithmetic is componentwise.  Coordinate k reads coordinates 0..k of
@@ -264,11 +270,7 @@ def _sequence_op(op: str, xs, ys, p: int) -> list:
     refused."""
     n = len(xs)
     for i, c in enumerate(xs + ys):
-        if not c.check_compat():
-            raise ValueError(
-                f"coordinate {i % n} is an incompatible sequence: "
-                "Witt + * - run over compatible plain sequences"
-            )
+        _refuse_incompatible(c, i % n)
     depths = list(accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min))
     starts = set(depths)
     comps: list[list] = [[] for _ in xs]
@@ -473,43 +475,39 @@ class SeqDivisionResult:
 def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
     """Successive approximation: step k divides the remainder's leading
     coordinate r by the p-root sequence PI, y_k = r / PI, at the cost
-    of one unit of component depth.  The first such division is the
-    kernel test: theta(x) mod p is the base residue of x_0, which it
-    refuses at component 0, where PI_0 = p.  As rem = [r] + (0, rem_1,
-    ...) and [PI][y_k] = [r], rem - (p-root sequence - p)[y_k] is
-    (0, rem_1, ...) + p[y_k], one Witt addition with p[y_k] = VF[y_k]
-    = (0, y_k^p, 0, ...).  The sum is V(c), so its quotient by p is
-    F^-1(c), the root shift; no pad: coordinate k of a sum reads only
-    coordinates <= k, so no later head reads the one a pad would fill.
-    The quotient, the sum of p^k [y_k], is (y_0, y_1^p, y_2^(p^2),
-    ...), since p = VF and (a_0, a_1, ...) is the sum of V^k [a_k].
-    No product checks it: a caller that needs the quotient decided checks it.
+    of one unit of component depth; the first such division is the
+    kernel test, refusing component 0, where PI_0 = p.  As [PI][y_k] =
+    [r] and p = VF, rem - (p-root sequence - p)[y_k] = V(rem') + V[y_k^p]
+    = V(rem' + [y_k^p]), rem' = (rem_1, ...): its quotient by p is the
+    root shift of a Witt sum one coordinate shorter.  The quotient is
+    (y_0, y_1^p, y_2^(p^2), ...), the sum of p^k [y_k], unchecked here.
+    Each coordinate is refused up front, by index, as Witt + * - would.
     """
-    ctx = x.ctx
-    length = ctx.length
-    for c in x.comps:
-        if not isinstance(c, FontaineElem):
-            raise ValueError("division needs compatible-sequence components")
+    ctx, p, length = x.ctx, x.ctx.p, x.ctx.length
+    if not all(isinstance(c, FontaineElem) for c in x.comps):
+        raise ValueError("division needs compatible-sequence components")
+    for i, c in enumerate(x.comps):
+        _kind(c, i)
+    for i, c in enumerate(x.comps[1:], 1):
+        _refuse_incompatible(c, i)
 
     ys, rem = [], x.comps
-    while len(ys) < length:
-        head = rem[0]
-        if head.depth < 1:
-            break  # out of component depth
-        ys.append(divide_by_p_seq(head))
+    while len(ys) < length and rem[0].depth >= 1:
+        ys.append(divide_by_p_seq(rem[0]))
         if len(ys) < length:
-            # not F^-1(rem_1, ...) + [y_k] after the root shift: that keeps one
-            # more unit of depth per step, so (steps, depth, exhausted) change
-            y_p, sub = ys[-1] ** ctx.p, WittCtx(ctx.p, len(rem))
-            p_y = (y_p.zero_like(), y_p, *[y_p.zero_like()] * (len(rem) - 2))
-            folded = WittVec(sub, (head.zero_like(), *rem[1:])) + WittVec(sub, p_y)
-            if min(c.depth for c in folded.comps) < 1:
+            # not F^-1(rem') + [y_k]: it keeps one more unit of depth per step,
+            # so (steps, depth, exhausted) change; y_k^p takes rem[0]'s level
+            # where deeper, so that the fold is written at the levels of rem
+            at = zip((ys[-1] ** p).comps, rem[0].comps)
+            y_p = FontaineElem._trusted([a.embed(max(a.level, b.level)) for a, b in at], PLAIN, True)
+            sub = WittCtx(p, len(rem) - 1)
+            c = WittVec(sub, rem[1:]) + WittVec.teichmuller(sub, y_p)
+            if min(v.depth for v in c.comps) < 1:
                 break  # the root shift of the next division has no depth left
-            rem = [c.proot() for c in folded.comps[1:]]
+            rem = [v.proot() for v in c.comps]
 
-    p, done = ctx.p, len(ys)
     final_depth = min(y.depth for y in ys) if ys else min(c.depth for c in x.comps)
     zero = x.comps[0].truncate(final_depth).zero_like()
-    coords = [(y ** p**k).truncate(final_depth) for k, y in enumerate(ys)]
-    w = WittVec(ctx, coords + [zero] * (length - done))
-    return SeqDivisionResult(w, done, final_depth, done < length)
+    coords = [y.truncate(final_depth) ** p**k for k, y in enumerate(ys)]
+    w = WittVec(ctx, coords + [zero] * (length - len(ys)))
+    return SeqDivisionResult(w, len(ys), final_depth, len(ys) < length)

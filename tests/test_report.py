@@ -363,6 +363,36 @@ EXAMPLE_DIGESTS = {
 #: apart from EXAMPLE_DIGESTS, the configs the certify benchmark runs
 W4_DIGEST = "76677e035ff2d19da4a3ffd6c7755f0c10d17e40ca7868b02bee13ad4a4ad67f"
 
+#: (config overrides, length, sha256) of the example reports, without
+#: timestamp, that run the most Witt folds: up to 100 per report
+DEEP_REPORT_PINS = {
+    "p5-d100-w101": (
+        {"depth": 100, "witt_length": 101},
+        9180,
+        "b32ddf28e5c206fb99e3db25748791449d62a2dbceb94f9729e845144457417a",
+    ),
+    "p65521-d100-w101": (
+        {"p": 65521, "depth": 100, "witt_length": 101},
+        9200,
+        "72334935abc96ed80c622bd385e293e2040681088e8e6d8292128975d5784254",
+    ),
+    "p5-d20-w21": (
+        {"depth": 20, "witt_length": 21},
+        2536,
+        "6b1bbc9670831247003e49f085daca1785fd65f760d80fe26c2875e0229215b3",
+    ),
+    "p7-d3-w4": (
+        {"p": 7, "depth": 3, "witt_length": 4},
+        1089,
+        "54f1cc14cdeeb2e209b688005ad42e7b2449f2a7950a6a78b61e1ec70f004aab",
+    ),
+    "p5-d6-w4": (
+        {"depth": 6, "witt_length": 4},
+        1381,
+        "7232ef9369092126bf1d2a1a72bd0300ee1cc9c7584a5105700dedece6e86f07",
+    ),
+}
+
 
 class TestDeterminism:
     def test_example_bytes_are_stable(self, example_report):
@@ -388,6 +418,12 @@ class TestDeterminism:
     def test_first_w4_report_matches_the_recorded_digest(self):
         text = report.run_example_suite(cfg(depth=3, witt_length=4)).to_json()
         assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (1089, W4_DIGEST)
+
+    @pytest.mark.parametrize("name", DEEP_REPORT_PINS)
+    def test_deep_report_bytes_match_the_recorded_digest(self, name):
+        overrides, length, digest = DEEP_REPORT_PINS[name]
+        text = report.run_example_suite(cfg(**overrides)).to_json()
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (length, digest)
 
     def test_props_bytes_are_stable(self):
         a = report.run_property_suites(5, timestamp=False).to_json()

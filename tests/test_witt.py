@@ -915,10 +915,11 @@ class TestClosedFormDivision:
         _, X, Y = generators(2, 3, 7, QUOTIENT)
         ctx = WittCtx(2, 4)
         x_vec = p_seq_minus_p(ctx, X) * WittVec(ctx, [X + Y, X * Y, X, Y])
-        ghost_op, ops = witt._ghost_op, []
+        ghost_op, ops, tails = witt._ghost_op, [], []
 
         def counted(op, xs, ys, p):
             ops.append((op, len(xs), len(ys)))
+            tails.append(ys[1:])
             return ghost_op(op, xs, ys, p)
 
         def no_theta(*args):
@@ -927,9 +928,25 @@ class TestClosedFormDivision:
         monkeypatch.setattr(witt, "_ghost_op", counted)
         monkeypatch.setattr(witt, "witt_theta", no_theta)
         assert divide_by_p_seq_minus_p(x_vec).steps == 4
-        # three folds, one coordinate shorter each, and no closing
-        # roundtrip: the callers multiply the quotient back
-        assert ops == [("+", 4, 4), ("+", 3, 3), ("+", 2, 2)]
+        # three folds rem' + [y_k^p], each a coordinate shorter than the
+        # remainder, and no closing roundtrip: the callers multiply the
+        # quotient back
+        assert ops == [("+", 3, 3), ("+", 2, 2), ("+", 1, 1)]
+        # the second operand is the Teichmuller vector [y_k^p]
+        assert all(c.is_zero for tail in tails for c in tail)
+
+    def test_the_fold_keeps_the_levels_of_a_deeper_head(self):
+        # coordinate 0 (zero) is written deeper than coordinate 1 at
+        # index 1: the fold's sum is written at rem's levels there, so the
+        # second step refuses the monomial at the level the reference
+        # loop reads it; at y_k^p's own level it would be (8, 0, 0)
+        P, _, _ = generators(2, 3, 4, QUOTIENT)
+        head = FontaineElem([c.embed(lv) for c, lv in zip(P.zero_like().comps, (5, 5, 4, 4, 4))])
+        tail = FontaineElem([c.embed(lv) for c, lv in zip(P.comps, (1, 2, 3, 4, 4))])
+        x = WittVec(WittCtx(2, 2), [head, tail])
+        want = ("SequenceDivisionError", "component 0 is not divisible (monomial (16, 0, 0))")
+        assert division_outcome(_reference_division, x) == want
+        assert division_outcome(divide_by_p_seq_minus_p, x) == want
 
     def test_runs_no_frobenius_and_no_verschiebung(self, monkeypatch):
         _, X, Y = generators(3, 2, 6, QUOTIENT)
@@ -944,6 +961,45 @@ class TestClosedFormDivision:
             monkeypatch.setattr(witt, name, refuse)
         assert division_outcome(divide_by_p_seq_minus_p, x_vec) == want
         assert want[0] == 3
+
+
+class TestRefusalUpFront:
+    """Each coordinate is refused before any division runs, by the index
+    the caller gave it and with the Witt layer's own message, at every
+    length: the folds number the remainder from 0, so a refusal inside
+    the first one would name coordinate i - 1."""
+
+    @staticmethod
+    def _vector(n, index, bad):
+        # (p-root sequence - p) * w with coordinate ``index`` made bad
+        _, X, Y = generators(5, 3, 5, QUOTIENT)
+        ctx = WittCtx(5, n)
+        comps = list((p_seq_minus_p(ctx, X) * WittVec(ctx, [X, Y, X * Y][:n])).comps)
+        comps[index] = bad(comps[index])
+        return WittVec(ctx, comps)
+
+    @pytest.mark.parametrize("n, index", [(1, 0), (3, 0), (3, 1), (3, 2)])
+    def test_refuses_a_certified_coordinate(self, n, index):
+        x = self._vector(n, index, lambda c: FontaineElem(c.comps, CERTIFIED))
+        runs = "Witt + * - run over integers, tower elements over Z, residues mod p and plain sequences"
+        with pytest.raises(ValueError) as err:
+            divide_by_p_seq_minus_p(x)
+        assert str(err.value) == f"coordinate {index} is a certified sequence: {runs}"
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_refuses_an_incompatible_coordinate(self, index):
+        # the last component moved by 1 breaks r_(i+1)^p = r_i
+        x = self._vector(3, index, lambda c: FontaineElem(c.comps[:-1] + (c.comps[-1] + 1,), PLAIN))
+        with pytest.raises(ValueError) as err:
+            divide_by_p_seq_minus_p(x)
+        assert str(err.value) == (
+            f"coordinate {index} is an incompatible sequence: "
+            "Witt + * - run over compatible plain sequences"
+        )
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_positive_control_the_plain_vector_divides(self, n):
+        assert divide_by_p_seq_minus_p(self._vector(n, 0, lambda c: c)).steps == n
 
 
 class TestFoldClosedForms:
@@ -976,6 +1032,24 @@ class TestFoldClosedForms:
         roots = [c.proot() for c in times_p.comps[1:]]
         for root, c in zip(roots, v.comps):
             assert root.equals(c.truncate(c.depth - 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_shifted_sum_is_the_shift_of_the_sum(self, p):
+        # (0, u_0, ...) + (0, b, 0, ...) = V(u + [b]): the fold's V(rem') +
+        # V[y^p]; [b] left unshifted, V(u) + [b], is the negative control
+        rng = random.Random(100 + p)
+        degree = 2 if p == 3 else 3
+        for n in (2, 3, 4):
+            ctx = WittCtx(p, n)
+            u = WittVec(ctx, [_sequence_coord(rng, p, degree, 4) for _ in range(n)])
+            b = generators(p, degree, rng.randint(1, 4), QUOTIENT)[rng.randint(1, 2)]
+            b = b ** rng.randint(1, 3)
+            zero = b.zero_like()
+            shifted_b = WittVec(ctx, (zero, b, *[zero] * (n - 2)))
+            tau_b = WittVec.teichmuller(ctx, b)
+            want = shape(verschiebung(u + tau_b))
+            assert shape(verschiebung(u) + shifted_b) == want
+            assert shape(verschiebung(u) + tau_b) != want
 
     @given(pair=witt_pairs())
     @settings(max_examples=40, deadline=None)
