@@ -58,7 +58,8 @@ class NonIntegralComponentError(ArithmeticError):
 
 
 class SequenceDivisionError(ArithmeticError):
-    """Division by the p-root sequence failed at a component."""
+    """Division by the p-root sequence failed at a component; a refused
+    monomial is written at the lowest level its exponents allow."""
 
     def __init__(self, index: int, monomial=None):
         self.index = index
@@ -103,11 +104,12 @@ def _comp_equal(a: Component, b: Component, index: int, m_max: int) -> bool:
 
 
 class FontaineElem:
-    """Finite-depth compatible sequence of residues.  ``check_compat()``
-    is decided once; the sequences built here from valid components skip
-    ``__init__`` (``_trusted``) and carry a known compatibility forward."""
+    """Finite-depth compatible sequence of residues.  ``__init__`` refuses
+    a plain one that is not; a certified one, whose congruences can be
+    undetermined, is decided by ``check_compat()``.  Sequences built here
+    skip ``__init__`` (``_trusted``), compatible for the reason at each."""
 
-    __slots__ = ("comps", "mode", "_compat")
+    __slots__ = ("comps", "mode")
 
     def __init__(self, comps, mode: str = PLAIN):
         comps = tuple(comps)
@@ -126,17 +128,16 @@ class FontaineElem:
                 raise ValueError(f"component {i} sits at level {comp.level} < {i}")
         self.comps = comps
         self.mode = mode
-        self._compat = None
+        if mode == PLAIN and (i := self._first_incompatible()) is not None:
+            raise ValueError(f"component {i + 1} is not a p-th root of component {i}")
 
     @classmethod
-    def _trusted(cls, comps, mode: str, compat: bool | None) -> "FontaineElem":
-        """Components already valid in ``mode``, unchecked; a plain
-        sequence records ``compat`` when it is True (a certified one
-        decides its compatibility by a search)."""
+    def _trusted(cls, comps, mode: str) -> "FontaineElem":
+        """Components valid in ``mode`` and compatible, unchecked: -c, c**e,
+        a truncation and a root shift keep every relation r_{i+1}^p = r_i."""
         e = object.__new__(cls)
         e.comps = tuple(comps)
         e.mode = mode
-        e._compat = True if compat is True and mode == PLAIN else None
         return e
 
     # ------------------------------------------------------------------
@@ -162,7 +163,7 @@ class FontaineElem:
     def truncate(self, depth: int) -> "FontaineElem":
         if depth < 0 or depth > self.depth:
             raise ValueError("bad truncation depth")
-        return FontaineElem._trusted(self.comps[: depth + 1], self.mode, self._compat)
+        return FontaineElem._trusted(self.comps[: depth + 1], self.mode)
 
     def zero_like(self) -> "FontaineElem":
         return self.from_int(0)
@@ -173,14 +174,13 @@ class FontaineElem:
     def from_int(self, k: int) -> "FontaineElem":
         # constant sequences are compatible: k^p = k mod p
         comps = [TowerElem.integer(c.ctx, k, c.ctx.p) for c in self.comps]
-        return FontaineElem._trusted(comps, self.mode, True)
+        return FontaineElem._trusted(comps, self.mode)
 
     # ------------------------------------------------------------------
     def _binary(self, other, op):
         """Componentwise ``op`` at the lesser depth.  The result is not
         checked for compatibility: + - * keep it because Frobenius is a
-        ring map in characteristic p, a property the tests cover, so it is
-        known compatible when both operands are."""
+        ring map in characteristic p, a property the tests cover."""
         if isinstance(other, int):
             other = self.from_int(other)
         if not isinstance(other, FontaineElem):
@@ -189,7 +189,7 @@ class FontaineElem:
             raise ValueError("sequence family mismatch")
         comps = [op(*aligned(a, b)) for a, b in zip(self.comps, other.comps)]
         mode = CERTIFIED if CERTIFIED in (self.mode, other.mode) else PLAIN
-        return FontaineElem._trusted(comps, mode, self._compat and other._compat)
+        return FontaineElem._trusted(comps, mode)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -208,18 +208,18 @@ class FontaineElem:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FontaineElem._trusted([-c for c in self.comps], self.mode, self._compat)
+        return FontaineElem._trusted([-c for c in self.comps], self.mode)
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        return FontaineElem._trusted([c**e for c in self.comps], self.mode, self._compat)
+        return FontaineElem._trusted([c**e for c in self.comps], self.mode)
 
     def proot(self) -> "FontaineElem":
         """Left shift: the p-th root, at the cost of one unit of depth."""
         if self.depth < 1:
             raise DepthExhaustedError("no depth left for a p-th root")
-        return FontaineElem._trusted(self.comps[1:], self.mode, self._compat)
+        return FontaineElem._trusted(self.comps[1:], self.mode)
 
     # ------------------------------------------------------------------
     def equals(self, other, m_max: int | None = None) -> bool:
@@ -238,17 +238,16 @@ class FontaineElem:
     __hash__ = None
 
     def check_compat(self) -> bool:
-        """Do consecutive components satisfy r_{i+1}^p = r_i?  Decided
-        once per instance as in the division's step 2, r_{i+1}^p built
-        modulo p * R; an undetermined congruence is reported at index
-        i + 1 and leaves the answer undecided."""
-        if self._compat is None:
-            m_max = default_m_max(self.depth)
-            self._compat = all(
-                _comp_equal(_pth_power_mod_p(self.comps[i + 1]), self.comps[i], i + 1, m_max)
-                for i in range(self.depth)
-            )
-        return self._compat
+        """Do consecutive components satisfy r_{i+1}^p = r_i?  Decided on
+        every call, r_{i+1}^p built modulo p * R; an undetermined
+        congruence is reported at index i + 1 and leaves it undecided."""
+        return self._first_incompatible() is None
+
+    def _first_incompatible(self) -> int | None:
+        """The least i with r_{i+1}^p != r_i, or None."""
+        m, c = default_m_max(self.depth), self.comps
+        ok = (_comp_equal(_pth_power_mod_p(c[i + 1]), c[i], i + 1, m) for i in range(self.depth))
+        return next((i for i, good in enumerate(ok) if not good), None)
 
     def __repr__(self):
         kinds = ", ".join(repr(c) for c in self.comps[:3])
@@ -262,12 +261,12 @@ def generators(
     """The canonical compatible sequences of p-power roots of p, x, y,
     in plain mode.
 
-    Component i lives at level i; the level-i residue of the root of p
-    is the PI variable there (level 0: the integer p, which is 0 mod p).
+    Component i is PI_i, X_i or Y_i at level i, whose p-th power is
+    component i - 1 exactly (level 0: PI_0 = p, which is 0 mod p).
     """
     ctxs = [context(p, i, degree, ring_mode) for i in range(depth + 1)]
     P, X, Y = (
-        FontaineElem([TowerElem.monomial(ctx, *e, coeff_mod=p) for ctx in ctxs])
+        FontaineElem._trusted([TowerElem.monomial(ctx, *e, coeff_mod=p) for ctx in ctxs], PLAIN)
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     )
     return P, X, Y
@@ -315,14 +314,14 @@ def factor_by_p_seq(e: FontaineElem) -> tuple[list[Component], list[ClosureCert 
     roots of p, which decide whether it succeeds: (1) factor each
     component, s_n = r_n / PI_n, exactly over F_p in plain mode (p =
     PI_n^(p^n) lies in (PI_n), so R/p decides divisibility by PI_n) or,
-    in certified mode, with a closure certificate; (2) compatibility:
-    r_(n+1)^p = r_n for n = 1..N-1, modulo p * R in plain mode and
-    modulo p * closure in certified mode.  Step 2 is the roundtrip
-    PI_n * t_n = r_n of the quotient t_n = s_(n+1)^p, because PI_n * t_n
-    = (PI_(n+1) * s_(n+1))^p = r_(n+1)^p; since it is read modulo p *
-    closure, r_(n+1)^p is built modulo p * R (``_pth_power_mod_p``).
-    Returns the factors s_n and their certificates, ``certs[n]`` for s_n
-    and None where the factor is exact; a failed step raises.
+    in certified mode, with a closure certificate; (2) certified mode
+    only (a plain sequence is compatible by construction): r_(n+1)^p =
+    r_n modulo p * closure for n = 1..N-1.  Step 2 is the roundtrip PI_n
+    * t_n = r_n of the quotient t_n = s_(n+1)^p, because PI_n * t_n =
+    (PI_(n+1) * s_(n+1))^p = r_(n+1)^p, with r_(n+1)^p built modulo p *
+    R (``_pth_power_mod_p``).  Returns the factors s_n and their
+    certificates, ``certs[n]`` for s_n and None where the factor is
+    exact; a failed step raises.
 
     Nothing else needs deciding at slot 0, because the root closure is a
     ring (in plain mode read R for the closure throughout): PI_0 = p, so
@@ -354,12 +353,15 @@ def factor_by_p_seq(e: FontaineElem) -> tuple[list[Component], list[ClosureCert 
             try:
                 sn = rn.pi_divide(jn)
             except NotDivisibleError as exc:  # refused at the least failing monomial
-                raise SequenceDivisionError(n, exc.monomial) from exc
+                mono, level = exc.monomial, rn.level
+                while level > 0 and not any(x % p for x in mono):
+                    mono, level = tuple(x // p for x in mono), level - 1
+                raise SequenceDivisionError(n, mono) from exc
         s.append(sn)
         certs.append(cert)
 
     # step 2: the input's compatibility, which is the roundtrip PI_n * t_n = r_n
-    for n in range(1, N):
+    for n in range(1, N) if certified else ():
         if not _comp_equal(_pth_power_mod_p(r[n + 1]), r[n], n, m_max):
             raise CertificateSearchError(f"roundtrip mismatch at component {n}")
     return s, certs
@@ -375,12 +377,12 @@ def divide_by_p_seq_traced(e: FontaineElem) -> tuple[FontaineElem, list[ClosureC
     t_n is integral.
 
     The quotient is compatible with no further decision: with delta =
-    t_n - s_n, step 2 puts PI_n * delta in p * closure, so delta lies in
-    PI_n^(p^n - 1) * closure; as t_(n-1) = s_n^p, t_n^p - t_(n-1) is the
-    sum of C(p, i) s_n^(p-i) delta^i over 0 < i < p, which lies in p *
-    closure, plus delta^p, which lies in PI_n^(p (p^n - 1)) * closure,
-    inside p * closure for n >= 1.
+    t_n - s_n, the input's compatibility puts PI_n * delta in p * closure,
+    so delta lies in PI_n^(p^n - 1) * closure; as t_(n-1) = s_n^p,
+    t_n^p - t_(n-1) is the sum of C(p, i) s_n^(p-i) delta^i over 0 < i <
+    p, which lies in p * closure, plus delta^p, which lies in
+    PI_n^(p (p^n - 1)) * closure, inside p * closure for n >= 1.
     """
     s, certs = factor_by_p_seq(e)
     p = e.family.p
-    return FontaineElem._trusted([sn**p for sn in s[1:]], e.mode, True), certs
+    return FontaineElem._trusted([sn**p for sn in s[1:]], e.mode), certs

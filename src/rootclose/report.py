@@ -310,8 +310,8 @@ def _witness_closure(cfg: Config, _eta: FontaineElem) -> dict:
 
 
 def _witness_division(cfg: Config, eta: FontaineElem) -> dict:
-    # the factoring raises unless eta is compatible, which is what makes
-    # P * quotient give eta back, one depth lower; no quotient is built
+    # the constructor (plain) or the factoring (certified) refuses eta unless it is
+    # compatible, which makes P * quotient give eta back, one depth lower; no quotient is built
     _, factors = fontaine.factor_by_p_seq(FontaineElem(eta.comps, cfg.closure_mode))
     return {"factor_exponents": [0 if c is None else c.m for c in factors]}
 

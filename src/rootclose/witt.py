@@ -7,10 +7,10 @@ is injective, and coordinate k of a sum, product or difference is solved
 in R_n/p^(k+1) from the ghost components (Hazewinkel, "Witt vectors.
 Part 1", arXiv:0804.3888).  Integers and tower elements over Z run it
 exactly.  Plain sequences run it once per coordinate depth, at the
-index where that depth starts: a compatible sequence is determined by
-its deepest component and W(Frobenius) is a ring map, so every lower
-index is the Frobenius image of the one above it, and an incompatible
-sequence coordinate is refused.  A product with a Teichmuller factor is
+index where that depth starts: a plain sequence is compatible by
+construction, so it is determined by its deepest component, and
+W(Frobenius) is a ring map, so every lower index is the Frobenius image
+of the one above it.  A product with a Teichmuller factor is
 computed in closed form instead, [a] * (b_0, b_1, ...) = (a b_0,
 a^p b_1, a^(p^2) b_2, ...), which over F_p is a termwise Frobenius
 twist; everything else goes through the ghost map.  Residues mod p^j
@@ -249,12 +249,6 @@ def _lifted_op(op: str, xs, ys, p: int) -> list[TowerElem]:
     return out
 
 
-def _refuse_incompatible(c: FontaineElem, index: int) -> None:
-    if not c.check_compat():
-        runs = "Witt + * - run over compatible plain sequences"
-        raise ValueError(f"coordinate {index} is an incompatible sequence: {runs}")
-
-
 def _sequence_op(op: str, xs, ys, p: int) -> list:
     """Coordinates of x op y over compatible plain sequences, whose
     arithmetic is componentwise.  Coordinate k reads coordinates 0..k of
@@ -266,11 +260,9 @@ def _sequence_op(op: str, xs, ys, p: int) -> list:
     j + 1, c_k^(j) = (c_k^(j+1))^p, because the operands are compatible
     and W(Frobenius) is a ring map: one pass over each nonzero
     component's terms (``TowerElem.frobenius``), while every zero one
-    maps to index j's zero, built once.  An incompatible coordinate is
-    refused."""
+    maps to index j's zero, built once.  The outputs are compatible for
+    the same reason, so no check runs."""
     n = len(xs)
-    for i, c in enumerate(xs + ys):
-        _refuse_incompatible(c, i % n)
     depths = list(accumulate((min(x.depth, y.depth) for x, y in zip(xs, ys)), min))
     starts = set(depths)
     comps: list[list] = [[] for _ in xs]
@@ -288,7 +280,7 @@ def _sequence_op(op: str, xs, ys, p: int) -> list:
             at_j = [zero if c.is_zero else c.frobenius(level) for c in above]
         for k, c in enumerate(at_j):
             comps[k].append(c)
-    return [FontaineElem._trusted(c[::-1], PLAIN, True) for c in comps]
+    return [FontaineElem._trusted(c[::-1], PLAIN) for c in comps]
 
 
 def _ghost_op(op: str, xs, ys, p: int) -> list:
@@ -488,18 +480,16 @@ def divide_by_p_seq_minus_p(x: WittVec) -> SeqDivisionResult:
         raise ValueError("division needs compatible-sequence components")
     for i, c in enumerate(x.comps):
         _kind(c, i)
-    for i, c in enumerate(x.comps[1:], 1):
-        _refuse_incompatible(c, i)
 
     ys, rem = [], x.comps
     while len(ys) < length and rem[0].depth >= 1:
         ys.append(divide_by_p_seq(rem[0]))
         if len(ys) < length:
             # not F^-1(rem') + [y_k]: it keeps one more unit of depth per step,
-            # so (steps, depth, exhausted) change; y_k^p takes rem[0]'s level
-            # where deeper, so that the fold is written at the levels of rem
+            # so (steps, depth, exhausted) change; y_k^p, compatible as a power,
+            # takes rem[0]'s level where deeper, so the fold is at rem's levels
             at = zip((ys[-1] ** p).comps, rem[0].comps)
-            y_p = FontaineElem._trusted([a.embed(max(a.level, b.level)) for a, b in at], PLAIN, True)
+            y_p = FontaineElem._trusted([a.embed(max(a.level, b.level)) for a, b in at], PLAIN)
             sub = WittCtx(p, len(rem) - 1)
             c = WittVec(sub, rem[1:]) + WittVec.teichmuller(sub, y_p)
             if min(v.depth for v in c.comps) < 1:

@@ -266,14 +266,16 @@ class TestExampleSuite:
         # negative control: the division does not multiply its quotient
         # back, so one residue of coordinate 0 moved by 1 after it returns
         # must fail the run's checker: at depth 3 the quotient is one
-        # residue, at depth 4 two, whose relation the move breaks
+        # residue, at depth 4 two, whose relation the move breaks (so the
+        # forgery is built unchecked: the constructor would refuse it)
         divide = witt.divide_by_p_seq_minus_p
 
         def moved(x):
             got = divide(x)
             q0, *rest = got.quotient.comps
             comps = [q0.comps[0] + 1, *q0.comps[1:]]
-            got.quotient = witt.WittVec(got.quotient.ctx, [FontaineElem(comps, PLAIN), *rest])
+            forged = FontaineElem._trusted(comps, PLAIN)
+            got.quotient = witt.WittVec(got.quotient.ctx, [forged, *rest])
             return got
 
         monkeypatch.setattr(witt, "divide_by_p_seq_minus_p", moved)
@@ -887,14 +889,21 @@ def _verdicts(check, details: dict, config: report.Config):
 def _multiply_back(details: dict, config: report.Config):
     """The oracle of the closed form, for a record whose steps and
     quotient length are right: pmp * [q] against x = pmp * [X], both
-    built by Witt products over the quotient as a plain sequence."""
+    built by Witt products over the quotient as a plain sequence.  A
+    quotient that the constructor refuses as incompatible is not
+    compatible; its other refusals are malformed records."""
     steps = details["steps"]
     comps = [report.residue_from_json(d, config) for d in details["quotient"]]
     ctx = witt.WittCtx(config.p, steps)
     _, X, _ = fontaine.generators(config.p, report.DEGREE, len(comps) - 1, QUOTIENT)
     pmp = witt.p_seq_minus_p(ctx, X)
-    q = FontaineElem(comps, PLAIN)
-    if not (q.family.same_family(X.family) and q.check_compat()):
+    try:
+        q = FontaineElem(comps, PLAIN)
+    except ValueError as exc:
+        if "is not a p-th root of component" not in str(exc):
+            raise
+        q = None
+    if q is None or not q.family.same_family(X.family):
         yield NOT_COMPATIBLE
     elif pmp * witt.WittVec.teichmuller(ctx, q) != pmp * witt.WittVec.teichmuller(ctx, X):
         yield MULTIPLY_BACK.format(steps)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from rootclose import witt
+from rootclose import fontaine, witt
 from rootclose.closure import HypothesisNotMetError
 from rootclose.fontaine import (
     CERTIFIED,
@@ -695,21 +695,70 @@ class TestSequenceFrobenius:
         monkeypatch.setattr(FontaineElem, "__init__", counted)
         assert divide_by_p_seq_minus_p(x_vec).steps == 4
         assert inits == []
-        generators(2, 3, 7, QUOTIENT)
-        assert len(inits) == 3
+        FontaineElem(X.comps, PLAIN)
+        assert len(inits) == 1
 
-    @pytest.mark.parametrize("index", [0, 1])
-    def test_refuses_an_incompatible_coordinate(self, index):
-        # one component moved by 1: (r + 1)^p = r^p + 1 breaks its relation
-        # with the component below, so no index can be derived from it
-        ctx = WittCtx(5, 2)
-        _, X, Y = generators(5, 3, 2, QUOTIENT)
-        bumped = FontaineElem(X.comps[:-1] + (X.comps[-1] + 1,), PLAIN)
-        ok = WittVec(ctx, (X, Y))
-        bad = WittVec(ctx, (X, bumped) if index else (bumped, Y))
-        for op in (lambda: ok + bad, lambda: bad * ok, lambda: -bad, lambda: ok - bad):
-            with pytest.raises(ValueError, match=f"coordinate {index} is an incompatible sequence"):
-                op()
+
+#: The witt-kernel benchmark's shapes (p, degree, length, depth), with
+#: the steps their division takes.
+WITT_KERNEL_STEPS = {
+    (5, 3, 2, 4): 2, (5, 3, 2, 5): 2, (2, 3, 3, 5): 3, (3, 2, 3, 6): 3, (2, 3, 4, 7): 4
+}
+
+
+class TestNoCompatibilityDecision:
+    """A plain sequence is compatible by construction, so neither Witt
+    + * - nor the division by (p-root sequence - p) decides one: no
+    ``check_compat`` call and no component comparison."""
+
+    @staticmethod
+    def spied(monkeypatch, run):
+        calls = []
+        check_compat, comp_equal = FontaineElem.check_compat, fontaine._comp_equal
+
+        def counted_check(self):
+            calls.append("check_compat")
+            return check_compat(self)
+
+        def counted_equal(*args):
+            calls.append("_comp_equal")
+            return comp_equal(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(FontaineElem, "check_compat", counted_check)
+            mp.setattr(fontaine, "_comp_equal", counted_equal)
+            got = run()
+        return got, calls
+
+    @pytest.mark.parametrize(
+        "shape", sorted(WITT_KERNEL_STEPS), ids="p{0[0]}-w{0[2]}-d{0[3]}".format
+    )
+    def test_witt_kernel_shapes(self, monkeypatch, shape):
+        p, degree, length, depth = shape
+        rng = random.Random(sum(shape))
+        ctx = WittCtx(p, length)
+        w = WittVec(ctx, [random_seq(rng, p, degree, depth) for _ in range(length)])
+
+        def run():
+            return divide_by_p_seq_minus_p(p_seq_minus_p(ctx, w.comps[0]) * w).steps
+
+        assert self.spied(monkeypatch, run) == (WITT_KERNEL_STEPS[shape], [])
+
+    def test_the_deepest_report_config(self, monkeypatch):
+        # p5-d100-w101: pmp * [X] and its division
+        _, X, _ = generators(5, 3, 100, QUOTIENT)
+        ctx = WittCtx(5, 101)
+
+        def run():
+            x = p_seq_minus_p(ctx, X) * WittVec.teichmuller(ctx, X)
+            return divide_by_p_seq_minus_p(x).steps
+
+        assert self.spied(monkeypatch, run) == (50, [])
+
+    def test_positive_control_the_spy_sees_a_decision(self, monkeypatch):
+        _, X, _ = generators(5, 3, 2, QUOTIENT)
+        want = (True, ["check_compat", "_comp_equal", "_comp_equal"])
+        assert self.spied(monkeypatch, lambda: X.check_compat()) == want
 
 
 @st.composite
@@ -937,14 +986,14 @@ class TestClosedFormDivision:
 
     def test_the_fold_keeps_the_levels_of_a_deeper_head(self):
         # coordinate 0 (zero) is written deeper than coordinate 1 at
-        # index 1: the fold's sum is written at rem's levels there, so the
-        # second step refuses the monomial at the level the reference
-        # loop reads it; at y_k^p's own level it would be (8, 0, 0)
+        # index 1: the fold's sum is written at rem's levels there, and
+        # the second step refuses PI_5^16 = PI_4^8 = PI_1, which reads the
+        # same at every level: its lowest one, (1, 0, 0) at level 1
         P, _, _ = generators(2, 3, 4, QUOTIENT)
         head = FontaineElem([c.embed(lv) for c, lv in zip(P.zero_like().comps, (5, 5, 4, 4, 4))])
         tail = FontaineElem([c.embed(lv) for c, lv in zip(P.comps, (1, 2, 3, 4, 4))])
         x = WittVec(WittCtx(2, 2), [head, tail])
-        want = ("SequenceDivisionError", "component 0 is not divisible (monomial (16, 0, 0))")
+        want = ("SequenceDivisionError", "component 0 is not divisible (monomial (1, 0, 0))")
         assert division_outcome(_reference_division, x) == want
         assert division_outcome(divide_by_p_seq_minus_p, x) == want
 
@@ -964,10 +1013,11 @@ class TestClosedFormDivision:
 
 
 class TestRefusalUpFront:
-    """Each coordinate is refused before any division runs, by the index
-    the caller gave it and with the Witt layer's own message, at every
-    length: the folds number the remainder from 0, so a refusal inside
-    the first one would name coordinate i - 1."""
+    """Each coordinate that is not a plain sequence is refused before any
+    division runs, by the index the caller gave it and with the Witt
+    layer's own message, at every length: the folds number the remainder
+    from 0, so a refusal inside the first one would name coordinate
+    i - 1.  An incompatible plain sequence cannot be built."""
 
     @staticmethod
     def _vector(n, index, bad):
@@ -985,17 +1035,6 @@ class TestRefusalUpFront:
         with pytest.raises(ValueError) as err:
             divide_by_p_seq_minus_p(x)
         assert str(err.value) == f"coordinate {index} is a certified sequence: {runs}"
-
-    @pytest.mark.parametrize("index", [1, 2])
-    def test_refuses_an_incompatible_coordinate(self, index):
-        # the last component moved by 1 breaks r_(i+1)^p = r_i
-        x = self._vector(3, index, lambda c: FontaineElem(c.comps[:-1] + (c.comps[-1] + 1,), PLAIN))
-        with pytest.raises(ValueError) as err:
-            divide_by_p_seq_minus_p(x)
-        assert str(err.value) == (
-            f"coordinate {index} is an incompatible sequence: "
-            "Witt + * - run over compatible plain sequences"
-        )
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_positive_control_the_plain_vector_divides(self, n):
