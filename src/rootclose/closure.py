@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tower import NotDivisibleError, TowerCtx, TowerElem
+from .tower import NotDivisibleError, RingOps, TowerCtx, TowerElem
 
 
 class HypothesisNotMetError(ValueError):
@@ -23,7 +23,7 @@ class CertificateSearchError(RuntimeError):
     division met an incompatible input ("roundtrip mismatch")."""
 
 
-class LocalElem:
+class LocalElem(RingOps):
     """num / PI^denom_exp in canonical form (denominator minimal)."""
 
     __slots__ = ("num", "denom_exp")
@@ -74,10 +74,8 @@ class LocalElem:
     def _coerce(self, other):
         if isinstance(other, int):
             return LocalElem(TowerElem.integer(self.ctx, other), 0, _canonical=True)
-        if isinstance(other, TowerElem):
-            return LocalElem(other, 0, _canonical=True)
-        if isinstance(other, LocalElem):
-            return other
+        if isinstance(other, (TowerElem, LocalElem)):
+            return as_local(other)
         return None
 
     def __add__(self, other):
@@ -91,19 +89,8 @@ class LocalElem:
         b = other.num * TowerElem.monomial(self.ctx, j - other.denom_exp, 0, 0)
         return LocalElem(a + b, j)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LocalElem(-self.num, self.denom_exp, _canonical=True)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -115,8 +102,6 @@ class LocalElem:
             raise ValueError("context mismatch")
         return LocalElem(self.num * other.num, self.denom_exp + other.denom_exp)
 
-    __rmul__ = __mul__
-
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("exponent must be non-negative")
@@ -127,8 +112,6 @@ class LocalElem:
         if other is None:
             return NotImplemented
         return self.num == other.num and self.denom_exp == other.denom_exp
-
-    __hash__ = None
 
     def __repr__(self):
         if self.denom_exp == 0:

@@ -24,7 +24,7 @@ from .closure import (
     as_local,
     membership,
 )
-from .tower import NotDivisibleError, TowerCtx, TowerElem, context
+from .tower import NotDivisibleError, RingOps, TowerCtx, TowerElem, context
 
 PLAIN = "plain"
 CERTIFIED = "certified"
@@ -103,7 +103,7 @@ def _comp_equal(a: Component, b: Component, index: int, m_max: int) -> bool:
     return delta.is_zero or _p_closure_cert(delta, index, m_max) is not None
 
 
-class FontaineElem:
+class FontaineElem(RingOps):
     """Finite-depth compatible sequence of residues.  ``__init__`` refuses
     a plain one that is not; a certified one, whose congruences can be
     undetermined, is decided by ``check_compat()``.  Sequences built here
@@ -194,18 +194,11 @@ class FontaineElem:
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return FontaineElem._trusted([-c for c in self.comps], self.mode)
@@ -234,8 +227,6 @@ class FontaineElem:
 
     def __eq__(self, other):
         return self.equals(other) if isinstance(other, FontaineElem) else NotImplemented
-
-    __hash__ = None
 
     def check_compat(self) -> bool:
         """Do consecutive components satisfy r_{i+1}^p = r_i?  Decided on

@@ -131,7 +131,32 @@ def _reduced(terms: TermMap, m: int) -> TermMap:
     return {k: r for k, v in terms.items() if (r := v % m)}
 
 
-class TowerElem:
+class RingOps:
+    """What a commutative ring element derives from its own ``+``, ``*``,
+    unary ``-`` and ``_coerce`` (an operand as its own kind, or None; a
+    type without one writes ``x - y`` itself).  Compared by value: no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __sub__(self, other):
+        # coerce, then negate: the lift of -r is not minus the lift of r
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class TowerElem(RingOps):
     """Immutable element in normal form; ``terms`` maps (a, b, c) to
     nonzero coefficients with a < p^level and, in quotient mode,
     c < degree * p^level.
@@ -230,19 +255,8 @@ class TowerElem:
                 del out[k]
         return self._new(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._new({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -256,8 +270,6 @@ class TowerElem:
                 key = (a1 + a2, b1 + b2, c1 + c2)
                 raw[key] = raw.get(key, 0) + v1 * v2
         return TowerElem(self.ctx, raw, self.coeff_mod)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
@@ -433,14 +445,10 @@ class TowerElem:
     def __eq__(self, other):
         if isinstance(other, int):
             return self == TowerElem.integer(self.ctx, other, self.coeff_mod)
-        return (
-            isinstance(other, TowerElem)
-            and self.ctx == other.ctx
-            and self.coeff_mod == other.coeff_mod
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
+        if not isinstance(other, TowerElem):
+            return NotImplemented
+        same = self.ctx == other.ctx and self.coeff_mod == other.coeff_mod
+        return same and self.terms == other.terms
 
     def __repr__(self):
         mod = "" if self.coeff_mod is None else f", mod={self.coeff_mod}"

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from rootclose.closure import (
     HypothesisNotMetError,
     LocalElem,
     NotMember,
+    as_local,
     certified_pi_factor,
     closure_add,
     definite_nonmember,
@@ -71,6 +74,25 @@ class TestLocalElem:
     def test_embed_scales_denominator(self):
         c = LocalElem(cubes(CTX), 1)
         assert c.embed(2).denom_exp == 5
+
+
+class TestTowerOperands:
+    """A tower element enters the localization one way, ``as_local``: a
+    residue mod p is read as its canonical lift, whichever side it is on."""
+
+    R = TowerElem.monomial(CTX, 0, 1, 0, 2, coeff_mod=5)  # 2X mod 5
+
+    @pytest.mark.parametrize("denom_exp", [0, 1])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_each_operator_reads_the_lift(self, op, denom_exp):
+        local = LocalElem(self.R.lift(), denom_exp)
+        assert op(local, self.R) == op(local, as_local(self.R))
+        assert op(self.R, local) == op(as_local(self.R), local)
+
+    def test_equality_reads_the_lift_from_either_side(self):
+        local = LocalElem(self.R.lift())
+        assert local == self.R and self.R == local
+        assert LocalElem(self.R.lift(), 1) != self.R and self.R != LocalElem(self.R.lift(), 1)
 
 
 class TestMembership:

@@ -79,6 +79,59 @@ def test_only_closure_names_the_structural_refutation():
     assert users == ["closure"]
 
 
+#: The operators ``tower.RingOps`` derives once, and the classes that may
+#: still define each: a sequence's ``-`` is one componentwise pass and a Witt
+#: vector's its own ghost pass, and a Witt vector derives nothing.
+DERIVED = {
+    "__radd__": {"tower.RingOps"},
+    "__rmul__": {"tower.RingOps"},
+    "__rsub__": {"tower.RingOps"},
+    "__sub__": {"tower.RingOps", "fontaine.FontaineElem", "witt.WittVec"},
+    "__hash__": {"tower.RingOps", "witt.WittVec"},
+}
+
+
+def _class_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class body binds, by ``def`` or by assignment (an
+    alias such as ``__radd__ = __add__``, or ``__hash__ = None``)."""
+    out = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _operator_homes(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Per derived operator, every class that binds it, as module.Class."""
+    homes = {name: set() for name in DERIVED}
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for name in _class_names(cls) & set(DERIVED):
+                homes[name].add(f"{module}.{cls.name}")
+    return homes
+
+
+def test_each_derived_operator_has_one_definition():
+    assert _operator_homes({m: _tree(m) for m in MODULES}) == DERIVED
+
+
+def test_ring_ops_takes_none_of_the_traced_methods():
+    # bench/tracer.py wraps methods in their own class's dict, so RingOps
+    # binds the derived operators alone: none of +, *, -x, ** or a kernel
+    (cls,) = [n for n in _tree("tower").body if isinstance(n, ast.ClassDef) and n.name == "RingOps"]
+    assert _class_names(cls) == {"__slots__", *DERIVED}
+
+
+def test_the_operator_scan_catches_an_alias():
+    # negative control for the scan above: an alias counts as a definition
+    tree = ast.parse(
+        "class A:\n    def __add__(self, other):\n        return self\n    __radd__ = __add__\n"
+    )
+    assert _operator_homes({"m": tree})["__radd__"] == {"m.A"}
+
+
 #: The run's searches: a checker that reached one would decide a claim by
 #: doing the run's work again instead of checking its witness.
 SEARCHES = {

@@ -36,12 +36,10 @@ NEVER_ENTERED = {
     "closure.LocalElem.__eq__": DUNDER,
     "closure.LocalElem.__pow__": DUNDER,
     "closure.LocalElem.__repr__": DUNDER,
-    "closure.LocalElem.__rsub__": DUNDER,
     "closure.certified_pi_factor": ITEM_11,
     "fontaine.FontaineElem.__eq__": DUNDER,
     "fontaine.FontaineElem.__neg__": DUNDER,
     "fontaine.FontaineElem.__repr__": DUNDER,
-    "fontaine.FontaineElem.__rsub__": DUNDER,
     "fontaine.FontaineElem.is_zero": ITEM_4,
     "fontaine.NonIntegralComponentError.__init__": ITEM_4,
     "fontaine.UndeterminedCongruenceError.__init__": (
@@ -53,8 +51,9 @@ NEVER_ENTERED = {
     ),
     "report.cert_from_json": BENCH,
     "tower.ResidueElem.__new__": BENCH,
+    "tower.RingOps.__radd__": DUNDER,
+    "tower.RingOps.__rsub__": DUNDER,
     "tower.TowerElem.__repr__": DUNDER,
-    "tower.TowerElem.__rsub__": DUNDER,
     "tower.TowerElem.one_like": f"{DUNDER}: x ** 0 in TowerElem.__pow__",
     "witt.WittVec.__neg__": DUNDER,
     "witt.WittVec.__repr__": DUNDER,
